@@ -67,11 +67,9 @@ from .schrodinger import (
     Edge,
     PotentialPiece,
     Solution,
-    boundary_transform_edge,
     dirichlet_eigenvalues,
     edge_to_herglotz,
     solve_edge,
-    solve_ivp,
     weyl_m,
 )
 from .spectra import (
@@ -118,7 +116,6 @@ __all__ = [
     "atomic_rational_parts",
     "boundary_imag_limit",
     "boundary_limit",
-    "boundary_transform_edge",
     "build_example_k74",
     "cauchy_transform",
     "classical_parts",
@@ -147,7 +144,6 @@ __all__ = [
     "real_zeros",
     "richardson",
     "solve_edge",
-    "solve_ivp",
     "solve_level",
     "stieltjes_invert",
     "sum_measures",

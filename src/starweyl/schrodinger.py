@@ -5,8 +5,12 @@ x = 0 is the interface vertex.  The outer endpoint carries the boundary
 condition u(L) cos(beta) + u'(L) sin(beta) = 0.  The interface data of the
 edge is summarized by m(z) = u'(0)/u(0) for the solution obeying the outer
 condition; that normalization is fixed here once and used everywhere
-downstream.  Free infinite edges use the closed form i sqrt(z) with the
-square root taken in the upper half-plane.
+downstream.
+
+Free edges are evaluated in closed form: infinite ones give i sqrt(z) with
+the square root taken in the upper half-plane, finite ones the
+trigonometric ratio in `_free_values`.  Edges with a potential are
+integrated segment by segment from the outer endpoint (`solve_edge`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from scipy.integrate import solve_ivp as _scipy_ivp
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError
-from .herglotz import HerglotzRep, atom_weight, cos_sin, geometric_schedule, mobius
+from .herglotz import HerglotzRep, atom_weight, cos_sin, geometric_schedule
 from .measure import (
     NumberLike,
     Poly,
@@ -185,14 +189,60 @@ def _segments(x0: float, x1: float, breaks: Sequence[float]) -> list:
     return list(zip(nodes, nodes[1:]))
 
 
+def _segment_coeffs(edge: Edge, mid: float) -> Tuple[float, ...]:
+    """Float coefficients of q, highest degree first, on the segment holding mid.
+
+    The piece is chosen once per segment, at an interior point: at a shared
+    breakpoint `Edge.q_at` returns whichever piece comes first, which is the
+    wrong one for the segment on the other side.
+    """
+    for piece in edge.potential or ():
+        if piece.lo <= mid <= piece.hi:
+            return tuple(float(c) for c in reversed(piece.poly.coeffs))
+    return ()
+
+
+def _rhs(coeffs: Tuple[float, ...], z: complex, real_path: bool):
+    """Right-hand side of u'' = (q - z) u as a real first-order system."""
+
+    def q(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    if real_path:
+        zr = z.real
+
+        def rhs(x, y):
+            return [y[1], (q(x) - zr) * y[0]]
+
+        return rhs
+
+    ci = -z.imag
+
+    def rhs(x, y):
+        cr = q(x) - z.real
+        # u'' = (q - z) u with u = y0 + i y1, u' = y2 + i y3
+        return [
+            y[2],
+            y[3],
+            cr * y[0] - ci * y[1],
+            cr * y[1] + ci * y[0],
+        ]
+
+    return rhs
+
+
 def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
               x0: float, x1: float) -> Solution:
     """Integrate -u'' + q u = z u from (u, u')(x0) = init to x1.
 
     Complex z is split into real and imaginary parts so the integrator
     always sees a real system.  Integration restarts at every potential
-    breakpoint; the right-hand side is smooth on each segment, which is
-    what the high-order stepper needs to hit its tolerance.
+    breakpoint and each segment uses its own piece's polynomial, so the
+    right-hand side is smooth on each segment, which is what the
+    high-order stepper needs to hit its tolerance.
     """
     x0, x1 = float(x0), float(x1)
     if not edge.is_infinite:
@@ -204,32 +254,14 @@ def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
 
     zc = complex(z)
     real_path = zc.imag == 0.0 and complex(init[0]).imag == 0.0 and complex(init[1]).imag == 0.0
-
     if real_path:
-        zr = zc.real
-
-        def rhs(x, y):
-            return [y[1], (edge.q_at(x) - zr) * y[0]]
-
         y = [float(complex(init[0]).real), float(complex(init[1]).real)]
     else:
-
-        def rhs(x, y):
-            q = edge.q_at(x)
-            cr = (q - zc.real)
-            ci = -zc.imag
-            # u'' = (q - z) u with u = y0 + i y1, u' = y2 + i y3
-            return [
-                y[2],
-                y[3],
-                cr * y[0] - ci * y[1],
-                cr * y[1] + ci * y[0],
-            ]
-
         u0, du0 = complex(init[0]), complex(init[1])
         y = [u0.real, u0.imag, du0.real, du0.imag]
 
     for a, b in _segments(x0, x1, edge._breakpoints()):
+        rhs = _rhs(_segment_coeffs(edge, 0.5 * (a + b)), zc, real_path)
         res = _scipy_ivp(rhs, (a, b), y, method="DOP853",
                          rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=False)
         if not res.success:
@@ -241,23 +273,69 @@ def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
     return Solution(zc, x1, complex(y[0], y[1]), complex(y[2], y[3]))
 
 
-# Historical name, kept for callers that expect it; shadows scipy's solver
-# when star-imported, so internal code sticks to solve_edge.
-solve_ivp = solve_edge
-
-
 def _outer_init(edge: Edge) -> Tuple[float, float]:
     c, s = cos_sin(float(edge.outer_angle))
     return (s, -c)
 
 
+# Beyond this |Im kL|, cos kL is at least sinh(20) ~ 2.4e8 in modulus, never
+# zero, and cmath.cos overflows a few hundred units further out.
+_SCALE_IM_KL = 20.0
+
+
+def _free_values(edge: Edge, z: complex):
+    """(u(0), u'(0)) of the outer-condition solution on a free finite edge.
+
+    With k = sqrt(z), c = cos(beta), s = sin(beta), C = cos kL and
+    S = sin(kL)/k (S = L at k = 0):
+
+        u(0) = s C + c S,    u'(0) = s z S - c C.
+
+    C and S are even in k, so the branch of the root does not matter.  Where
+    C grows exponentially (z < 0, or |Im kL| large) both values are divided
+    by C, which leaves their ratio and the sign of u(0) unchanged.  Real z
+    gives real floats.
+    """
+    c, s = cos_sin(float(edge.outer_angle))
+    L = float(edge.length)
+    if z.imag == 0.0:
+        x = z.real
+        if x > 0.0:
+            k = math.sqrt(x)
+            C, S = math.cos(k * L), math.sin(k * L) / k
+        elif x < 0.0:
+            k = math.sqrt(-x)
+            C, S = 1.0, math.tanh(k * L) / k
+        else:
+            C, S = 1.0, L
+        return s * C + c * S, s * x * S - c * C
+    k = cmath.sqrt(z)
+    kL = k * L
+    if abs(kL.imag) > _SCALE_IM_KL:
+        C, S = 1.0, cmath.tan(kL) / k
+    else:
+        C, S = cmath.cos(kL), cmath.sin(kL) / k
+    return s * C + c * S, s * z * S - c * C
+
+
+def _boundary_values(edge: Edge, z: complex):
+    """(u(0), u'(0)) of the outer-condition solution on a finite edge, up to
+    a common factor that is positive for real z: closed form when free, the
+    ODE otherwise."""
+    if edge.potential is None:
+        return _free_values(edge, z)
+    sol = solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0)
+    return sol.u, sol.du
+
+
 def weyl_m(edge: Edge, z: complex) -> complex:
     """Interface value m(z) = u'(0)/u(0) of the outer-condition solution.
 
-    Finite edges are integrated from the outer endpoint; free infinite
-    edges return i sqrt(z) on the branch with positive imaginary part.
-    Real z is allowed for finite edges (the value is then real) except at
-    the isolated points where u(0) vanishes.
+    Free finite edges use the closed form of `_free_values`; edges with a
+    potential are integrated from the outer endpoint; free infinite edges
+    return i sqrt(z) on the branch with positive imaginary part.  Real z is
+    allowed for finite edges (the value is then real) except at the
+    isolated points where u(0) vanishes.
     """
     zc = complex(z)
     if edge.is_infinite:
@@ -265,18 +343,16 @@ def weyl_m(edge: Edge, z: complex) -> complex:
         if s.imag < 0:
             s = -s
         return 1j * s
-    u0, du0 = _outer_init(edge)
-    sol = solve_edge(edge, zc, (u0, du0), float(edge.length), 0.0)
-    if sol.u == 0:
+    u, du = _boundary_values(edge, zc)
+    if u == 0:
         raise ZeroDivisionError(f"u(0; z={z}) = 0: z is an outer-decoupled eigenvalue")
-    return sol.du / sol.u
+    return du / u
 
 
 def _interface_value(edge: Edge, z: float) -> float:
-    """u(0; z) for real z, the secular function whose zeros are poles of m."""
-    u0, du0 = _outer_init(edge)
-    sol = solve_edge(edge, float(z), (u0, du0), float(edge.length), 0.0)
-    return float(sol.u.real if isinstance(sol.u, complex) else sol.u)
+    """u(0; z) for real z, up to a positive factor: the secular function
+    whose zeros are the poles of m."""
+    return float(_boundary_values(edge, complex(float(z)))[0])
 
 
 def dirichlet_eigenvalues(edge: Edge, window) -> list:
@@ -349,8 +425,10 @@ def edge_to_herglotz(edge: Edge, window, schedule=None) -> HerglotzRep:
         raise ValueError("infinite free edges have no atomic representation")
     eigs = dirichlet_eigenvalues(edge, window)
     if schedule is None:
-        # The ODE relative error is ~1e-12, and near a pole |m| ~ 1/eps, so
-        # eps below ~1e-6 only amplifies solver noise.  Start at 1e-2.
+        # For potential edges the ODE relative error is ~1e-12, and near a
+        # pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies solver noise.
+        # Start at 1e-2.  Free edges (closed form, accurate to rounding) use
+        # the same schedule.
         schedule = geometric_schedule(1e-2, 13)
     fn = lambda zz: weyl_m(edge, zz)
     atoms = []
@@ -360,8 +438,3 @@ def edge_to_herglotz(edge: Edge, window, schedule=None) -> HerglotzRep:
             raise ConvergenceError(f"nonpositive extracted mass at decoupled eigenvalue {x}")
         atoms.append((x, w))
     return HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=atoms))
-
-
-def boundary_transform_edge(edge_m, alpha: float):
-    """Re-anchor interface data to a rotated interface condition."""
-    return mobius(edge_m, alpha)

@@ -4,20 +4,26 @@ Closed forms used as oracles (free potential, outer condition at x = L):
 Dirichlet m(z) = -sqrt(z) cot(sqrt(z) L), Neumann m(z) = sqrt(z) tan(sqrt(z) L),
 half line m(z) = i sqrt(z).  The residue of the Dirichlet m at z = k^2 (L = pi)
 is 2k^2/pi, giving measure mass (2k^2/pi)/(1 + k^4) after the 1 + x^2 rescale.
+
+weyl_m evaluates free finite edges in closed form, so the tests that compare
+it with the ODE (solve_edge integrated from the outer end) are two-route
+checks; piecewise-constant potentials are checked against products of
+closed-form transfer matrices.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from starweyl import (
     Edge,
-    boundary_transform_edge,
     cos_sin,
     dirichlet_eigenvalues,
     edge_to_herglotz,
+    mobius,
     solve_edge,
     weyl_m,
 )
@@ -28,6 +34,26 @@ ODE_TOL = 1e-9
 def dirichlet_m(z, L):
     s = cmath.sqrt(z)
     return -s * cmath.cos(s * L) / cmath.sin(s * L)
+
+
+def ode_m(edge, z):
+    """m(z) through the ODE, integrated from the outer end to the vertex."""
+    c, s = cos_sin(edge.outer_angle)
+    sol = solve_edge(edge, z, (s, -c), float(edge.length), 0.0)
+    return sol.du / sol.u
+
+
+def transfer_m(L, beta, pieces, z):
+    """m(z) for a piecewise-constant potential, pieces [(lo, hi, q)] covering
+    [0, L], as a product of closed-form transfer matrices from x = L to 0."""
+    c, s = cos_sin(beta)
+    u, du = complex(s), complex(-c)
+    for lo, hi, q in sorted(pieces, reverse=True):
+        w = cmath.sqrt(z - q)
+        h = lo - hi
+        cw, sw = cmath.cos(w * h), cmath.sin(w * h)
+        u, du = cw * u + sw / w * du, -w * sw * u + cw * du
+    return du / u
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +127,16 @@ def test_solver_rejects_points_outside_the_edge():
         solve_edge(Edge.of(1), 1.0, (1.0, 0.0), 0.0, 2.0)
 
 
+def test_potential_jump_uses_each_segments_own_piece():
+    # q jumps from 1/2 to 2 at x = 1; the integrator restarts there and must
+    # not see the [0, 1] value at the start of the [1, 2] segment
+    e = Edge.of(2, [((0, 1), [F(1, 2)]), ((1, 2), [F(2)])], 0.7)
+    pieces = [(0.0, 1.0, 0.5), (1.0, 2.0, 2.0)]
+    for z in (1.3 + 0.01j, 0.4, -2 + 1j, 5.5 + 0.2j):
+        want = transfer_m(2.0, 0.7, pieces, z)
+        assert abs(weyl_m(e, z) - want) <= 1e-11 * abs(want)
+
+
 def test_segment_restarts_do_not_change_the_solution():
     # the same constant potential, once as a single piece and once split
     whole = Edge.of(1, [((0, 1), [F(2)])], 0.0)
@@ -122,6 +158,41 @@ def test_weyl_m_matches_the_dirichlet_closed_form():
 
 def test_weyl_m_negative_energy_is_the_coth_value():
     assert weyl_m(Edge.of(1), -1) == pytest.approx(-1 / math.tanh(1), abs=ODE_TOL)
+
+
+def test_weyl_m_far_negative_energy_does_not_overflow():
+    k = math.sqrt(1e5)
+    assert weyl_m(Edge.of(3), -1e5) == pytest.approx(-k / math.tanh(3 * k), rel=1e-13)
+    # complex z with |Im kL| in the hundreds: cos kL alone would overflow
+    z = -1e5 + 1.0j
+    assert weyl_m(Edge.of(3), z) == pytest.approx(1j * cmath.sqrt(z), rel=1e-12)
+
+
+@pytest.mark.parametrize("angle_class", ["dirichlet", "neumann", "obtuse", "acute"])
+def test_free_closed_form_matches_the_ode(angle_class):
+    rng = random.Random(angle_class)
+    for _ in range(4):
+        L = rng.uniform(0.5, 3.0)
+        beta = {
+            "dirichlet": 0.0,
+            "neumann": math.pi / 2,
+            "obtuse": rng.uniform(math.pi / 2 + 0.1, math.pi - 0.1),
+            "acute": rng.uniform(0.1, math.pi / 2 - 0.1),
+        }[angle_class]
+        e = Edge.of(L, "free", beta)
+        x = rng.uniform(0.1, 20.0)
+        zs = (
+            x,
+            -rng.uniform(0.1, 20.0),
+            0.0,
+            complex(x, 1e-7),
+            complex(rng.uniform(200.0, 900.0), rng.uniform(-5.0, 5.0)),
+        )
+        for z in zs:
+            got, want = weyl_m(e, z), ode_m(e, z)
+            assert abs(got - want) <= 1e-8 * (1 + abs(want)), (L, beta, z)
+            if isinstance(z, float):
+                assert isinstance(got, float)
 
 
 def test_weyl_m_neumann_closed_form():
@@ -178,6 +249,29 @@ def test_dirichlet_eigenvalues_shift_with_the_potential():
         assert got == pytest.approx(ref, abs=1e-8)
 
 
+def test_dirichlet_eigenvalues_of_free_edges_are_the_closed_form_poles():
+    rng = random.Random(3)
+    for _ in range(3):
+        L = rng.uniform(0.5, 3.0)
+        hi = (6.3 * math.pi / L) ** 2
+        dirichlet = dirichlet_eigenvalues(Edge.of(L), (-5.0, hi))
+        neumann = dirichlet_eigenvalues(Edge.of(L, "free", math.pi / 2), (-5.0, hi))
+        assert dirichlet == pytest.approx([(j * math.pi / L) ** 2 for j in range(1, 7)],
+                                          rel=1e-12)
+        assert neumann == pytest.approx([((j + 0.5) * math.pi / L) ** 2 for j in range(6)],
+                                        rel=1e-12)
+
+
+def test_obtuse_outer_angle_gives_one_negative_pole():
+    L, beta = 2.0, 2.5
+    c, s = cos_sin(beta)
+    eigs = dirichlet_eigenvalues(Edge.of(L, "free", beta), (-10, 0))
+    assert len(eigs) == 1
+    k = math.sqrt(-eigs[0])
+    # u(0) = s cosh kL + c sinh(kL)/k vanishes there
+    assert s + c * math.tanh(k * L) / k == pytest.approx(0.0, abs=1e-12)
+
+
 def test_dirichlet_eigenvalues_need_a_finite_edge():
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(Edge.of("inf"), (0, 1))
@@ -195,10 +289,10 @@ def test_edge_to_herglotz_extracts_the_known_masses():
         assert mass == pytest.approx(want, rel=1e-6)
 
 
-def test_boundary_transform_edge_applies_the_angle_map():
+def test_mobius_applies_the_angle_map_to_an_edge():
     e = Edge.of(math.pi)
     alpha = 0.6
-    g = boundary_transform_edge(lambda z: weyl_m(e, z), alpha)
+    g = mobius(lambda z: weyl_m(e, z), alpha)
     z = 1.7 + 0.4j
     c, s = cos_sin(alpha)
     m = weyl_m(e, z)

@@ -262,6 +262,15 @@ def test_fd_oracle_detects_double_layers():
     ]
 
 
+def test_fd_oracle_repeats_exactly_within_one_process():
+    edges = [Edge.of(math.pi)] * 3
+    first = fd_oracle(edges, (0.1, 10.5), grid=1000)
+    second = fd_oracle(edges, (0.1, 10.5), grid=1000)
+    assert first.items == second.items
+    # the antisymmetric modes at j^2 are still found
+    assert [m for _, m in first.items] == [1, 2, 1, 2, 1, 2]
+
+
 def test_fd_oracle_coarse_flag_tracks_resolution():
     edges = [Edge.of(math.pi), Edge.of(math.pi * (1 + 1e-4)), Edge.of(math.pi)]
     rough = fd_oracle(edges, (0.5, 1.5), grid=100)
