@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -261,18 +262,25 @@ def geometric_schedule(eps0: float = 0.1, steps: int = 40, ratio: float = 0.5):
 DEFAULT_SCHEDULE = geometric_schedule()
 
 
-def richardson(eps: Sequence[float], vals: Sequence[complex], tail: int = 8):
-    """Accelerated limit of vals as eps -> 0 on a geometric schedule.
+def _size(v) -> float:
+    return float(np.linalg.norm(v)) if isinstance(v, np.ndarray) else abs(v)
 
-    Successively eliminates integer powers of eps.  Returns the accelerated
-    value together with a crude error estimate (the change produced by the
-    last elimination stage).
+
+def richardson(eps: Sequence[float], vals: Sequence, tail: int = 8):
+    """Accelerated limit of vals as eps -> 0.
+
+    The samples are scalars or equally shaped arrays.  On a geometric
+    schedule, integer powers of eps are eliminated one stage at a time;
+    otherwise a polynomial in eps is fitted through the samples, in real
+    arithmetic when they are real.  Returns the accelerated value together
+    with a crude error estimate (the change produced by the last
+    elimination stage, or the distance of the fit from the last sample).
     """
     k = min(tail, len(vals))
     if k == 0:
         raise ValueError("no samples")
     if k == 1:
-        return vals[-1], abs(vals[-1])
+        return vals[-1], _size(vals[-1])
     e = [float(v) for v in eps[-k:]]
     v = list(vals[-k:])
     r = e[0] / e[1]
@@ -281,14 +289,16 @@ def richardson(eps: Sequence[float], vals: Sequence[complex], tail: int = 8):
         # Fall back to a polynomial fit in eps, scaled for conditioning.
         s = max(e)
         A = np.array([[(ei / s) ** j for j in range(k)] for ei in e])
-        coef = np.linalg.solve(A, np.array(v, dtype=complex))
-        return complex(coef[0]), float(abs(v[-1] - coef[0]))
+        samples = np.array(v)
+        coef = np.linalg.solve(A, samples.reshape(k, -1))[0].reshape(samples.shape[1:])
+        limit = coef if coef.ndim else coef.item()
+        return limit, _size(v[-1] - limit)
     prev_diag = v[-1]
     for m in range(1, k):
         rm = r**m
         v = [(rm * v[i + 1] - v[i]) / (rm - 1.0) for i in range(len(v) - 1)]
         diag = v[-1]
-        err = abs(diag - prev_diag)
+        err = _size(diag - prev_diag)
         prev_diag = diag
     return prev_diag, err
 
@@ -513,28 +523,59 @@ _BISECT_BITS = 64
 _MAX_SHRINK = 200
 
 
-def _bisect_exact(F, lo: Fraction, hi: Fraction) -> Fraction:
-    """Root of the increasing function F on [lo, hi], F(lo) < 0 < F(hi)."""
-    width_goal = None
+def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int, int], int]:
+    """sign(h(x) - level) as -1, 0 or +1 at x = p/q (q > 0) off the atoms.
+
+    With h - level = N/Q (see `_rational_form`), the sign of N(p/q) is that
+    of the homogeneous Horner sum q^d N(p/q) over the integer coefficients
+    of N; p/q need not be in lowest terms.  Q = prod (t_j - x) has the sign
+    (-1)^left, where ``left`` is the number of atoms below x.  No rational
+    arithmetic is involved, and a zero is detected exactly.
+    """
+    num, _, _, _ = _rational_form(h, level)
+    g = math.gcd(*num)
+    head, *rest = (c // g for c in reversed(num))
+
+    def sign(p: int, q: int, left: int) -> int:
+        acc, qk = head, 1
+        for c in rest:
+            qk *= q
+            acc = acc * p + c * qk
+        s = (acc > 0) - (acc < 0)
+        return -s if left % 2 else s
+
+    return sign
+
+
+def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction) -> Fraction:
+    """Root of an increasing function on [lo, hi] from its signs alone.
+
+    ``sign(p, q)`` is -1, 0 or +1 at p/q, with sign < 0 at lo and > 0 at hi;
+    `solve_level` passes the integer sign check of `_level_sign`.  The
+    bracket is kept as integer numerators over a shared denominator that
+    doubles per step, so the midpoints are the exact rationals (lo + hi)/2
+    without any gcd, and the result is the same Fraction.
+    """
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    goal = max(abs(Fraction(a + b, 2 * den)), Fraction(1)) / Fraction(2**_BISECT_BITS)
     while True:
-        mid = (lo + hi) / 2
-        if width_goal is None:
-            width_goal = max(abs(mid), Fraction(1)) / Fraction(2**_BISECT_BITS)
-        v = F(mid)
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        v = sign(mid, den)
         if v == 0:
-            return mid
+            return Fraction(mid, den)
         if v < 0:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-        if hi - lo < width_goal:
+            b = mid
+        if (b - a) * goal.denominator < goal.numerator * den:
             break
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
-    mid = (lo + hi) / 2
+    lo, hi, mid = Fraction(a, den), Fraction(b, den), Fraction(a + b, 2 * den)
     for bound in (10, 10**3, 10**6, 10**9, 10**12):
         cand = mid.limit_denominator(bound)
-        if lo < cand < hi and F(cand) == 0:
+        if lo < cand < hi and sign(cand.numerator, cand.denominator) == 0:
             return cand
     return mid
 
@@ -543,15 +584,15 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     """All real solutions of h(x) = level, using monotonicity between poles.
 
     The function increases strictly on every interval free of poles, so each
-    such gap carries at most one solution, bracketed and bisected in exact
-    rational arithmetic.  ``window`` (lo, hi) filters the output.
+    such gap carries at most one solution, bracketed and bisected on exact
+    rationals.  Each sign check is an integer Horner sum: h - level is
+    written once as N/Q with Q = prod (t_j - x), whose sign is fixed on each
+    gap (`_level_sign`).  ``window`` (lo, hi) filters the output.
     """
     if not h.omega.is_atomic:
         raise ValueError("exact level solving needs a purely atomic measure")
     level = as_fraction(level)
-
-    def F(x: Fraction) -> Fraction:
-        return h.eval_real(x) - level
+    level_sign = _level_sign(h, level)
 
     ts = [t for t, _ in h.omega.atoms]
     roots: list[Fraction] = []
@@ -564,7 +605,13 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         gaps: list[tuple] = [(None, ts[0])]
         gaps += [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)]
         gaps.append((ts[-1], None))
-        for L, R in gaps:
+        for left, (L, R) in enumerate(gaps):
+            # `left` atoms lie below this gap: they fix the sign of Q here.
+            sign = partial(level_sign, left=left)
+
+            def F(x: Fraction) -> int:
+                return sign(x.numerator, x.denominator)
+
             if L is None and h.b == 0 and not (hinf < level):
                 continue
             if R is None and h.b == 0 and not (hinf > level):
@@ -641,7 +688,7 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
                     raise ConvergenceError("no sign change toward +infinity")
                 if hi is None:
                     continue
-            roots.append(_bisect_exact(F, lo, hi))
+            roots.append(_bisect_exact(sign, lo, hi))
     roots.sort()
     if window is not None:
         wlo, whi = as_fraction(window[0]), as_fraction(window[1])
@@ -735,27 +782,57 @@ def mobius(h: WeylLike, alpha: float) -> WeylLike:
 # ---------------------------------------------------------------------------
 
 
+def _rational_form(h: HerglotzRep, level: Fraction = Fraction(0)):
+    """Integer coefficients of h - level = N/Q with Q = prod (t_j - x).
+
+    N = (a - sum w_j t_j - level + b x) Q + sum_j w_j (1 + t_j^2) Q_j with
+    Q_j = Q / (t_j - x), one synthetic division per atom, so the build is
+    O(n^2) for n atoms.  With D the common denominator of the positions
+    and M that of the remaining data, D^n Q and M D^n N have integer
+    coefficients.  Returns (num, num_scale, den, den_scale), ascending
+    coefficient lists with N = num / num_scale and Q = den / den_scale.
+    """
+    if not h.omega.is_atomic:
+        raise ValueError("rational form needs a purely atomic measure")
+    atoms = h.omega.atoms
+    D = math.lcm(*(t.denominator for t, _ in atoms))
+    T = [t.numerator * (D // t.denominator) for t, _ in atoms]
+    # D^n Q = prod (T_j - D x)
+    den = [1]
+    for Tj in T:
+        den = ([Tj * den[0]] + [Tj * den[k] - D * den[k - 1] for k in range(1, len(den))]
+               + [-D * den[-1]])
+    lead = h.a - level - sum((w * t for t, w in atoms), Fraction(0))
+    rhos = [w * (1 + t * t) * D for t, w in atoms]
+    M = math.lcm(lead.denominator, h.b.denominator, *(r.denominator for r in rhos))
+    c0, c1 = int(lead * M), int(h.b * M)
+    # M D^n (lead + b x) Q
+    num = [c0 * den[0]] + [c0 * den[k] + c1 * den[k - 1] for k in range(1, len(den))]
+    num.append(c1 * den[-1])
+    for Tj, rho in zip(T, rhos):
+        # D^(n-1) Q_j from D^n Q = (T_j - D x) D^(n-1) Q_j, highest term first
+        r = int(rho * M)
+        quo = -den[-1] // D
+        num[len(den) - 2] += r * quo
+        for k in range(len(den) - 2, 0, -1):
+            quo = (Tj * quo - den[k]) // D
+            num[k - 1] += r * quo
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return num, M * D ** len(atoms), den, D ** len(atoms)
+
+
 def atomic_rational_parts(h: HerglotzRep) -> Tuple[Poly, Poly]:
     """Write a purely atomic function as P/Q with Q = prod (t_j - x).
 
     P and Q are coprime by construction (P(t_j) is a nonzero multiple of the
     j-th mass), which is what makes pole-disjointness certificates exact.
+    Both come from `_rational_form`, the integer construction whose signs
+    certify exact zeros in `solve_level`.
     """
-    if not h.omega.is_atomic:
-        raise ValueError("rational form needs a purely atomic measure")
-    atoms = h.omega.atoms
-    Q = Poly((1,))
-    for t, _ in atoms:
-        Q = Q * Poly((t, -1))
-    lead = h.a - sum((w * t for t, w in atoms), Fraction(0))
-    P = Poly((lead, h.b)) * Q
-    for j, (t, w) in enumerate(atoms):
-        Qj = Poly((1,))
-        for k, (tk, _) in enumerate(atoms):
-            if k != j:
-                Qj = Qj * Poly((tk, -1))
-        P = P + Qj.scaled(w * (1 + t * t))
-    return P, Q
+    num, num_scale, den, den_scale = _rational_form(h)
+    return (Poly(Fraction(c, num_scale) for c in num),
+            Poly(Fraction(c, den_scale) for c in den))
 
 
 def poly_gcd_degree(p: Poly, q: Poly) -> int:

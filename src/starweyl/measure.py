@@ -14,8 +14,10 @@ only when their positions compare equal as rationals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -365,12 +367,11 @@ class ScalarMeasure:
         return tuple(x for x, _ in self.atoms)
 
     def atom_mass_at(self, x: NumberLike) -> Fraction:
+        """Mass of the atom at x (zero if there is none), by binary search."""
         x = as_fraction(x)
-        for p, w in self.atoms:
-            if p == x:
-                return w
-            if p > x:
-                break
+        i = bisect_left(self.atoms, x, key=itemgetter(0))
+        if i < len(self.atoms) and self.atoms[i][0] == x:
+            return self.atoms[i][1]
         return Fraction(0)
 
     def piece_intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:

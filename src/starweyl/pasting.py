@@ -410,25 +410,9 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     weight, _ = richardson(schedule, weights)
     if weight <= 1e-6 * max(weights[0], 1e-300):
         return _finalize_omega(np.zeros((n, n)), False, True, True)
-    limit, err = _richardson_matrix(schedule, ratios)
+    limit, err = richardson(schedule, ratios)
     converged = err <= max(1e-6, 1e-4 * float(np.linalg.norm(limit)))
     return _finalize_omega(limit, False, converged, False)
-
-
-def _richardson_matrix(eps: Sequence[float], vals: Sequence[np.ndarray], tail: int = 8):
-    k = min(tail, len(vals))
-    e = list(eps)[-k:]
-    v = [np.asarray(m, dtype=float) for m in vals[-k:]]
-    if k == 1:
-        return v[0], float(np.linalg.norm(v[0]))
-    r = e[0] / e[1]
-    prev = v[-1]
-    for mpow in range(1, k):
-        rm = r**mpow
-        v = [(rm * v[i + 1] - v[i]) / (rm - 1.0) for i in range(len(v) - 1)]
-        err = float(np.linalg.norm(v[-1] - prev))
-        prev = v[-1]
-    return prev, err
 
 
 def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,

@@ -199,6 +199,25 @@ def _real_sum_value(sys: PastedSystem, x: float) -> float:
     return total
 
 
+def _density_free_parts(a: float, b: float, blocked) -> list:
+    """The parts of the gap (a, b) outside every density interval.
+
+    The summed function is not real-analytic across a density, so a gap is
+    cut at the density endpoints; a gap meeting no density is returned
+    whole.
+    """
+    parts = []
+    for blo, bhi in sorted(blocked):
+        if bhi <= a or b <= blo:
+            continue
+        if a < blo:
+            parts.append((a, blo))
+        a = max(a, bhi)
+    if a < b:
+        parts.append((a, b))
+    return parts
+
+
 def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
                         cross_check: bool = True) -> list:
     """All eigenvalues of the pasted problem in the window.
@@ -207,7 +226,7 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
     overlap eigenvalues with layer count carriers-1; the zeros of the
     summed function, one per pole-free gap, give simple eigenvalues.  The
     numeric route does the same with ODE-located poles and bracketed sign
-    changes.  Each reported point is re-derived through the omega-sample
+    changes, scanning the parts of each gap outside the density pieces.  Each reported point is re-derived through the omega-sample
     rank, which is an independent formula; disagreement is a hard error.
     """
     results: list[Eigenvalue] = []
@@ -247,11 +266,12 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
         if isinstance(e, HerglotzRep):
             blocked.extend((float(p.lo), float(p.hi)) for p in e.omega.pieces)
     gap_bounds = [lo] + [x for x, _ in clusters] + [hi]
+    parts = []
     for a, b in zip(gap_bounds, gap_bounds[1:]):
+        parts.extend(_density_free_parts(a, b, blocked))
+    for a, b in parts:
         if b - a <= 1e-9 * (1 + abs(a)):
             continue
-        if any(max(a, blo) < min(b, bhi) for blo, bhi in blocked):
-            continue  # summed function is not real-analytic across densities
         shift = 1e-7 * (b - a)
         aa, bb = a + shift, b - shift
         try:

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,9 @@ from starweyl.cli import (
     run,
     run_verify_suites,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def parse(**kw):
@@ -185,6 +189,19 @@ def test_run_is_deterministic(tmp_path):
     assert run(p, a) == 0 and run(p, b) == 0
     for name in ("report.json", "report.csv", "plot.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, task", [("atomic4x10", "eigs"), ("k74x24", "classify")])
+def test_report_is_byte_identical_to_the_frozen_artifact(tmp_path, name, task):
+    # Frozen from the Fraction-evaluating solver: a 4-entry atomic system
+    # with 10 atoms per entry (exact eigs) and k74 at 24 atoms per unit.
+    problem = DATA / f"{name}.json"
+    argv = [task, str(problem), "--out", str(tmp_path)]
+    if task == "eigs":
+        argv.append("--exact")
+    assert main(argv) == 0
+    want = (DATA / f"{name}.report.json").read_bytes()
+    assert (tmp_path / "report.json").read_bytes() == want
 
 
 def test_run_classify_showcase(tmp_path):

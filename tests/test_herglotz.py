@@ -9,6 +9,7 @@ for every real t, so it is an exact oracle independent of the atom layout.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -144,6 +145,28 @@ def test_richardson_handles_complex_sequences():
     vals = [(2 - 1j) + (0.3 + 0.4j) * e for e in eps]
     limit, _ = richardson(eps, vals)
     assert limit == pytest.approx(2 - 1j, abs=1e-12)
+
+
+def test_richardson_on_arrays_repeats_the_scalar_elimination_bit_for_bit():
+    eps = geometric_schedule(0.1, 12)
+    rows = [[1.5 + 0.7 * e - 2.0 * e * e, -0.25 + 3.0 * e ** 3] for e in eps]
+    limit, err = richardson(eps, [np.array(r) for r in rows])
+    for j in range(2):
+        assert limit[j] == richardson(eps, [r[j] for r in rows])[0]
+    assert err < 1e-10
+
+
+def test_richardson_fit_keeps_real_samples_real():
+    eps = [0.1, 0.05, 0.02, 0.01, 0.004, 0.001]
+    limit, err = richardson(eps, [2.0 - e + 3.0 * e * e for e in eps])
+    assert isinstance(limit, float) and isinstance(err, float)
+    assert limit == pytest.approx(2.0, abs=1e-12)
+    c_limit, _ = richardson(eps, [(2 - 1j) + (0.3 + 0.4j) * e for e in eps])
+    assert isinstance(c_limit, complex) and c_limit == pytest.approx(2 - 1j, abs=1e-12)
+    m_limit, m_err = richardson(eps, [np.array([[1.0 + e, -e], [-e, 0.5]]) for e in eps])
+    assert m_limit.dtype == float and m_limit.shape == (2, 2)
+    assert np.allclose(m_limit, [[1.0, 0.0], [0.0, 0.5]], atol=1e-12)
+    assert isinstance(m_err, float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,302 @@
+"""Exact level solving by integer sign checks, against the Fraction route.
+
+`solve_level` reads the sign of h(x) - level from the integer numerator of
+the rational form N/Q.  The reference below is the earlier solver, which
+evaluated h(x) - level with `eval_real` in Fraction arithmetic at every
+step; both must return the same Fractions.
+"""
+
+from bisect import bisect_left
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, solve_level
+from starweyl.errors import ConvergenceError
+from starweyl.herglotz import _level_sign, _mobius_exact, cos_sin
+
+from conftest import positive_rationals, rationals
+
+# ---------------------------------------------------------------------------
+# slow reference: Fraction bisection on eval_real
+# ---------------------------------------------------------------------------
+
+
+def _reference_bisect(F_, lo, hi):
+    width_goal = None
+    while True:
+        mid = (lo + hi) / 2
+        if width_goal is None:
+            width_goal = max(abs(mid), F(1)) / F(2**64)
+        v = F_(mid)
+        if v == 0:
+            return mid
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < width_goal:
+            break
+    mid = (lo + hi) / 2
+    for bound in (10, 10**3, 10**6, 10**9, 10**12):
+        cand = mid.limit_denominator(bound)
+        if lo < cand < hi and F_(cand) == 0:
+            return cand
+    return mid
+
+
+def _reference_solve_level(h, level):
+    level = F(level)
+
+    def F_(x):
+        return h.eval_real(x) - level
+
+    ts = [t for t, _ in h.omega.atoms]
+    roots = []
+    if not ts:
+        if h.b > 0:
+            roots.append((level - h.a) / h.b)
+        return roots
+    hinf = h.value_at_infinity() if h.b == 0 else None
+    gaps = [(None, ts[0])] + [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)]
+    gaps.append((ts[-1], None))
+    for L, R in gaps:
+        if L is None and h.b == 0 and not (hinf < level):
+            continue
+        if R is None and h.b == 0 and not (hinf > level):
+            continue
+        if L is not None:
+            d = (R - L) / 16 if R is not None else F(1)
+            for _ in range(200):
+                lo = L + d
+                v = F_(lo)
+                if v < 0:
+                    break
+                if v == 0:
+                    roots.append(lo)
+                    lo = None
+                    break
+                d /= 4
+            else:
+                raise ConvergenceError("could not bracket below a pole")
+            if lo is None:
+                continue
+        else:
+            step = F(1)
+            lo = R - step
+            for _ in range(200):
+                v = F_(lo)
+                if v < 0:
+                    break
+                if v == 0:
+                    roots.append(lo)
+                    lo = None
+                    break
+                step *= 2
+                lo = R - step
+            else:
+                raise ConvergenceError("no sign change toward -infinity")
+            if lo is None:
+                continue
+        if R is not None:
+            d = (R - L) / 16 if L is not None else F(1)
+            for _ in range(200):
+                hi = R - d
+                if hi <= lo:
+                    d /= 4
+                    continue
+                v = F_(hi)
+                if v > 0:
+                    break
+                if v == 0:
+                    roots.append(hi)
+                    hi = None
+                    break
+                d /= 4
+            else:
+                raise ConvergenceError("could not bracket above a pole")
+            if hi is None:
+                continue
+        else:
+            step = F(1)
+            hi = L + step
+            for _ in range(200):
+                if hi > lo:
+                    v = F_(hi)
+                    if v > 0:
+                        break
+                    if v == 0:
+                        roots.append(hi)
+                        hi = None
+                        break
+                step *= 2
+                hi = L + step
+            else:
+                raise ConvergenceError("no sign change toward +infinity")
+            if hi is None:
+                continue
+        roots.append(_reference_bisect(F_, lo, hi))
+    return sorted(roots)
+
+
+def _reference_rational_parts(h):
+    """P/Q by products of linear factors, O(n^3) rational operations."""
+    atoms = h.omega.atoms
+    Q = Poly((1,))
+    for t, _ in atoms:
+        Q = Q * Poly((t, -1))
+    lead = h.a - sum((w * t for t, w in atoms), F(0))
+    P = Poly((lead, h.b)) * Q
+    for j, (t, w) in enumerate(atoms):
+        Qj = Poly((1,))
+        for k, (tk, _) in enumerate(atoms):
+            if k != j:
+                Qj = Qj * Poly((tk, -1))
+        P = P + Qj.scaled(w * (1 + t * t))
+    return P, Q
+
+
+# ---------------------------------------------------------------------------
+# data
+# ---------------------------------------------------------------------------
+
+
+def _float_level(alpha: float) -> F:
+    """The level -c/s that `mobius` solves for at the angle alpha."""
+    c, s = cos_sin(alpha)
+    return -F(c) / F(s)
+
+
+def _seeded_rep(seed: int, n: int) -> HerglotzRep:
+    """n atoms at odd multiples of 1/(2k), as on the k74 grids; slope on odd seeds."""
+    rng = np.random.default_rng(seed)
+    k = n + int(rng.integers(1, 8))
+    js = rng.choice(np.arange(-3 * k, 3 * k), size=n, replace=False)
+    atoms = [(F(2 * int(j) + 1, 2 * k), F(int(rng.integers(1, 33)), 16)) for j in js]
+    a = F(int(rng.integers(-8, 9)), 4)
+    b = F(int(rng.integers(1, 3)), 2) if seed % 2 else F(0)
+    return HerglotzRep.of(a, b, ScalarMeasure.of(atoms=atoms))
+
+
+@st.composite
+def grid_reps(draw, max_atoms=8):
+    k = draw(st.integers(min_value=1, max_value=30))
+    js = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=max_atoms, unique=True))
+    masses = draw(st.lists(positive_rationals(), min_size=len(js), max_size=len(js)))
+    a = draw(rationals(-5, 5))
+    b = draw(st.sampled_from([F(0), F(0), F(1, 2), F(3)]))
+    atoms = [(F(2 * j + 1, 2 * k), w) for j, w in zip(js, masses)]
+    return HerglotzRep.of(a, b, ScalarMeasure.of(atoms=atoms))
+
+
+levels = st.one_of(
+    rationals(-20, 20, den=7),
+    st.floats(min_value=0.05, max_value=3.09).map(_float_level),
+)
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _check_sign(h, level, x):
+    ts = h.omega.atom_positions()
+    if x in ts:
+        return
+    left = bisect_left(ts, x)
+    sign = _level_sign(h, level)
+    want = _sign(h.eval_real(x) - level)
+    assert sign(x.numerator, x.denominator, left) == want
+    # the Horner sum needs no lowest terms
+    assert sign(3 * x.numerator, 3 * x.denominator, left) == want
+
+
+# ---------------------------------------------------------------------------
+# the sign, two routes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_reps(), levels, rationals(-25, 25, den=60))
+def test_integer_sign_matches_eval_real(h, level, x):
+    _check_sign(h, level, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_reps(), rationals(-25, 25, den=12))
+def test_integer_sign_detects_exact_zeros(h, x0):
+    if x0 in h.omega.atom_positions():
+        return
+    level = h.eval_real(x0)
+    assert _level_sign(h, level)(x0.numerator, x0.denominator,
+                                 bisect_left(h.omega.atom_positions(), x0)) == 0
+    assert x0 in solve_level(h, level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_reps(max_atoms=6), levels)
+def test_integer_sign_at_the_snap_candidates(h, level):
+    for r in solve_level(h, level):
+        for bound in (10, 10**3, 10**6, 10**9, 10**12):
+            _check_sign(h, level, r.limit_denominator(bound))
+
+
+def test_integer_sign_with_a_slope_and_no_atoms():
+    h = HerglotzRep.of(F(1, 3), F(2), ScalarMeasure())
+    sign = _level_sign(h, F(1))
+    assert [sign(p, 3, 0) for p in (0, 1, 2)] == [-1, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# same Fractions as the reference
+# ---------------------------------------------------------------------------
+
+
+def _levels_for(seed: int):
+    return (F(seed % 7 - 3, 3), _float_level(0.3 + seed % 5 * 0.55))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
+def test_solve_level_matches_the_eval_real_bisection(n):
+    for seed in (n, n + 1000):
+        h = _seeded_rep(seed, n)
+        for level in _levels_for(seed):
+            got = solve_level(h, level)
+            assert got == _reference_solve_level(h, level)
+            assert all(isinstance(r, F) for r in got)
+
+
+@pytest.mark.parametrize("n, which", [(34, 0), (60, 1)])
+def test_solve_level_matches_the_eval_real_bisection_on_large_systems(n, which):
+    # The reference takes seconds here: one seed, one level each.
+    h = _seeded_rep(n, n)
+    level = _levels_for(n)[which]
+    assert solve_level(h, level) == _reference_solve_level(h, level)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_mobius_exact_matches_the_reference_atoms(n):
+    h = _seeded_rep(2 * n, n)  # even seed: no slope
+    for alpha in (0.4, 1.3, 2.6):
+        c, s = (F(v) for v in cos_sin(alpha))
+        want = [(u, 1 / (s * s * h.derivative_real(u) * (1 + u * u)))
+                for u in _reference_solve_level(h, -c / s)]
+        assert list(_mobius_exact(h, c, s).omega.atoms) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_atomic_rational_parts_match_the_product_construction(n):
+    h = _seeded_rep(n, n)
+    assert atomic_rational_parts(h) == _reference_rational_parts(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_reps(max_atoms=12), rationals(-25, 25, den=60))
+def test_atom_mass_at_matches_a_lookup(h, x):
+    masses = dict(h.omega.atoms)
+    assert h.omega.atom_mass_at(x) == masses.get(x, F(0))
+    for t, w in h.omega.atoms:
+        assert h.omega.atom_mass_at(t) == w

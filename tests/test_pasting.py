@@ -266,6 +266,16 @@ def test_numeric_route_agrees_with_exact_on_overlap_and_zero():
             assert np.allclose(nu.matrix, ex.matrix, atol=1e-6)
 
 
+def test_numeric_route_on_a_non_geometric_schedule_agrees_with_exact():
+    sys_ = kac_pair()
+    schedule = [0.1, 0.05, 0.02, 0.01, 0.004, 0.001]
+    nu = omega_at(sys_, 0.0, eps_schedule=schedule, exact=False)
+    ex = omega_at(sys_, 0, exact=True)
+    assert nu.converged and not nu.trace_vanishing
+    assert nu.rank == ex.rank == 1
+    assert np.allclose(nu.matrix, ex.matrix, atol=1e-6)
+
+
 def test_numeric_route_rejects_nonpositive_trace():
     bad = HerglotzFunction(lambda z: complex(0.0, -1.0))
     sys_ = PastedSystem.of([bad, bad])

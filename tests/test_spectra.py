@@ -149,6 +149,21 @@ def test_numeric_point_spectrum_equilateral_star():
     ]
 
 
+def test_numeric_route_scans_the_density_free_parts_of_a_gap():
+    # m2's density on [3/2, 7/4] sits inside the pole-free gap (-1, 2); the
+    # summed function changes sign on both sides of it, off every support
+    m1 = ScalarMeasure.of(atoms=[(-2, 1), (2, 1)])
+    m2 = ScalarMeasure.of(atoms=[(-1, 1)], pieces=[((Fraction(3, 2), Fraction(7, 4)), [1])])
+    sys_ = PastedSystem.of([m1, m2])
+    eigs = find_point_spectrum(sys_, (-3, 3))  # cross-checked by omega rank
+    assert [(e.multiplicity, e.provenance) for e in eigs] == [(1, KIRCHHOFF)] * 3
+    xs = [float(e.x) for e in eigs]
+    assert xs == pytest.approx([-1.36463, 0.183875, 1.752069], abs=1e-5)
+    for x in xs:
+        assert sum(float(HerglotzRep.from_measure(m).eval_real(x))
+                   for m in (m1, m2)) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_numeric_route_rejects_black_box_entries():
     wrapped = HerglotzFunction(lambda z: 1j)
     sys_ = PastedSystem.of([wrapped, rep_of([(0, 1)])])
