@@ -106,6 +106,13 @@ class ProblemFile:
                 raise SchemaError(f"bad system spec: {exc}") from exc
         if system is None and task != "verify":
             raise SchemaError(f"task {task!r} needs a system")
+        if system is not None and system.angles is not None:
+            # Parsed and validated, but no computation reads them yet.
+            raise SchemaError('interface angles are not supported; use {"type": "standard"}')
+        if task in ("eigs", "oracle") and any(
+                isinstance(e, Edge) and e.is_infinite for e in system.entries):
+            raise SchemaError(f"task {task!r} needs finite edges: an infinite edge "
+                              "has no discrete decoupled spectrum")
         eps0 = obj.get("eps0")
         if eps0 is not None and not (isinstance(eps0, (int, float)) and eps0 > 0):
             raise SchemaError("eps0 must be a positive number")
@@ -335,16 +342,6 @@ def run_verify_suites(seed: int = 0, scale: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rep_measures(system: PastedSystem):
-    measures = []
-    for e in system.entries:
-        if isinstance(e, HerglotzRep):
-            measures.append(e.omega)
-        else:
-            raise SchemaError("classification needs measure-backed entries")
-    return measures
-
-
 def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
     """Execute one task, write artifacts into out_dir, return the exit code."""
     out = Path(out_dir)
@@ -364,8 +361,11 @@ def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
                                   grid=problem.grid or 200, jobs=jobs)
             _write_csv(out / "plot.csv", ("x", "im_trace", "marker"), rows)
         elif problem.task == "classify":
-            measures = _rep_measures(problem.system)
-            report = classify_spectrum(measures, problem.window, sys=problem.system)
+            reps = problem.system.reps
+            if reps is None:
+                raise SchemaError("classification needs measure-backed entries")
+            report = classify_spectrum([r.omega for r in reps], problem.window,
+                                       sys=problem.system)
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
                        report.csv_rows())
@@ -395,11 +395,9 @@ def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
                     header.extend((f"m{i}{j}_re", f"m{i}{j}_im"))
             _write_csv(out / "weyl.csv", header, rows)
         elif problem.task == "oracle":
-            edges = []
-            for e in problem.system.entries:
-                if not isinstance(e, Edge):
-                    raise SchemaError("the discretization oracle needs edge entries")
-                edges.append(e)
+            edges = problem.system.entries
+            if not all(isinstance(e, Edge) for e in edges):
+                raise SchemaError("the discretization oracle needs edge entries")
             res = fd_oracle(edges, problem.window, grid=problem.grid or 4000)
             _write_json(out / "oracle.json", {
                 "items": [[x, k] for x, k in res.items],

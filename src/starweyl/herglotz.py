@@ -179,6 +179,15 @@ class HerglotzRep:
             out += (1.0 + xf * xf) * (_poly_int(q, a, b).real + px.real * log_term)
         return out
 
+    def poles(self, window) -> list:
+        """The atom positions in the closed window [lo, hi]."""
+        lo, hi = as_fraction(window[0]), as_fraction(window[1])
+        return [t for t, _w in self.omega.atoms if lo <= t <= hi]
+
+    def density_intervals(self) -> tuple:
+        """(lo, hi) of every density piece of the measure."""
+        return tuple((p.lo, p.hi) for p in self.omega.pieces)
+
     def derivative_real(self, x: NumberLike) -> Fraction:
         """Exact derivative on the real axis; purely atomic data only."""
         if self.omega.pieces:
@@ -225,15 +234,23 @@ class HerglotzFunction:
 
     __call__ = eval
 
+    def eval_real(self, x: float) -> float:
+        return float(self.fn(float(x)).real)
+
+    def poles(self, window) -> list:
+        raise ValueError("cannot enumerate poles of a black-box callable entry; "
+                         "provide a representation or an edge")
+
+    def density_intervals(self) -> tuple:
+        raise ValueError("the density support of a black-box callable entry is unknown")
+
 
 WeylLike = Union[HerglotzRep, HerglotzFunction, Callable[[complex], complex]]
 
 
 def as_callable(h: WeylLike) -> Callable[[complex], complex]:
-    if isinstance(h, (HerglotzRep, HerglotzFunction)):
-        return h.eval
     if isinstance(h, ScalarMeasure):
-        return HerglotzRep.from_measure(h).eval
+        return HerglotzRep.from_measure(h)
     if callable(h):
         return h
     raise TypeError(f"cannot evaluate {type(h).__name__} as a Herglotz function")
@@ -323,56 +340,43 @@ class BoundaryLimit:
             raise ValueError("eps_trace must be strictly decreasing")
 
 
-def _limit_of(samples_f, x: float, schedule, abs_tol=1e-8, rel_tol=1e-6,
-              imag_only=False) -> BoundaryLimit:
+def _limit_of(sample, x: float, schedule) -> BoundaryLimit:
+    """Extrapolated limit of the real or complex ``sample(x + i eps)`` as
+    eps -> 0; a sample beyond DIVERGENCE_THRESHOLD makes it infinite."""
     schedule = tuple(schedule or DEFAULT_SCHEDULE)
     trace = []
-    vals = []
     for eps in schedule:
-        v = samples_f(x + 1j * eps)
-        v = v.imag if imag_only else v
+        v = sample(x + 1j * eps)
         trace.append((eps, v))
-        vals.append(v)
         if abs(v) > DIVERGENCE_THRESHOLD:
             return BoundaryLimit(None, True, tuple(trace), True, None)
-    limit, err = richardson(schedule, vals)
-    if imag_only:
-        limit = limit.real if isinstance(limit, complex) else limit
-    ok = err <= max(abs_tol, rel_tol * abs(limit))
+    limit, err = richardson(schedule, [v for _, v in trace])
+    ok = err <= max(1e-8, 1e-6 * abs(limit))
     return BoundaryLimit(limit, False, tuple(trace), ok, err)
 
 
 def boundary_imag_limit(h: WeylLike, x: float, schedule=None) -> BoundaryLimit:
     """Limit of the imaginary part at x; diverges exactly at point masses."""
-    return _limit_of(as_callable(h), float(x), schedule, imag_only=True)
+    f = as_callable(h)
+    return _limit_of(lambda z: f(z).imag, float(x), schedule)
 
 
 def boundary_limit(h: WeylLike, x: float, schedule=None) -> BoundaryLimit:
     """Full complex boundary value at x (when it exists)."""
-    return _limit_of(as_callable(h), float(x), schedule, imag_only=False)
+    return _limit_of(as_callable(h), float(x), schedule)
 
 
 def ratio_limit(h1: WeylLike, h2: WeylLike, x: float, schedule=None) -> BoundaryLimit:
     """Limit of Im h1 / Im h2 at x; a derivative of one measure by another."""
     f1, f2 = as_callable(h1), as_callable(h2)
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    trace = []
-    vals = []
-    x = float(x)
-    for eps in schedule:
-        z = x + 1j * eps
+
+    def ratio(z: complex) -> float:
         denom = f2(z).imag
         if denom == 0.0:
-            raise ConvergenceError(f"Im of the reference function vanished at eps={eps}")
-        v = f1(z).imag / denom
-        trace.append((eps, v))
-        vals.append(v)
-        if abs(v) > DIVERGENCE_THRESHOLD:
-            return BoundaryLimit(None, True, tuple(trace), True, None)
-    limit, err = richardson(schedule, vals)
-    limit = limit.real if isinstance(limit, complex) else limit
-    ok = err <= max(1e-8, 1e-6 * abs(limit))
-    return BoundaryLimit(limit, False, tuple(trace), ok, err)
+            raise ConvergenceError(f"Im of the reference function vanished at eps={z.imag}")
+        return f1(z).imag / denom
+
+    return _limit_of(ratio, float(x), schedule)
 
 
 def atom_weight(h: WeylLike, x0: NumberLike, schedule=None,
@@ -390,7 +394,6 @@ def atom_weight(h: WeylLike, x0: NumberLike, schedule=None,
     schedule = tuple(schedule or DEFAULT_SCHEDULE)
     vals = [eps * f(x + 1j * eps).imag / (1.0 + x * x) for eps in schedule]
     limit, _err = richardson(schedule, vals)
-    limit = limit.real if isinstance(limit, complex) else limit
     return max(0.0, float(limit))
 
 

@@ -34,7 +34,7 @@ from .herglotz import (
     richardson,
 )
 from .measure import NumberLike, ScalarMeasure, as_fraction
-from .schrodinger import Edge, weyl_m
+from .schrodinger import Edge
 
 RANK_RTOL = 1e-8
 
@@ -97,14 +97,8 @@ class PastedSystem:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry_value(self, l: int, z: complex) -> complex:
-        e = self.entries[l]
-        if isinstance(e, Edge):
-            return weyl_m(e, z)
-        return e.eval(z)
-
     def entry_values(self, z: complex) -> np.ndarray:
-        return np.array([self.entry_value(l, z) for l in range(self.n)], dtype=complex)
+        return np.array([e.eval(z) for e in self.entries], dtype=complex)
 
     @property
     def reps(self) -> Union[Tuple[HerglotzRep, ...], None]:
@@ -139,11 +133,9 @@ class PastedSystem:
         return geometric_schedule(1e-2, 13) if self.has_edges else DEFAULT_SCHEDULE
 
     def to_json(self) -> dict:
-        edges = []
-        for e in self.entries:
-            edges.append(e.to_json() if not isinstance(e, HerglotzFunction) else None)
-        if any(e is None for e in edges):
+        if any(isinstance(e, HerglotzFunction) for e in self.entries):
             raise ValueError("black-box callables have no JSON form")
+        edges = [e.to_json() for e in self.entries]
         if self.angles is None:
             iface = {"type": "standard"}
         else:
@@ -549,13 +541,10 @@ def generalized_multiplicity(sys: PastedSystem, a: Sequence[float], b: float,
         raise ValueError("need one angle per entry")
     if not 0.0 < float(b) < math.pi:
         raise ValueError("the vertex angle must lie strictly inside (0, pi)")
-    transformed = [mobius(sys.entries[l] if not isinstance(sys.entries[l], Edge)
-                          else (lambda zz, e=sys.entries[l]: weyl_m(e, zz)),
-                          a[l])
-                   for l in range(sys.n)]
-    enlarged = PastedSystem.of(list(transformed) + [pure_relation_weyl(b)])
+    transformed = [mobius(e, alpha) for e, alpha in zip(sys.entries, a)]
+    enlarged = PastedSystem.of(transformed + [pure_relation_weyl(b)])
     if eps_schedule is None and sys.has_edges:
-        # Wrapping edges as callables hides them from the enlarged system's
-        # schedule choice, so inherit the edge-aware ladder from the source.
+        # Rotated edges come back as black-box callables, hidden from the
+        # enlarged system's schedule choice: inherit the edge-aware ladder.
         eps_schedule = sys.default_schedule()
     return multiplicity_at(enlarged, x, eps_schedule=eps_schedule)

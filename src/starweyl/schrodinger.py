@@ -128,6 +128,25 @@ class Edge:
     def is_infinite(self) -> bool:
         return self.length is None
 
+    # The entry protocol of HerglotzRep and HerglotzFunction.  `weyl_m` and
+    # `dirichlet_eigenvalues` are read as module globals at each call, so a
+    # wrapper installed on them also sees these calls.
+
+    def eval(self, z: complex) -> complex:
+        return weyl_m(self, z)
+
+    __call__ = eval
+
+    def eval_real(self, x: float) -> float:
+        return float(weyl_m(self, x).real)
+
+    def poles(self, window) -> list:
+        """The poles of m in the window: the decoupled eigenvalues."""
+        return dirichlet_eigenvalues(self, window)
+
+    def density_intervals(self) -> tuple:
+        return ()
+
     def q_at(self, x: float) -> float:
         if self.potential is None:
             return 0.0
@@ -423,17 +442,15 @@ def edge_to_herglotz(edge: Edge, window, schedule=None) -> HerglotzRep:
     """
     if edge.is_infinite:
         raise ValueError("infinite free edges have no atomic representation")
-    eigs = dirichlet_eigenvalues(edge, window)
     if schedule is None:
         # For potential edges the ODE relative error is ~1e-12, and near a
         # pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies solver noise.
         # Start at 1e-2.  Free edges (closed form, accurate to rounding) use
         # the same schedule.
         schedule = geometric_schedule(1e-2, 13)
-    fn = lambda zz: weyl_m(edge, zz)
     atoms = []
-    for x in eigs:
-        w = atom_weight(fn, x, schedule=schedule)
+    for x in edge.poles(window):
+        w = atom_weight(edge, x, schedule=schedule)
         if w <= 0:
             raise ConvergenceError(f"nonpositive extracted mass at decoupled eigenvalue {x}")
         atoms.append((x, w))

@@ -17,6 +17,8 @@ knows nothing about any of the above and is compared against it in tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -36,17 +38,15 @@ from .herglotz import (
     real_zeros,
 )
 from .measure import (
-    NumberLike,
     Piece,
     Poly,
     ScalarMeasure,
     as_fraction,
     number_from_json,
     number_to_json,
-    sum_measures,
 )
 from .pasting import PastedSystem, multiplicity_at, trace_weyl
-from .schrodinger import Edge, dirichlet_eigenvalues, weyl_m
+from .schrodinger import Edge
 
 OVERLAP = "overlap"
 KIRCHHOFF = "kirchhoff-zero"
@@ -159,22 +159,7 @@ class SpectralReport:
 
 def _pole_positions_numeric(sys: PastedSystem, window) -> list:
     """(position, entry index) pairs of all poles in the window."""
-    out = []
-    for l, e in enumerate(sys.entries):
-        if isinstance(e, Edge):
-            for x in dirichlet_eigenvalues(e, window):
-                out.append((float(x), l))
-        elif isinstance(e, HerglotzRep):
-            lo, hi = as_fraction(window[0]), as_fraction(window[1])
-            for t, _w in e.omega.atoms:
-                if lo <= t <= hi:
-                    out.append((float(t), l))
-        else:
-            raise ValueError(
-                "cannot enumerate poles of a black-box callable entry; "
-                "provide a representation or an edge"
-            )
-    return sorted(out)
+    return sorted((float(x), l) for l, e in enumerate(sys.entries) for x in e.poles(window))
 
 
 def _cluster_positions(pairs):
@@ -192,10 +177,7 @@ def _cluster_positions(pairs):
 def _real_sum_value(sys: PastedSystem, x: float) -> float:
     total = 0.0
     for e in sys.entries:
-        if isinstance(e, Edge):
-            total += float(weyl_m(e, x).real)
-        else:
-            total += float(e.eval_real(x))
+        total += float(e.eval_real(x))
     return total
 
 
@@ -218,6 +200,24 @@ def _density_free_parts(a: float, b: float, blocked) -> list:
     return parts
 
 
+def _exact_points(measures: Sequence[ScalarMeasure], window, sum_rep):
+    """Sorted overlap eigenvalues, vanished points and Kirchhoff zeros.
+
+    One pass over all atoms in the window counts the carriers of each
+    position: k >= 2 carriers give k - 1 layers, one carrier a vanished
+    point.  The zeros are those of ``sum_rep``, the summed representation
+    of a purely atomic system, unless it is None.
+    """
+    lo, hi = window
+    carriers = Counter(t for m in measures for t, _w in m.atoms if lo <= t <= hi)
+    points = sorted(carriers.items())
+    overlaps = [Eigenvalue(x, k - 1, OVERLAP) for x, k in points if k >= 2]
+    vanished = [x for x, k in points if k == 1]
+    zeros = [] if sum_rep is None else [
+        Eigenvalue(u, 1, KIRCHHOFF) for u in real_zeros(sum_rep, window)]
+    return overlaps, vanished, zeros
+
+
 def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
                         cross_check: bool = True) -> list:
     """All eigenvalues of the pasted problem in the window.
@@ -231,19 +231,10 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
     """
     results: list[Eigenvalue] = []
     if sys.is_exact_atomic:
-        reps = sys.reps
-        lo, hi = as_fraction(window[0]), as_fraction(window[1])
-        seen = set()
-        for r in reps:
-            for t, _w in r.omega.atoms:
-                if t in seen or not (lo <= t <= hi):
-                    continue
-                seen.add(t)
-                k = sum(1 for rr in reps if rr.omega.atom_mass_at(t) > 0)
-                if k >= 2:
-                    results.append(Eigenvalue(t, k - 1, OVERLAP))
-        for u in real_zeros(sys.sum_rep(), (lo, hi)):
-            results.append(Eigenvalue(u, 1, KIRCHHOFF))
+        window = (as_fraction(window[0]), as_fraction(window[1]))
+        overlaps, _vanished, zeros = _exact_points(
+            [r.omega for r in sys.reps], window, sys.sum_rep())
+        results = overlaps + zeros
         if cross_check:
             for e in results:
                 got = multiplicity_at(sys, e.x, exact=True)
@@ -261,10 +252,7 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
         if len(entries) >= 2:
             results.append(Eigenvalue(x, len(entries) - 1, OVERLAP))
 
-    blocked = []
-    for e in sys.entries:
-        if isinstance(e, HerglotzRep):
-            blocked.extend((float(p.lo), float(p.hi)) for p in e.omega.pieces)
+    blocked = [(float(a), float(b)) for e in sys.entries for a, b in e.density_intervals()]
     gap_bounds = [lo] + [x for x, _ in clusters] + [hi]
     parts = []
     for a, b in zip(gap_bounds, gap_bounds[1:]):
@@ -345,41 +333,24 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
         else:
             regions.append(AcRegion(a, b, r))
 
-    mu = sum_measures(measures)
-    sac: list[SingularItem] = []
-    vanished: list = []
-    eigenvalues: list[Eigenvalue] = []
-    for x, _w in mu.atoms:
-        if not (lo <= x <= hi):
-            continue
-        k = sum(1 for m in measures if m.atom_mass_at(x) > 0)
-        if k >= 2:
-            sac.append(SingularItem(x, k - 1))
-            eigenvalues.append(Eigenvalue(x, k - 1, OVERLAP))
-        else:
-            vanished.append(x)
-
-    ss: list[SingularItem] = []
     if sys is None and len(measures) >= 2:
         try:
             sys = PastedSystem.of(list(measures))
         except ValueError:
             sys = None
-    if sys is not None and sys.is_exact_atomic:
-        for u in real_zeros(sys.sum_rep(), (lo, hi)):
-            ss.append(SingularItem(u, 1))
-            eigenvalues.append(Eigenvalue(u, 1, KIRCHHOFF))
-    elif sys is not None:
+    exact = sys is not None and sys.is_exact_atomic
+    if sys is not None and not exact:
         notes.append("off-support simple spectrum not scanned: density pieces present")
+    overlaps, vanished, zeros = _exact_points(
+        measures, (lo, hi), sys.sum_rep() if exact else None)
 
-    eigenvalues.sort(key=lambda e: float(e.x))
     return SpectralReport(
         window=(lo, hi),
-        eigenvalues=tuple(eigenvalues),
+        eigenvalues=tuple(sorted(overlaps + zeros, key=lambda e: float(e.x))),
         ac_regions=tuple(regions),
-        sac_items=tuple(sorted(sac, key=lambda s: float(s.x))),
-        ss_items=tuple(sorted(ss, key=lambda s: float(s.x))),
-        vanished=tuple(sorted(vanished, key=float)),
+        sac_items=tuple(SingularItem(e.x, e.multiplicity) for e in overlaps),
+        ss_items=tuple(SingularItem(e.x, 1) for e in zeros),
+        vanished=tuple(vanished),
         notes=tuple(notes),
     )
 
@@ -394,6 +365,27 @@ class FdOracleResult:
     items: Tuple[Tuple[float, int], ...]
     coarse: bool
     h_max: float
+
+
+def _nodal_potential(edge: Edge, grid: int) -> np.ndarray:
+    """`Edge.q_at` at the nodes j * (L / grid), j = 0..grid, bit for bit.
+
+    As there, a node takes the first piece that holds it (the left one at a
+    shared breakpoint); each piece's Horner sum runs over all its nodes.
+    """
+    q = np.zeros(grid + 1)
+    if edge.potential is None:
+        return q
+    nodes = np.arange(grid + 1) * (float(edge.length) / grid)
+    xs = nodes.tolist()  # floats, which compare exactly with Fraction bounds
+    start = 0
+    for piece in edge.potential:
+        i = max(start, bisect_left(xs, piece.lo))
+        k = bisect_right(xs, piece.hi)
+        if i < k:
+            q[i:k] = piece.poly(nodes[i:k])
+            start = k
+    return q
 
 
 def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult:
@@ -425,6 +417,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
             next_idx += 1
     size = next_idx
 
+    potentials = [_nodal_potential(e, grid) for e in edges]
     rowsA, colsA, valsA = [], [], []
     massdiag = np.zeros(size)
 
@@ -433,7 +426,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
         colsA.append(j)
         valsA.append(v)
 
-    for l, e in enumerate(edges):
+    for l, (e, qs) in enumerate(zip(edges, potentials)):
         L = float(e.length)
         h = L / grid
         c, s = cos_sin(float(e.outer_angle))
@@ -462,7 +455,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
                 continue
             w = h if 0 < j < grid else h / 2.0
             massdiag[idx] += w
-            q = e.q_at(j * h)
+            q = qs[j]
             if q != 0.0:
                 add(idx, idx, q * w)
         if has_outer:
@@ -471,10 +464,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     A = sp.csc_matrix(sp.coo_matrix((valsA, (rowsA, colsA)), shape=(size, size)))
     B = sp.diags(massdiag, format="csc")
 
-    qmax = max(
-        (abs(e.q_at(j * float(e.length) / grid)) for e in edges for j in range(grid + 1)),
-        default=0.0,
-    )
+    qmax = max((float(np.abs(qs).max()) for qs in potentials), default=0.0)
     total_len = sum(float(e.length) for e in edges)
     want = int(math.ceil(total_len * math.sqrt(max(hi + qmax, 1.0)) / math.pi)) + 2 * n + 10
     sigma = min(lo, 0.0) - 1.0 - qmax

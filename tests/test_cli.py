@@ -84,6 +84,39 @@ def test_parse_rejections(mutation):
         parse(**mutation)
 
 
+def rotated_kac2() -> dict:
+    problem = builtin_problem("kac2")
+    problem["system"]["interface"] = {"type": "angles", "a": [0.7, 1.9], "b": 0.4}
+    return problem
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_parse_rejects_interface_angles_for_every_task(task):
+    with pytest.raises(SchemaError, match="interface angles"):
+        ProblemFile.parse({**rotated_kac2(), "task": task})
+
+
+def test_main_rejects_the_rotated_kac2(tmp_path, capsys):
+    # No computation reads the angles: this used to write the standard report.
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(rotated_kac2()))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "interface angles" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("task", ["eigs", "oracle"])
+def test_main_rejects_infinite_edges_where_poles_are_needed(task, tmp_path, capsys):
+    edges = [Edge.of(math.pi).to_json(), Edge.of("inf").to_json()]
+    path = tmp_path / "half_line.json"
+    path.write_text(json.dumps({"task": task, "window": [0.5, 5],
+                                "system": {"edges": edges}}))
+    assert main([task, str(path), "--out", str(tmp_path / task)]) == 2
+    assert "finite edges" in capsys.readouterr().err
+    # the weyl task has no poles to find and keeps working
+    assert main(["weyl", str(path), "--grid", "3", "--out", str(tmp_path / "weyl")]) == 0
+
+
 def test_parse_not_an_object():
     with pytest.raises(SchemaError):
         ProblemFile.parse(["eigs"])

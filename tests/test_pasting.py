@@ -42,6 +42,7 @@ from starweyl import (
     symplectic_form,
     trace_weyl,
 )
+from starweyl.schrodinger import dirichlet_eigenvalues, weyl_m
 
 from conftest import atomic_reps, upper_half_points
 
@@ -89,6 +90,29 @@ def test_sum_rep_adds_the_exact_data():
     s = sys_.sum_rep()
     assert s.a == 0 and s.b == 0
     assert s.omega.atom_positions() == (F(-1), F(1))
+
+
+def test_entries_answer_one_protocol():
+    edge = Edge.of(math.pi)
+    z = 1.3 + 0.1j
+    assert edge.eval(z) == edge(z) == weyl_m(edge, z)
+    assert edge.eval_real(2.5) == float(weyl_m(edge, 2.5).real)
+    assert edge.poles((0.1, 10)) == dirichlet_eigenvalues(edge, (0.1, 10))
+    assert edge.density_intervals() == ()
+
+    rep = HerglotzRep.of(1, 0, ScalarMeasure.of(
+        atoms=[(-1, 1), (0, 2), (1, 1)], pieces=[((2, 3), (1,))]))
+    assert rep.eval(z) == rep(z)
+    assert rep.poles((-1, "1/2")) == [F(-1), F(0)]
+    assert rep.density_intervals() == ((F(2), F(3)),)
+
+    fn = HerglotzFunction(rep.eval)
+    assert fn.eval(z) == fn(z) == rep.eval(z)
+    assert HerglotzFunction(edge).eval_real(2.5) == edge.eval_real(2.5)
+    with pytest.raises(ValueError, match="poles of a black-box"):
+        fn.poles((0, 1))
+    with pytest.raises(ValueError, match="density support"):
+        fn.density_intervals()
 
 
 def test_angles_are_validated():
@@ -380,6 +404,14 @@ def test_generalized_multiplicity_extends_the_standard_one():
         multiplicity_at(sys_, 1)
     # rotating one entry destroys its pole at 1, leaving a single carrier
     assert generalized_multiplicity(sys_, (0.9, 0.0), math.pi / 2, 1) == 0
+
+
+def test_generalized_multiplicity_rotates_edges():
+    sys_ = PastedSystem.of([Edge.of(math.pi)] * 3)
+    assert generalized_multiplicity(sys_, (0.0, 0.0, 0.0), math.pi / 2, 1.0) == \
+        multiplicity_at(sys_, 1.0) == 2
+    # a rotated edge loses its pole at 1, leaving two carriers
+    assert generalized_multiplicity(sys_, (0.0, 0.0, 0.7), math.pi / 2, 1.0) == 1
 
 
 def test_generalized_multiplicity_validates_angles():

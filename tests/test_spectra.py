@@ -43,6 +43,7 @@ from starweyl import (
     find_point_spectrum,
     verify_kac,
 )
+from starweyl.spectra import _nodal_potential
 
 OVERLAP = "overlap"
 KIRCHHOFF = "kirchhoff-zero"
@@ -284,6 +285,22 @@ def test_fd_oracle_repeats_exactly_within_one_process():
     assert first.items == second.items
     # the antisymmetric modes at j^2 are still found
     assert [m for _, m in first.items] == [1, 2, 1, 2, 1, 2]
+
+
+def test_nodal_potential_is_q_at_on_every_node():
+    # A jump at 1 (a node), a jump at 1/3 (between nodes), an uncovered gap
+    # (1.5, 1.75) and a piece ending inside the last cell.
+    third = Fraction(1, 3)
+    edge = Edge.of(2, [((0, third), (1, -2, 3)), ((third, 1), ("1/2", "1/4")),
+                       ((1, "3/2"), (-2, 0, 1)), (("7/4", "1999/1000"), (5,))])
+    grid = 100
+    h = float(edge.length) / grid
+    want = [edge.q_at(j * h) for j in range(grid + 1)]
+    got = _nodal_potential(edge, grid).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got[50] == 0.75  # the left piece 1/2 + x/4 at the shared node x = 1
+    assert got[80] == 0.0 and got[100] == 0.0
+    assert _nodal_potential(Edge.of(2), grid).tolist() == [0.0] * (grid + 1)
 
 
 def test_fd_oracle_coarse_flag_tracks_resolution():
