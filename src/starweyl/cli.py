@@ -64,6 +64,11 @@ BUILTINS = ("k74", "equilateral3", "kac2")
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: JSON `true` must not pass as 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ProblemFile:
     task: str
@@ -114,13 +119,15 @@ class ProblemFile:
             raise SchemaError(f"task {task!r} needs finite edges: an infinite edge "
                               "has no discrete decoupled spectrum")
         eps0 = obj.get("eps0")
-        if eps0 is not None and not (isinstance(eps0, (int, float)) and eps0 > 0):
-            raise SchemaError("eps0 must be a positive number")
+        # The upper bound rejects inf, and ints too large to become a float.
+        if eps0 is not None and not ((_is_int(eps0) or isinstance(eps0, float))
+                                     and 0 < eps0 <= _sys.float_info.max):
+            raise SchemaError("eps0 must be a finite positive number")
         eps_steps = obj.get("eps_steps")
-        if eps_steps is not None and not (isinstance(eps_steps, int) and eps_steps >= 2):
+        if eps_steps is not None and not (_is_int(eps_steps) and eps_steps >= 2):
             raise SchemaError("eps_steps must be an integer >= 2")
         grid = obj.get("grid")
-        if grid is not None and not (isinstance(grid, int) and grid >= 1):
+        if grid is not None and not (_is_int(grid) and grid >= 1):
             raise SchemaError("grid must be a positive integer")
         exact = obj.get("exact", False)
         if not isinstance(exact, bool):

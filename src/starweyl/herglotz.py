@@ -279,6 +279,10 @@ def geometric_schedule(eps0: float = 0.1, steps: int = 40, ratio: float = 0.5):
 DEFAULT_SCHEDULE = geometric_schedule()
 
 
+# Relative error assumed of each sample handed to `richardson`.
+_SAMPLE_RTOL = 1e-8
+
+
 def _size(v) -> float:
     return float(np.linalg.norm(v)) if isinstance(v, np.ndarray) else abs(v)
 
@@ -286,12 +290,17 @@ def _size(v) -> float:
 def richardson(eps: Sequence[float], vals: Sequence, tail: int = 8):
     """Accelerated limit of vals as eps -> 0.
 
-    The samples are scalars or equally shaped arrays.  On a geometric
-    schedule, integer powers of eps are eliminated one stage at a time;
-    otherwise a polynomial in eps is fitted through the samples, in real
-    arithmetic when they are real.  Returns the accelerated value together
-    with a crude error estimate (the change produced by the last
-    elimination stage, or the distance of the fit from the last sample).
+    The samples are scalars or equally shaped arrays.  Neville's recursion
+    evaluates at eps = 0 the polynomials in eps through ever more of the
+    last ``tail`` samples, eliminating one power of eps per stage; on a
+    geometric schedule its stage-m factor is r**m.  Real samples stay real.
+    Returns the accelerated value together with a crude error estimate:
+    on a geometric schedule the change produced by the last stage.  On any
+    other schedule one stage across a wide gap can agree by accident and
+    clustered offsets amplify sample errors without bound, so the estimate
+    is the largest of the last two changes and of a relative sample error
+    ``_SAMPLE_RTOL`` carried through the stages.  Raises ConvergenceError
+    when two offsets are too close for their ratio to differ from 1.
     """
     k = min(tail, len(vals))
     if k == 0:
@@ -302,22 +311,20 @@ def richardson(eps: Sequence[float], vals: Sequence, tail: int = 8):
     v = list(vals[-k:])
     r = e[0] / e[1]
     geometric = all(abs(e[i] / e[i + 1] - r) <= 1e-9 * r for i in range(len(e) - 1))
-    if not geometric:
-        # Fall back to a polynomial fit in eps, scaled for conditioning.
-        s = max(e)
-        A = np.array([[(ei / s) ** j for j in range(k)] for ei in e])
-        samples = np.array(v)
-        coef = np.linalg.solve(A, samples.reshape(k, -1))[0].reshape(samples.shape[1:])
-        limit = coef if coef.ndim else coef.item()
-        return limit, _size(v[-1] - limit)
-    prev_diag = v[-1]
+    changes = []
+    bound = None if geometric else [abs(x) for x in v]
     for m in range(1, k):
-        rm = r**m
-        v = [(rm * v[i + 1] - v[i]) / (rm - 1.0) for i in range(len(v) - 1)]
+        qs = [r**m] * (k - m) if geometric else [e[i] / e[i + m] for i in range(k - m)]
+        if 1.0 in qs:
+            raise ConvergenceError(f"eps offsets {e} are too close to extrapolate")
         diag = v[-1]
-        err = _size(diag - prev_diag)
-        prev_diag = diag
-    return prev_diag, err
+        v = [(q * v[i + 1] - v[i]) / (q - 1.0) for i, q in enumerate(qs)]
+        changes.append(_size(v[-1] - diag))
+        if bound is not None:
+            bound = [(q * bound[i + 1] + bound[i]) / (q - 1.0) for i, q in enumerate(qs)]
+    if geometric:
+        return v[-1], changes[-1]
+    return v[-1], max(changes[-2:] + [_SAMPLE_RTOL * _size(bound[-1])])
 
 
 @dataclass(frozen=True)

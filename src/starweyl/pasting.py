@@ -271,7 +271,7 @@ class OmegaMatrix:
 
 def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,
                     trace_vanishing: bool, exact_entries=None,
-                    exact_rank=None) -> OmegaMatrix:
+                    exact_rank=None, err: float = 0.0) -> OmegaMatrix:
     mat = np.asarray(mat, dtype=complex)
     herm_defect = float(np.linalg.norm(mat - mat.conj().T))
     mat = (mat + mat.conj().T) / 2.0
@@ -285,7 +285,10 @@ def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,
     if exact_rank is not None:
         rank = exact_rank
     else:
-        rank = int((clipped > tol).sum())
+        counted = clipped > tol
+        rank = int(counted.sum())
+        # A counted eigenvalue within the error estimate of `mat` may be 0.
+        converged = converged and not (clipped[counted] <= err).any()
     return OmegaMatrix(
         matrix=projected,
         rank=rank,
@@ -398,13 +401,18 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
         weights.append(eps * T)
         ratios.append(M.imag / T)
     # eps * Im tr M extrapolates to the trace weight of the point: positive
-    # exactly at atoms, zero at regular and purely continuous points.
-    weight, _ = richardson(schedule, weights)
-    if weight <= 1e-6 * max(weights[0], 1e-300):
-        return _finalize_omega(np.zeros((n, n)), False, True, True)
+    # exactly at atoms, zero at regular and purely continuous points.  The
+    # floor tells the two apart only when the error estimate keeps the weight
+    # clear of it, and a limit of positive samples below -floor means the
+    # extrapolation failed; otherwise the sample is not converged.
+    weight, weight_err = richardson(schedule, weights)
+    floor = 1e-6 * max(weights[0], 1e-300)
+    settled = weight >= -floor and abs(weight - floor) > weight_err
+    if weight <= floor:
+        return _finalize_omega(np.zeros((n, n)), False, settled, True)
     limit, err = richardson(schedule, ratios)
-    converged = err <= max(1e-6, 1e-4 * float(np.linalg.norm(limit)))
-    return _finalize_omega(limit, False, converged, False)
+    converged = settled and err <= max(1e-6, 1e-4 * float(np.linalg.norm(limit)))
+    return _finalize_omega(limit, False, converged, False, err=err)
 
 
 def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,

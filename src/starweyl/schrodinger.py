@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_ivp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .herglotz import HerglotzRep, atom_weight, cos_sin, geometric_schedule
@@ -38,6 +36,16 @@ from .measure import (
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-12
+
+
+def brentq(f, a, b, **kwargs):
+    """`scipy.optimize.brentq`, loaded at the first call.
+
+    scipy is imported inside the functions that use it, so that the exact
+    and closed-form tasks never load it."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -279,10 +287,12 @@ def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
         u0, du0 = complex(init[0]), complex(init[1])
         y = [u0.real, u0.imag, du0.real, du0.imag]
 
+    from scipy.integrate import solve_ivp
+
     for a, b in _segments(x0, x1, edge._breakpoints()):
         rhs = _rhs(_segment_coeffs(edge, 0.5 * (a + b)), zc, real_path)
-        res = _scipy_ivp(rhs, (a, b), y, method="DOP853",
-                         rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=False)
+        res = solve_ivp(rhs, (a, b), y, method="DOP853",
+                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=False)
         if not res.success:
             raise ConvergenceError(f"ODE integration failed on [{a}, {b}]: {res.message}")
         y = [float(v) for v in res.y[:, -1]]

@@ -24,9 +24,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import brentq
-from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceError, InternalInvariantError
 from .herglotz import (
@@ -46,10 +43,18 @@ from .measure import (
     number_to_json,
 )
 from .pasting import PastedSystem, multiplicity_at, trace_weyl
-from .schrodinger import Edge
+from .schrodinger import Edge, brentq
 
 OVERLAP = "overlap"
 KIRCHHOFF = "kirchhoff-zero"
+
+
+def eigsh(A, **kwargs):
+    """`scipy.sparse.linalg.eigsh`, loaded at the first call (see
+    `schrodinger.brentq`)."""
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+    return scipy_eigsh(A, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -402,6 +407,8 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
         raise ValueError("the oracle needs at least 100 points per edge")
     if any(e.is_infinite for e in edges):
         raise ValueError("the discretization oracle needs finite edges")
+    import scipy.sparse as sp
+
     lo, hi = float(window[0]), float(window[1])
     n = len(edges)
 

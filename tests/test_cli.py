@@ -84,6 +84,31 @@ def test_parse_rejections(mutation):
         parse(**mutation)
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [{"eps0": math.inf}, {"eps0": math.nan}, {"eps0": 10**400},
+     {"eps0": True}, {"grid": True}, {"eps_steps": True}],
+)
+def test_parse_rejects_non_finite_and_boolean_numbers(mutation):
+    # JSON `true` is an int to Python and used to pass as 1.
+    with pytest.raises(SchemaError):
+        parse(**mutation)
+
+
+@pytest.mark.parametrize(
+    "argv", [["weyl", "kac2", "--grid", "2"], ["eigs", "equilateral3", "--grid", "4"]])
+def test_main_rejects_an_infinite_eps0(argv, tmp_path, capsys):
+    # weyl used to write a table of nan and eigs to exit 4.
+    out = tmp_path / "flag"
+    assert main(argv + ["--eps0", "inf", "--out", str(out)]) == 2
+    assert "eps0 must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+    problem = {**builtin_problem(argv[1]), "task": argv[0], "eps0": math.inf}
+    path = tmp_path / "infinity.json"
+    path.write_text(json.dumps(problem))  # written as the JSON token Infinity
+    assert main([argv[0], str(path), "--out", str(tmp_path / "file")]) == 2
+
+
 def rotated_kac2() -> dict:
     problem = builtin_problem("kac2")
     problem["system"]["interface"] = {"type": "angles", "a": [0.7, 1.9], "b": 0.4}

@@ -1,0 +1,80 @@
+"""Cold start: scipy is imported only inside the calls that need it.
+
+Each check runs in a fresh interpreter, so modules loaded by other tests do
+not hide an import.  The last test pins the module-level names `brentq` and
+`eigsh` that the benchmark tracer counts calls through.
+"""
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import starweyl.cli as cli
+from starweyl import schrodinger, spectra
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCIPY_LOADED = 'print(any(m.split(".")[0] == "scipy" for m in sys.modules))'
+
+
+def fresh(body: str, cwd: Path) -> str:
+    """Run `body` after `import starweyl, starweyl.cli` in a new interpreter;
+    its stdout is returned."""
+    code = f"import sys\nimport starweyl, starweyl.cli as cli\n{body}\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",
+        'assert cli.main(["classify", "k74", "--out", "out"]) == 0',
+        'assert cli.main(["eigs", "kac2", "--exact", "--out", "out"]) == 0',
+        'assert cli.main(["weyl", "equilateral3", "--grid", "3", "--out", "out"]) == 0',
+        'assert cli.run_verify_suites(seed=0, scale=0.01)["passed"]',
+    ],
+    ids=["import", "classify-k74", "eigs-kac2-exact", "weyl-equilateral3", "verify"],
+)
+def test_exact_and_closed_form_tasks_never_load_scipy(body, tmp_path):
+    assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'assert cli.main(["eigs", "equilateral3", "--out", "out"]) == 0',
+        'assert cli.main(["oracle", "equilateral3", "--grid", "200", "--out", "out"]) == 0',
+        "from starweyl.schrodinger import Edge, weyl_m\n"
+        "assert weyl_m(Edge.of(1, [((0, 1), (2, -1))]), 3 + 1j).imag > 0",
+    ],
+    ids=["eigs-equilateral3", "oracle-equilateral3", "potential-edge"],
+)
+def test_numeric_tasks_load_scipy_from_cold(body, tmp_path):
+    assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "True\n"
+
+
+def test_scipy_entry_points_are_called_through_module_globals(tmp_path, monkeypatch):
+    calls = Counter()
+    for module, name in ((spectra, "brentq"), (spectra, "eigsh"), (schrodinger, "brentq")):
+        original = getattr(module, name)
+        assert callable(original)
+
+        def counting(*args, _key=f"{module.__name__}.{name}", _fn=original, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert cli.main(["eigs", "equilateral3", "--out", str(tmp_path / "eigs")]) == 0
+    assert cli.main(["oracle", "equilateral3", "--grid", "200",
+                     "--out", str(tmp_path / "oracle")]) == 0
+    assert set(calls) == {"starweyl.spectra.brentq", "starweyl.spectra.eigsh",
+                          "starweyl.schrodinger.brentq"}

@@ -300,6 +300,40 @@ def test_numeric_route_on_a_non_geometric_schedule_agrees_with_exact():
     assert np.allclose(nu.matrix, ex.matrix, atol=1e-6)
 
 
+def test_numeric_route_does_not_trust_a_wide_last_gap():
+    # Fitted through every sample, this schedule gave rank 2 with
+    # converged=True at a regular point of exact rank 0.
+    schedule = [0.02208818199, 0.018045775348, 0.006793413839, 0.000215653627]
+    assert omega_at(kac_pair(), F(3, 10), exact=True).rank == 0
+    assert not omega_at(kac_pair(), 0.3, eps_schedule=schedule, exact=False).converged
+    with pytest.raises(ConvergenceError):
+        multiplicity_at(kac_pair(), 0.3, eps_schedule=schedule, exact=False)
+
+
+# The Kirchhoff zero 0, the single-carrier atoms -1 and 1, and regular points
+# at least 0.1 from them.  Offsets stay in [1e-4, 0.05]: samples farther out
+# than half the distance to the nearest pole no longer resolve it, and below
+# 1e-4 the float sample at an atom loses more digits to cancellation in
+# `matrix_weyl` than `richardson` allows for.
+_kac_points = st.one_of(
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(0.1, 0.9).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1e-4, 0.05), min_size=2, max_size=10, unique=True), _kac_points)
+def test_numeric_route_on_any_schedule_is_right_or_says_so(offsets, x):
+    sys_ = kac_pair()
+    schedule = sorted(offsets, reverse=True)
+    exact = omega_at(sys_, F(x), exact=True).rank
+    try:
+        nu = omega_at(sys_, x, eps_schedule=schedule, exact=False)
+    except ConvergenceError:
+        return
+    assert not nu.converged or nu.rank == exact
+
+
 def test_numeric_route_rejects_nonpositive_trace():
     bad = HerglotzFunction(lambda z: complex(0.0, -1.0))
     sys_ = PastedSystem.of([bad, bad])
