@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -195,7 +194,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def emit_plot_data(system: PastedSystem, report: SpectralReport,
-                   grid: int = 200, eps: float = 1e-3, jobs: int = 1) -> list:
+                   grid: int = 200, eps: float = 1e-3) -> list:
     """Rows (x, Im tr M(x + i eps), marker) over the report window.
 
     Grid samples carry an empty marker; one extra row per eigenvalue holds
@@ -207,19 +206,8 @@ def emit_plot_data(system: PastedSystem, report: SpectralReport,
     xs = [float(v) for v in np.linspace(lo, hi, grid)] if grid > 0 else []
     marks = {float(e.x): e.multiplicity for e in report.eigenvalues}
     xs_all = sorted(set(xs) | set(marks))
-
-    def val(x: float) -> float:
-        return float(trace_weyl(system, x + 1j * eps).imag)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(val, xs_all))
-    else:
-        vals = [val(x) for x in xs_all]
-    rows = []
-    for x, v in zip(xs_all, vals):
-        rows.append((x, v, marks.get(x, "")))
-    return rows
+    return [(x, float(trace_weyl(system, x + 1j * eps).imag), marks.get(x, ""))
+            for x in xs_all]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +337,7 @@ def run_verify_suites(seed: int = 0, scale: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
+def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
     """Execute one task, write artifacts into out_dir, return the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,8 +352,7 @@ def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
                        report.csv_rows())
-            rows = emit_plot_data(problem.system, report,
-                                  grid=problem.grid or 200, jobs=jobs)
+            rows = emit_plot_data(problem.system, report, grid=problem.grid or 200)
             _write_csv(out / "plot.csv", ("x", "im_trace", "marker"), rows)
         elif problem.task == "classify":
             reps = problem.system.reps
@@ -391,11 +378,7 @@ def run(problem: ProblemFile, out_dir, jobs: int = 1, seed: int = 0) -> int:
                         row.extend((float(M[i, j].real), float(M[i, j].imag)))
                 return tuple(row)
 
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    rows = list(pool.map(sample, (float(x) for x in xs)))
-            else:
-                rows = [sample(float(x)) for x in xs]
+            rows = [sample(float(x)) for x in xs]
             header = ["x", "eps"]
             for i in range(n):
                 for j in range(n):
@@ -463,7 +446,8 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int)
     parser.add_argument("--exact", action="store_true", default=None)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="must be 1: every task runs in one thread")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -476,8 +460,10 @@ def main(argv=None) -> int:
         "exact": args.exact,
     }
     try:
+        if args.jobs != 1:
+            raise SchemaError(f"--jobs must be 1, got {args.jobs}")
         problem = _load_problem(args.problem, overrides)
-        code = run(problem, args.out, jobs=args.jobs, seed=args.seed)
+        code = run(problem, args.out, seed=args.seed)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return 2

@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -199,6 +199,45 @@ class HerglotzRep:
                 raise ValueError(f"{x} is a pole")
             val += w * (1 + t * t) / (t - x) ** 2
         return val
+
+    @cached_property
+    def _integer_terms(self):
+        """(D, M, c0, c1, [(D t_j, R_j)]): the data of `value_parts` in
+        integers, with D the common denominator of the positions and M that
+        of c = a - sum w_j t_j, b and rho_j = D w_j (1 + t_j^2); c0 = M c,
+        c1 = M b and R_j = M rho_j."""
+        atoms = self.omega.atoms
+        D = math.lcm(*(t.denominator for t, _ in atoms))
+        c = self.a - sum((w * t for t, w in atoms), Fraction(0))
+        rhos = [w * (1 + t * t) * D for t, w in atoms]
+        M = math.lcm(c.denominator, self.b.denominator, *(r.denominator for r in rhos))
+        terms = [(t.numerator * (D // t.denominator), r.numerator * (M // r.denominator))
+                 for (t, _w), r in zip(atoms, rhos)]
+        return D, M, int(c * M), int(self.b * M), terms
+
+    def value_parts(self, p: int, q: int) -> Tuple[int, int, int, int]:
+        """h(p/q) and h'(p/q) as unreduced integer fractions, off the atoms.
+
+        Returns (num, den, dnum, dden) with h(p/q) = num/den, h'(p/q) =
+        dnum/dden and den, dden > 0; p/q need not be in lowest terms
+        (q > 0).  Over the shared denominators prod d_j and prod d_j^2,
+        d_j = D t_j q - D p, the terms accumulate in integers without any
+        gcd (see `_integer_terms`).  The reduced fractions are exactly
+        `eval_real` and `derivative_real`.
+        """
+        if self.omega.pieces:
+            raise ValueError("integer evaluation needs a purely atomic measure")
+        D, M, c0, c1, terms = self._integer_terms
+        s, P, s2, P2 = 0, 1, 0, 1
+        for T, R in terms:
+            d = T * q - D * p
+            if d == 0:
+                raise ValueError(f"{Fraction(p, q)} is a pole")
+            s, P = s * d + R * P, P * d
+            s2, P2 = s2 * d * d + R * P2, P2 * d * d
+        if P < 0:
+            s, P = -s, -P
+        return (c0 * q + c1 * p) * P + q * q * s, M * q * P, c1 * P2 + q * q * D * s2, M * P2
 
     def value_at_infinity(self) -> Fraction:
         """Limit along the real axis when b = 0 (finite only then)."""
@@ -557,7 +596,70 @@ def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int, int], in
     return sign
 
 
-def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction) -> Fraction:
+def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
+    """Guesses at the root of h - level in each bracket (lo, hi), best first.
+
+    A guess is ((xn, xd), radius): the rational xn/xd (xd > 0) and a radius
+    around it that should hold the root.  Safeguarded Newton steps run on
+    all brackets at once in numpy, a step leaving the bracket becoming a
+    bisection.  The float root's radius bounds the rounding in the sum
+    (each term carries rounding of t_j, of t_j - x and of the division),
+    divided by the slope; a root stops once its step falls below half its
+    radius.  One more Newton step from it, on the exact value and slope
+    (`HerglotzRep.value_parts`), squares that error: radius^2 |h''| / (2 h')
+    with a factor 4 to spare.  It goes first when it is the narrower one.
+    """
+    atoms = h.omega.atoms
+    t = np.array([float(u) for u, _ in atoms])
+    rho = np.array([float(w * (1 + u * u)) for u, w in atoms])
+    c = float(h.a - level - sum((w * u for u, w in atoms), Fraction(0)))
+    b = float(h.b)
+    lo = np.array([float(a) for a, _ in brackets])
+    hi = np.array([float(z) for _, z in brackets])
+    x = 0.5 * (lo + hi)
+    unit = (len(atoms) + 4) * 2.0**-52
+    # A float root can land on a pole only when its bracket ends closer to
+    # the pole than float resolves; that bracket gets no guess below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            diff = t - x[:, None]
+            terms = rho / diff
+            f = c + b * x + terms.sum(axis=1)
+            slope = b + (terms / diff).sum(axis=1)
+            spread = 1.0 + (np.abs(t) + np.abs(x)[:, None]) / np.abs(diff)
+            size = abs(c) + np.abs(b * x) + (np.abs(terms) * spread).sum(axis=1)
+            radius = unit * size / slope + 2.0**-52 * np.abs(x)
+            below = f < 0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            step = f / slope
+            nxt = x - step
+            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            done = (np.abs(step) <= 0.5 * radius) | (f == 0)
+            x = nxt
+            if done.all():
+                break
+        bend = np.abs((2 * terms / diff**2).sum(axis=1)) / slope
+    out = []
+    for (a, z), xf, r, r2 in zip(brackets, x.tolist(), radius.tolist(),
+                                 (2 * bend * radius**2).tolist()):
+        if not (math.isfinite(xf) and a < Fraction(xf) < z):
+            out.append([])
+            continue
+        xn, xd = xf.as_integer_ratio()
+        guesses = [((xn, xd), r)]
+        if r2 < r:
+            num, den, dnum, dden = h.value_parts(xn, xd)
+            # x - f / h' with f = fn / (den L_d) and h' = dnum / dden, L = level
+            fn = num * level.denominator - level.numerator * den
+            q = den * level.denominator * dnum
+            guesses.insert(0, ((xn * q - fn * dden * xd, xd * q), r2))
+        out.append(guesses)
+    return out
+
+
+def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
+                  guesses=()) -> Fraction:
     """Root of an increasing function on [lo, hi] from its signs alone.
 
     ``sign(p, q)`` is -1, 0 or +1 at p/q, with sign < 0 at lo and > 0 at hi;
@@ -565,10 +667,25 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction) -
     bracket is kept as integer numerators over a shared denominator that
     doubles per step, so the midpoints are the exact rationals (lo + hi)/2
     without any gcd, and the result is the same Fraction.
+
+    A guess ((xn, xd), radius) from `_locate` lets the search jump to the
+    dyadic sub-bracket of depth k holding x = xn/xd: the deepest at least 4
+    radii wide that plain stepping would still reach, made shallower while
+    x lies within a radius of one of its ends.  Two sign checks confirm the
+    jump: the root then lies strictly inside, so plain stepping passes
+    through the same brackets and meets no exact zero on its way.  If x is
+    within a radius of a split point at every depth (a root at a dyadic
+    point of [lo, hi]) or a sign does not confirm, the next guess is tried,
+    and after the last the search steps from [lo, hi].
     """
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     goal = max(abs(Fraction(a + b, 2 * den)), Fraction(1)) / Fraction(2**_BISECT_BITS)
+    for guess in guesses:
+        jumped = _jump(sign, a, b, den, goal, *guess)
+        if jumped is not None:
+            a, b, den = jumped
+            break
     while True:
         mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
         v = sign(mid, den)
@@ -590,6 +707,34 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction) -
     return mid
 
 
+def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):
+    """The bracket (a, b, den) of `_bisect_exact` moved to the sub-bracket
+    holding ``point`` = (xn, xd), or None (see there)."""
+    width = b - a
+    room = float(Fraction(width, den)) / (4.0 * radius) if radius > 0 else 0.0
+    if not room >= 2.0:
+        return None
+    # Plain stepping stops at the first step s with width < goal * 2^s, so
+    # it passes every depth up to this one.
+    k = (width * goal.denominator).bit_length() - (goal.numerator * den).bit_length() - 1
+    if math.isfinite(room):
+        k = min(k, int(math.log2(room)))
+    xn, xd = point
+    for k in range(k, 0, -1):
+        i, rem = divmod((xn * den - a * xd) << k, width * xd)
+        if not 0 <= i < 2**k:
+            return None
+        near = min(rem, width * xd - rem) / (width * xd) * float(Fraction(width, den << k))
+        if near > radius:
+            break
+    else:  # x lies within a radius of a split point at every depth
+        return None
+    ka, kden = (a << k) + i * width, den << k
+    if sign(ka, kden) < 0 and sign(ka + width, kden) > 0:
+        return ka, ka + width, kden
+    return None
+
+
 def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     """All real solutions of h(x) = level, using monotonicity between poles.
 
@@ -597,7 +742,9 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     such gap carries at most one solution, bracketed and bisected on exact
     rationals.  Each sign check is an integer Horner sum: h - level is
     written once as N/Q with Q = prod (t_j - x), whose sign is fixed on each
-    gap (`_level_sign`).  ``window`` (lo, hi) filters the output.
+    gap (`_level_sign`).  All brackets are first located in float at once
+    (`_locate`), and the bisection starts next to that root when two
+    sign checks confirm it.  ``window`` (lo, hi) filters the output.
     """
     if not h.omega.is_atomic:
         raise ValueError("exact level solving needs a purely atomic measure")
@@ -615,6 +762,7 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         gaps: list[tuple] = [(None, ts[0])]
         gaps += [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)]
         gaps.append((ts[-1], None))
+        brackets = []
         for left, (L, R) in enumerate(gaps):
             # `left` atoms lie below this gap: they fix the sign of Q here.
             sign = partial(level_sign, left=left)
@@ -698,7 +846,11 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
                     raise ConvergenceError("no sign change toward +infinity")
                 if hi is None:
                     continue
-            roots.append(_bisect_exact(sign, lo, hi))
+            brackets.append((sign, lo, hi))
+        if brackets:
+            located = _locate(h, level, [(lo, hi) for _, lo, hi in brackets])
+            roots += [_bisect_exact(sign, lo, hi, guesses)
+                      for (sign, lo, hi), guesses in zip(brackets, located)]
     roots.sort()
     if window is not None:
         wlo, whi = as_fraction(window[0]), as_fraction(window[1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -201,24 +202,35 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.vstack([np.hstack([zero, eye]), np.hstack([-eye, zero])])
 
 
+def _others(ms: list) -> list:
+    """sum_{k != i} m_k for i < n - 1, from prefix and suffix sums.
+
+    m - m_i would cancel next to a pole of entry i, where m_i is huge.
+    """
+    before = [0j, *accumulate(ms[:-2])]
+    after = [*accumulate(ms[:0:-1])][::-1]
+    return [p + s for p, s in zip(before, after)]
+
+
 def matrix_weyl(sys: PastedSystem, z: complex) -> np.ndarray:
     """The n x n matrix M(z) of the joined problem, entrywise from m_l(z).
 
     With m = sum of all m_l: M_ij = -m_i m_j / m and M_ii = m_i (m - m_i)/m
     for i, j < n-1-indexed block, M_in = -m_i / m, M_nn = -1/m.  Off the
     real axis m cannot vanish (its imaginary part is a positive sum), so
-    the division is safe.
+    the division is safe.  m - m_i is summed from the other entries.
     """
     ms = sys.entry_values(z)
     n = sys.n
     m = ms.sum()
     if m == 0:
         raise ZeroDivisionError(f"sum of interface values vanishes at z={z}")
+    others = _others(ms.tolist())
     M = np.empty((n, n), dtype=complex)
     for i in range(n - 1):
         for j in range(n - 1):
             M[i, j] = -ms[i] * ms[j] / m
-        M[i, i] = ms[i] * (m - ms[i]) / m
+        M[i, i] = ms[i] * others[i] / m
         M[i, n - 1] = M[n - 1, i] = -ms[i] / m
     M[n - 1, n - 1] = -1.0 / m
     return M
@@ -229,8 +241,8 @@ def trace_weyl(sys: PastedSystem, z: complex) -> complex:
     m = ms.sum()
     if m == 0:
         raise ZeroDivisionError(f"sum of interface values vanishes at z={z}")
-    head = ms[:-1]
-    return complex((head * (m - head)).sum() / m - 1.0 / m)
+    v = ms.tolist()
+    return complex(sum(a * o for a, o in zip(v, _others(v))) / m - 1.0 / m)
 
 
 # ---------------------------------------------------------------------------
@@ -300,56 +312,59 @@ def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,
     )
 
 
-def _residue_matrix_at_atom(reps: Sequence[HerglotzRep], x: Fraction):
-    """Exact residue matrix of M at a shared atom position, or None.
+def _residue_at_atom(reps: Sequence[HerglotzRep], x: Fraction):
+    """(head, block) at an atom position x, or None if no input has one.
 
     Each input with an atom at x contributes rho_l = w_l (1 + x^2).  In the
     entry formulas the pole of m cancels all rows/columns except the block
-    of carrying inputs among the first n-1, where the residue is
-    diag(rho) - rho rho^T / (sum over all carriers).  The rank is always
-    (number of carriers) - 1; one single carrier leaves no trace at all.
+    of carrying inputs among the first n-1 (``head``), where the residue
+    is diag(rho) - rho rho^T / total, total the sum over all carriers.
+    ``block`` is total times that, md_matrix(rho_head, total).  Its rank,
+    carriers - 1 by the rank lemma, is left to elimination; one single
+    carrier leaves a zero block.
     """
-    n = len(reps)
-    rhos = [r.omega.atom_mass_at(x) * (1 + x * x) for r in reps]
-    carriers = [l for l, rho in enumerate(rhos) if rho > 0]
-    if not carriers:
+    masses = [r.omega.atom_mass_at(x) for r in reps]
+    if not any(masses):
         return None
-    total = sum(rhos[l] for l in carriers)
-    C = [[Fraction(0)] * n for _ in range(n)]
-    head = [l for l in carriers if l < n - 1]
-    for i in head:
-        for j in head:
-            C[i][j] = -rhos[i] * rhos[j] / total
-        C[i][i] += rhos[i]
-    rank = len(carriers) - 1
-    return C, rank
+    rhos = [w * (1 + x * x) for w in masses]
+    total = sum(rhos, Fraction(0))
+    head = [l for l, rho in enumerate(rhos[:-1]) if rho > 0]
+    return head, md_matrix([rhos[l] for l in head], total)
 
 
-def _kirchhoff_residue(reps: Sequence[HerglotzRep], x: Fraction):
-    """Exact rank-one residue at a zero of the summed function, or None.
+def _kirchhoff_vector(reps: Sequence[HerglotzRep], x: Fraction):
+    """The primitive integer multiple of (m_1, ..., m_{n-1}, 1) at a zero
+    of the summed function, or None where the sum does not vanish.
 
-    Requires every input to be finite and real-analytic at x and the sum
-    to vanish there.  Bisection-produced zeros carry ~2^-64 position error,
-    so "vanish" tolerates a residual proportional to the derivative.
+    The residue there is v v^T / h' with v = (m_1(x), ..., m_{n-1}(x), 1).
+    Requires no input to have an atom at x.  Every value and derivative is
+    an unreduced integer fraction (`HerglotzRep.value_parts`), and the test
+    below runs in integers.  Bisection-produced zeros carry ~2^-64 position
+    error, so "vanish" tolerates |sum| <= (1 + h' max(1, |x|)) / 2^40.
     """
-    n = len(reps)
-    vals = []
-    deriv = Fraction(0)
-    for r in reps:
-        if r.omega.atom_mass_at(x) > 0:
-            return None
-        vals.append(r.eval_real(x))
-        deriv += r.derivative_real(x)
-    total = sum(vals, Fraction(0))
-    if total != 0:
-        scale = 1 + abs(deriv) * max(Fraction(1), abs(x))
-        if abs(total) > scale / Fraction(2**40):
-            return None
-    if deriv <= 0:
+    p, q = x.numerator, x.denominator
+    parts = [r.value_parts(p, q) for r in reps]
+    # total = S / B and h' = Dn / Dd over the products of the denominators.
+    S, B, Dn, Dd = 0, 1, 0, 1
+    for num, den, dnum, dden in parts:
+        S, B = S * den + num * B, B * den
+        Dn, Dd = Dn * dden + dnum * Dd, Dd * dden
+    if Dn <= 0:
         return None  # constant system cannot be pasted anyway
-    v = [vals[l] for l in range(n - 1)] + [Fraction(1)]
-    C = [[v[i] * v[j] / deriv for j in range(n)] for i in range(n)]
-    return C, 1
+    if abs(S) * 2**40 * Dd * q > B * (Dd * q + Dn * max(q, abs(p))):
+        return None
+    u = [num * (B // den) for num, den, _, _ in parts[:-1]] + [B]
+    g = math.gcd(*u)
+    return [v // g for v in u]
+
+
+def _exact_route(sys: PastedSystem, exact: Union[bool, None]) -> bool:
+    """Whether `omega_at` and `multiplicity_at` take the exact route."""
+    if exact is None:
+        return sys.is_exact_atomic
+    if exact and not sys.is_exact_atomic:
+        raise ValueError("exact route requires purely atomic representations")
+    return exact
 
 
 def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
@@ -362,30 +377,28 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     back flagged ``trace_vanishing`` with a zero matrix.
     """
     n = sys.n
-    if exact is None:
-        exact = sys.is_exact_atomic
-    if exact and not sys.is_exact_atomic:
-        raise ValueError("exact route requires purely atomic representations")
-
-    if exact:
+    if _exact_route(sys, exact):
         xf = as_fraction(x)
         reps = sys.reps
-        hit = _residue_matrix_at_atom(reps, xf)
-        if hit is None:
-            hit = _kirchhoff_residue(reps, xf)
-        if hit is None:
-            return _finalize_omega(np.zeros((n, n)), True, True, True,
-                                   exact_rank=0)
-        C, rank = hit
-        tr = sum((C[i][i] for i in range(n)), Fraction(0))
-        if tr == 0:
+        hit = _residue_at_atom(reps, xf)
+        if hit is not None:
+            head, block = hit
+            tr = sum((block[i][i] for i in range(len(head))), Fraction(0))
+            if tr != 0:
+                omega = [[Fraction(0)] * n for _ in range(n)]
+                for i, row in zip(head, block):
+                    for j, v in zip(head, row):
+                        omega[i][j] = v / tr
+                omega = tuple(tuple(row) for row in omega)
+                mat = np.array([[float(v) for v in row] for row in omega])
+                return _finalize_omega(mat, True, True, False, exact_entries=omega,
+                                       exact_rank=exact_rank(block))
             # single carrier: the joined measure has no atom here at all
-            return _finalize_omega(np.zeros((n, n)), True, True, True,
-                                   exact_rank=0)
-        omega = tuple(tuple(C[i][j] / tr for j in range(n)) for i in range(n))
-        mat = np.array([[float(v) for v in row] for row in omega])
-        return _finalize_omega(mat, True, True, False,
-                               exact_entries=omega, exact_rank=rank)
+        else:
+            u = _kirchhoff_vector(reps, xf)
+            if u is not None:
+                return rank_one_limit_matrix([Fraction(v, u[-1]) for v in u[:-1]])
+        return _finalize_omega(np.zeros((n, n)), True, True, True, exact_rank=0)
 
     schedule = tuple(eps_schedule or sys.default_schedule())
     xf = float(x)
@@ -417,8 +430,20 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
 
 def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
                     exact: Union[bool, None] = None) -> int:
-    """Number of spectral layers at x: the rank of the omega sample there."""
-    om = omega_at(sys, x, eps_schedule=eps_schedule, exact=exact)
+    """Number of spectral layers at x: the rank of the omega sample there.
+
+    On the exact route that is the rank of the residue block of M at x,
+    found by elimination on integers without forming the normalized
+    sample.  It is 0 where M has no pole.
+    """
+    if _exact_route(sys, exact):
+        xf = as_fraction(x)
+        hit = _residue_at_atom(sys.reps, xf)
+        if hit is not None:
+            return exact_rank(hit[1])
+        u = _kirchhoff_vector(sys.reps, xf)
+        return 0 if u is None else exact_rank([[a * b for b in u] for a in u])
+    om = omega_at(sys, x, eps_schedule=eps_schedule, exact=False)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")
     return om.rank
@@ -441,26 +466,31 @@ def md_matrix(b: Sequence[NumberLike], d: NumberLike):
 
 
 def exact_rank(rows) -> int:
-    """Rank by Gaussian elimination over the rationals (no thresholds)."""
-    m = [list(r) for r in rows]
+    """Rank by fraction-free (Bareiss) elimination, without thresholds.
+
+    Each row is scaled to integers by the common denominator of its
+    entries.  Every entry below the pivots is then a minor of the scaled
+    matrix, so the division by the previous pivot is exact and no gcd runs.
+    """
+    m = []
+    for row in rows:
+        row = [as_fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
-    col = 0
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
+        top = m[rank]
+        pv = top[col]
         for r in range(rank + 1, nrows):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * p for a, p in zip(m[r], m[rank])]
+            f = m[r][col]
+            m[r] = [(pv * v - f * t) // prev for v, t in zip(m[r], top)]
+        prev = pv
         rank += 1
         if rank == nrows:
             break

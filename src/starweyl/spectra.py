@@ -231,8 +231,10 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
     overlap eigenvalues with layer count carriers-1; the zeros of the
     summed function, one per pole-free gap, give simple eigenvalues.  The
     numeric route does the same with ODE-located poles and bracketed sign
-    changes, scanning the parts of each gap outside the density pieces.  Each reported point is re-derived through the omega-sample
-    rank, which is an independent formula; disagreement is a hard error.
+    changes, scanning the parts of each gap outside the density pieces.
+    Each reported point is re-derived as a rank: of M's residue block by
+    elimination on the exact route, of the omega sample on the numeric
+    one.  Disagreement is a hard error.
     """
     results: list[Eigenvalue] = []
     if sys.is_exact_atomic:

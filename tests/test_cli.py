@@ -109,6 +109,15 @@ def test_main_rejects_an_infinite_eps0(argv, tmp_path, capsys):
     assert main([argv[0], str(path), "--out", str(tmp_path / "file")]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_main_accepts_only_one_job(jobs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["eigs", "kac2", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "--jobs must be 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["eigs", "kac2", "--jobs", "1", "--out", str(out)]) == 0
+
+
 def rotated_kac2() -> dict:
     problem = builtin_problem("kac2")
     problem["system"]["interface"] = {"type": "angles", "a": [0.7, 1.9], "b": 0.4}
@@ -195,7 +204,6 @@ def test_emit_plot_data_grid_and_parallel_agree():
     rows = emit_plot_data(p.system, report, grid=9)
     assert len(rows) == 9
     assert [r[2] for r in rows] == [""] * 9
-    assert rows == emit_plot_data(p.system, report, grid=9, jobs=3)
     with pytest.raises(ValueError):
         emit_plot_data(p.system, report, grid=9, eps=0.0)
 

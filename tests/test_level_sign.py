@@ -8,17 +8,18 @@ step; both must return the same Fractions.
 
 from bisect import bisect_left
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, solve_level
+from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, herglotz, solve_level
 from starweyl.errors import ConvergenceError
-from starweyl.herglotz import _level_sign, _mobius_exact, cos_sin
+from starweyl.herglotz import _bisect_exact, _level_sign, _locate, _mobius_exact, cos_sin
 
-from conftest import positive_rationals, rationals
+from conftest import atomic_reps, positive_rationals, rationals
 
 # ---------------------------------------------------------------------------
 # slow reference: Fraction bisection on eval_real
@@ -300,3 +301,131 @@ def test_atom_mass_at_matches_a_lookup(h, x):
     assert h.omega.atom_mass_at(x) == masses.get(x, F(0))
     for t, w in h.omega.atoms:
         assert h.omega.atom_mass_at(t) == w
+
+
+# ---------------------------------------------------------------------------
+# integer value and derivative
+# ---------------------------------------------------------------------------
+
+
+def _check_value_parts(h, x, k):
+    if x in h.omega.atom_positions():
+        with pytest.raises(ValueError):
+            h.value_parts(x.numerator, x.denominator)
+        return
+    num, den, dnum, dden = h.value_parts(k * x.numerator, k * x.denominator)
+    assert den > 0 and dden > 0
+    assert F(num, den) == h.eval_real(x)
+    assert F(dnum, dden) == h.derivative_real(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atomic_reps(max_atoms=8), rationals(-12, 12, den=97), st.integers(1, 6))
+def test_value_parts_match_eval_real_and_derivative_real(h, x, k):
+    # k > 1 hands over p/q in unreduced form
+    _check_value_parts(h, x, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_reps(), st.integers(1, 4))
+def test_value_parts_at_the_roots_of_solve_level(h, k):
+    # the large-denominator points the cross-check evaluates
+    for r in solve_level(h, 0):
+        _check_value_parts(h, r, k)
+
+
+# ---------------------------------------------------------------------------
+# float locate, integer certify
+# ---------------------------------------------------------------------------
+
+
+def _pair(shift=F(0), a=F(0)):
+    """Atoms of mass 1 at shift - 1 and shift + 1 over the constant a; the
+    function is a + 2 shift at x = shift."""
+    atoms = [(shift - 1, F(1)), (shift + 1, F(1))]
+    return HerglotzRep.of(a, 0, ScalarMeasure.of(atoms=atoms))
+
+
+def _bisect_both_ways(h, level, lo, hi):
+    """`_bisect_exact` on [lo, hi] without a guess, with the located
+    guesses, and with float and exact guesses placed next to the root; all
+    must agree."""
+    sign = partial(_level_sign(h, level), left=bisect_left(h.omega.atom_positions(), lo))
+    plain = _bisect_exact(sign, lo, hi)
+    (located,) = _locate(h, level, [(lo, hi)])
+    assert located
+    got = [_bisect_exact(sign, lo, hi, located)]
+    for dx in (0.0, 1e-17, -1e-17, 3e-16, -3e-16, 1e-9, -1e-9):
+        for r in (located[-1][1], 1e-30):
+            got.append(_bisect_exact(sign, lo, hi, [((float(plain) + dx).as_integer_ratio(), r)]))
+    for dx in (F(0), F(1, 2**70), F(-1, 2**70), F(1, 3 * 2**60)):
+        x = plain + dx
+        got.append(_bisect_exact(sign, lo, hi, [((x.numerator, x.denominator), 1e-40)]))
+    assert got == [plain] * len(got)
+    return plain
+
+
+@pytest.mark.parametrize("root", [F(0), F(1, 2), F(-1, 2), F(1, 4), F(-3, 8)])
+def test_roots_on_dyadic_split_points_come_back_exact(root):
+    # On [-1, 1] the split points are the dyadic rationals, and plain
+    # stepping lands on these roots exactly; a guess next to one must not
+    # jump past it.
+    h = _pair(F(5))
+    level = h.eval_real(root)
+    assert _bisect_both_ways(h, level, F(-1), F(1)) == root
+    assert solve_level(h, level) == _reference_solve_level(h, level)
+
+
+@pytest.mark.parametrize("root", [F(1, 3), F(-2, 7), F(7, 10), F(123, 1000), F(22, 7 * 10**6)])
+def test_roots_at_snap_candidates_come_back_exact(root):
+    h = _pair(F(5))
+    level = h.eval_real(root)
+    assert _bisect_both_ways(h, level, F(-1), F(1)) == root
+    assert solve_level(h, level) == _reference_solve_level(h, level)
+
+
+@pytest.mark.parametrize("shift", [F(0), F(1, 2), F(-3, 4), F(1, 3)])
+def test_a_zero_at_the_first_midpoint_comes_back_exact(shift):
+    # The gap (shift - 1, shift + 1) is bracketed as shift -+ 7/8, whose
+    # first midpoint is the zero itself.
+    h = _pair(shift, a=-2 * shift)
+    roots = solve_level(h, 0)
+    assert shift in roots and roots == _reference_solve_level(h, 0)
+
+
+def test_a_wrong_guess_falls_back_to_plain_stepping():
+    h = _seeded_rep(7, 9)
+    level = F(1, 3)
+    ts = h.omega.atom_positions()
+    lo, hi = ts[3] + (ts[4] - ts[3]) / 16, ts[4] - (ts[4] - ts[3]) / 16
+    sign = partial(_level_sign(h, level), left=4)
+    assert sign(lo.numerator, lo.denominator) < 0 < sign(hi.numerator, hi.denominator)
+    plain = _bisect_exact(sign, lo, hi)
+    for x in (lo, hi, (lo + hi) / 2, plain * (1 + F(1, 10**9)), hi + 1, lo - 1):
+        wrong = [((x.numerator, x.denominator), 1e-30)]
+        assert _bisect_exact(sign, lo, hi, wrong) == plain
+        # a wrong first guess leaves the next one to be tried
+        good = [((plain.numerator, plain.denominator), 1e-40)]
+        assert _bisect_exact(sign, lo, hi, wrong + good) == plain
+
+
+def test_located_guesses_save_most_sign_checks(monkeypatch):
+    # 40 atoms: plain stepping spends about 64 checks per root in the
+    # bisection alone; the confirmed jump leaves a handful.
+    h = _seeded_rep(40, 40)
+    level = _levels_for(40)[0]
+    roots = solve_level(h, level)
+    calls = []
+
+    def counted(h, level):
+        sign = _level_sign(h, level)
+
+        def count(*args, **kwargs):
+            calls.append(args)
+            return sign(*args, **kwargs)
+
+        return count
+
+    monkeypatch.setattr(herglotz, "_level_sign", counted)
+    assert solve_level(h, level) == roots
+    assert len(calls) <= 16 * len(roots)

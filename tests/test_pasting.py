@@ -39,6 +39,7 @@ from starweyl import (
     pure_relation_weyl,
     rank_md,
     rank_one_limit_matrix,
+    real_zeros,
     symplectic_form,
     trace_weyl,
 )
@@ -454,3 +455,148 @@ def test_generalized_multiplicity_validates_angles():
         generalized_multiplicity(sys_, (0.0,), math.pi / 2, 0)
     with pytest.raises(ValueError):
         generalized_multiplicity(sys_, (0.0, 0.0), 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# next to a pole of one entry
+# ---------------------------------------------------------------------------
+
+
+def test_numeric_route_next_to_a_single_carrier_atom():
+    # m - m_1 cancelled next to the atom -1 of the first entry: this
+    # schedule gave rank 2 with converged=True where the exact rank is 0.
+    schedule = [0.00015368443586078053, 9.878446354042007e-05, 4.392094467342254e-05,
+                3.820922065644748e-06, 3.784234211570609e-06, 3.4222544149900996e-06,
+                1.5592632324007885e-06]
+    assert omega_at(kac_pair(), F(-1), exact=True).rank == 0
+    om = omega_at(kac_pair(), -1.0, eps_schedule=schedule, exact=False)
+    assert om.converged and om.rank == 0
+
+
+def _cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _cdiv(u, v):
+    norm = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) / norm, (u[1] * v[0] - u[0] * v[1]) / norm)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_matrix_weyl_keeps_its_digits_next_to_a_pole(eps):
+    # At z = -1 + i eps the first entry of kac2 grows like 1/eps, and
+    # m - m_1 kept none of the second entry's digits.  The reference runs
+    # the same formulas in exact arithmetic on the same float entry values.
+    sys_ = kac_pair()
+    z = complex(-1.0, eps)
+    m1, m2 = ((F(v.real), F(v.imag)) for v in sys_.entry_values(z))
+    m = (m1[0] + m2[0], m1[1] + m2[1])
+    want = _cdiv(_cmul(m1, m2), m)
+    want = complex(float(want[0]), float(want[1]))
+    assert abs(matrix_weyl(sys_, z)[0, 0] - want) <= 1e-15 * abs(want)
+    tr = _cdiv(_cmul(m1, m2), m)
+    tr = (tr[0] - _cdiv((F(1), F(0)), m)[0], tr[1] - _cdiv((F(1), F(0)), m)[1])
+    want_tr = complex(float(tr[0]), float(tr[1]))
+    assert abs(trace_weyl(sys_, z) - want_tr) <= 1e-15 * abs(want_tr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(1e-7, 0.05), min_size=2, max_size=10, unique=True),
+       st.sampled_from([-1.0, 1.0]))
+def test_numeric_route_at_single_carrier_atoms_with_small_offsets(offsets, x):
+    schedule = sorted(offsets, reverse=True)
+    try:
+        nu = omega_at(kac_pair(), x, eps_schedule=schedule, exact=False)
+    except ConvergenceError:
+        return
+    assert not nu.converged or nu.rank == 0
+
+
+# ---------------------------------------------------------------------------
+# exact route: elimination and the omega sample
+# ---------------------------------------------------------------------------
+
+
+def _fraction_rank(rows):
+    """Gaussian elimination over the rationals, as `exact_rank` used to run."""
+    m = [[F(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * p for a, p in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products A B of rational n x k and k x c matrices, rank <= k."""
+    n, c, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return [[sum((a[i][l] * b[l][j] for l in range(k)), F(0)) for j in range(c)]
+            for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices())
+def test_exact_rank_matches_rational_elimination(rows):
+    assert exact_rank(rows) == _fraction_rank(rows)
+
+
+def _reference_omega_entries(sys_, x):
+    """The exact sample as omega_at built it before, in Fraction arithmetic:
+    C / tr(C), with C the residue block at an atom, or v v^T / h' at a
+    zero of the sum within the bisection tolerance."""
+    reps, n = sys_.reps, sys_.n
+    rhos = [r.omega.atom_mass_at(x) * (1 + x * x) for r in reps]
+    C = [[F(0)] * n for _ in range(n)]
+    if any(rhos):
+        total = sum(rhos)
+        head = [l for l in range(n - 1) if rhos[l] > 0]
+        for i in head:
+            for j in head:
+                C[i][j] = -rhos[i] * rhos[j] / total
+            C[i][i] += rhos[i]
+    else:
+        vals = [r.eval_real(x) for r in reps]
+        deriv = sum(r.derivative_real(x) for r in reps)
+        if abs(sum(vals)) <= (1 + deriv * max(F(1), abs(x))) / F(2**40):
+            v = vals[:-1] + [F(1)]
+            C = [[v[i] * v[j] / deriv for j in range(n)] for i in range(n)]
+    tr = sum(C[i][i] for i in range(n))
+    if tr == 0:
+        return None
+    return tuple(tuple(C[i][j] / tr for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_omega_sample_is_unchanged(seed):
+    # Four entries sharing some atoms: the sample at every overlap, vanished
+    # point and zero, at a regular point and next to each zero, as before.
+    rng = np.random.default_rng(seed)
+    pos = [F(int(v), 4) for v in rng.choice(np.arange(-12, 12), size=9, replace=False)]
+    entries = []
+    for l in range(4):
+        idx = rng.choice(9, size=4, replace=False)
+        entries.append(ScalarMeasure.of(atoms=[(pos[i], F(int(rng.integers(1, 9)), 4))
+                                              for i in idx]))
+    sys_ = PastedSystem.of(entries)
+    zeros = real_zeros(sys_.sum_rep(), (-4, 4))
+    for x in sorted(set(pos)) + zeros + [F(1, 7)] + [u + F(1, 2**30) for u in zeros]:
+        om = omega_at(sys_, x, exact=True)
+        want = _reference_omega_entries(sys_, x)
+        assert om.exact_entries == want
+        if want is None:
+            assert om.rank == 0 and om.trace_vanishing
+            assert multiplicity_at(sys_, x) == 0
+            continue
+        mat = np.array([[float(v) for v in row] for row in want])
+        assert om.rank == multiplicity_at(sys_, x) == int(np.linalg.matrix_rank(mat))
+        assert not om.trace_vanishing and om.converged

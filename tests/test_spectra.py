@@ -41,8 +41,10 @@ from starweyl import (
     classify_spectrum,
     fd_oracle,
     find_point_spectrum,
+    multiplicity_at,
     verify_kac,
 )
+from starweyl import spectra
 from starweyl.spectra import _nodal_potential
 
 OVERLAP = "overlap"
@@ -381,3 +383,51 @@ def test_showcase_builder_atom_counts_and_masses():
         piece = m.pieces[0]
         assert (piece.lo, piece.hi) == (Fraction(9, 2), Fraction(8))
         assert piece.poly.min_on(piece.lo, piece.hi) > 0
+
+
+
+# ---------------------------------------------------------------------------
+# the exact cross-check is a second route
+# ---------------------------------------------------------------------------
+
+
+def _report_instead(monkeypatch, edit):
+    """Let `_exact_points` report ``edit(overlaps, zeros)`` to the cross-check."""
+    original = spectra._exact_points
+
+    def edited(*args):
+        overlaps, vanished, zeros = original(*args)
+        overlaps, zeros = edit(overlaps, zeros)
+        return overlaps, vanished, zeros
+
+    monkeypatch.setattr(spectra, "_exact_points", edited)
+
+
+def test_cross_check_rejects_a_wrong_overlap_count(monkeypatch, three_entry_system):
+    _report_instead(monkeypatch, lambda overlaps, zeros: (
+        [Eigenvalue(e.x, e.multiplicity + 1, OVERLAP) for e in overlaps], zeros))
+    with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
+        find_point_spectrum(three_entry_system, (-1, 7))
+    assert find_point_spectrum(three_entry_system, (-1, 7), cross_check=False)[0].multiplicity == 2
+
+
+def test_cross_check_rejects_a_vanished_point_reported_as_an_overlap(monkeypatch):
+    sys_ = PastedSystem.of([rep_of([(0, 1)]), rep_of([(3, 1)])])
+    _report_instead(monkeypatch, lambda overlaps, zeros: (
+        [Eigenvalue(Fraction(3), 1, OVERLAP)], zeros))
+    with pytest.raises(InternalInvariantError, match="counted 1, rank gave 0"):
+        find_point_spectrum(sys_, (-1, 4))
+
+
+def test_cross_check_rejects_a_shifted_kirchhoff_zero(monkeypatch, three_entry_system):
+    shift = Fraction(1, 2**30)
+    zeros = [e.x for e in find_point_spectrum(three_entry_system, (-1, 7))
+             if e.provenance == KIRCHHOFF]
+    for z in zeros:
+        assert multiplicity_at(three_entry_system, z) == 1
+        assert multiplicity_at(three_entry_system, z + shift) == 0
+        assert multiplicity_at(three_entry_system, z - shift) == 0
+    _report_instead(monkeypatch, lambda overlaps, zeros: (
+        overlaps, [Eigenvalue(e.x + shift, 1, KIRCHHOFF) for e in zeros]))
+    with pytest.raises(InternalInvariantError, match="counted 1, rank gave 0"):
+        find_point_spectrum(three_entry_system, (-1, 7))
