@@ -36,10 +36,8 @@ from .herglotz import HerglotzRep, geometric_schedule
 from .measure import ScalarMeasure, as_fraction
 from .pasting import (
     PastedSystem,
-    exact_rank,
     interface_matrix,
     matrix_weyl,
-    md_matrix,
     rank_md,
     trace_weyl,
 )
@@ -233,7 +231,11 @@ def random_upper_z(rng: np.random.Generator) -> complex:
 
 
 def suite_rank_lemma(rng: np.random.Generator, trials: int = 1000) -> dict:
-    """rank formula vs plain elimination on random integer data."""
+    """rank formula vs plain elimination on random integer data.
+
+    `rank_md` runs both and raises on a mismatch; the trial also checks the
+    rank against the one its data was drawn for.
+    """
     failures = 0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
@@ -245,7 +247,7 @@ def suite_rank_lemma(rng: np.random.Generator, trials: int = 1000) -> dict:
             d = Fraction(int(rng.integers(1, 200)))
             expect = n - 1 if d == sum(b) else n
         got = rank_md(b, d)
-        if got != expect or got != exact_rank(md_matrix(b, d)):
+        if got != expect:
             failures += 1
     return {"trials": trials, "failures": failures, "passed": failures == 0}
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import zip_longest
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -202,10 +203,10 @@ class HerglotzRep:
 
     @cached_property
     def _integer_terms(self):
-        """(D, M, c0, c1, [(D t_j, R_j)]): the data of `value_parts` in
-        integers, with D the common denominator of the positions and M that
-        of c = a - sum w_j t_j, b and rho_j = D w_j (1 + t_j^2); c0 = M c,
-        c1 = M b and R_j = M rho_j."""
+        """(D, M, c0, c1, [(D t_j, R_j)]): the data of `value_parts` and
+        `_rational_form` in integers, with D the common denominator of the
+        positions and M that of c = a - sum w_j t_j, b and rho_j = D w_j
+        (1 + t_j^2); c0 = M c, c1 = M b and R_j = M rho_j."""
         atoms = self.omega.atoms
         D = math.lcm(*(t.denominator for t, _ in atoms))
         c = self.a - sum((w * t for t, w in atoms), Fraction(0))
@@ -238,6 +239,35 @@ class HerglotzRep:
         if P < 0:
             s, P = -s, -P
         return (c0 * q + c1 * p) * P + q * q * s, M * q * P, c1 * P2 + q * q * D * s2, M * P2
+
+    @cached_property
+    def _rational_form(self) -> Tuple[tuple, tuple]:
+        """Integer coefficients (num, den) of h = N/Q with Q = prod (t_j - x).
+
+        N = (c + b x) Q + sum_j w_j (1 + t_j^2) Q_j with Q_j = Q / (t_j - x),
+        one synthetic division per atom, so the build is O(n^2) for n atoms.
+        With D, M and c as in `_integer_terms`, num = M D^n N and den = D^n Q
+        are ascending integer coefficient lists.
+        """
+        if not self.omega.is_atomic:
+            raise ValueError("rational form needs a purely atomic measure")
+        D, _M, c0, c1, terms = self._integer_terms
+        # D^n Q = prod (T_j - D x)
+        den = [1]
+        for Tj, _ in terms:
+            den = ([Tj * den[0]] + [Tj * den[k] - D * den[k - 1] for k in range(1, len(den))]
+                   + [-D * den[-1]])
+        # M D^n (c + b x) Q
+        num = [c0 * den[0]] + [c0 * den[k] + c1 * den[k - 1] for k in range(1, len(den))]
+        num.append(c1 * den[-1])
+        for Tj, r in terms:
+            # D^(n-1) Q_j from D^n Q = (T_j - D x) D^(n-1) Q_j, highest term first
+            quo = -den[-1] // D
+            num[len(den) - 2] += r * quo
+            for k in range(len(den) - 2, 0, -1):
+                quo = (Tj * quo - den[k]) // D
+                num[k - 1] += r * quo
+        return tuple(num), tuple(den)
 
     def value_at_infinity(self) -> Fraction:
         """Limit along the real axis when b = 0 (finite only then)."""
@@ -575,13 +605,20 @@ _MAX_SHRINK = 200
 def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int, int], int]:
     """sign(h(x) - level) as -1, 0 or +1 at x = p/q (q > 0) off the atoms.
 
-    With h - level = N/Q (see `_rational_form`), the sign of N(p/q) is that
-    of the homogeneous Horner sum q^d N(p/q) over the integer coefficients
-    of N; p/q need not be in lowest terms.  Q = prod (t_j - x) has the sign
-    (-1)^left, where ``left`` is the number of atoms below x.  No rational
-    arithmetic is involved, and a zero is detected exactly.
+    With h = N/Q (see `HerglotzRep._rational_form`), h - level is
+    (L_d M D^n N - L_n M D^n Q) / (L_d M D^n Q) for level = L_n/L_d, and the
+    sign of its numerator at p/q is that of the homogeneous Horner sum over
+    its primitive integer coefficients; p/q need not be in lowest terms.
+    Q = prod (t_j - x) has the sign (-1)^left, where ``left`` is the number
+    of atoms below x.  No rational arithmetic is involved, and a zero is
+    detected exactly.
     """
-    num, _, _, _ = _rational_form(h, level)
+    num, den = h._rational_form
+    M = h._integer_terms[1]
+    num = [level.denominator * a - level.numerator * M * b
+           for a, b in zip_longest(num, den, fillvalue=0)]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
     g = math.gcd(*num)
     head, *rest = (c // g for c in reversed(num))
 
@@ -735,6 +772,25 @@ def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):
     return None
 
 
+def _bracket_end(F: Callable[[Fraction], int], base: Fraction, step: Fraction,
+                 ratio: Union[int, Fraction], want: int, message: str,
+                 above: Union[Fraction, None] = None) -> Tuple[Fraction, int]:
+    """(x, F(x)) at the first candidate x = base + step * ratio^k where F
+    has sign ``want`` or vanishes, trying at most `_MAX_SHRINK` candidates.
+
+    Candidates not above ``above`` (when given) are skipped but count
+    toward the cap.  Raises ConvergenceError(``message``) when none fits.
+    """
+    for _ in range(_MAX_SHRINK):
+        x = base + step
+        step *= ratio
+        if above is None or x > above:
+            v = F(x)
+            if v == want or v == 0:
+                return x, v
+    raise ConvergenceError(message)
+
+
 def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     """All real solutions of h(x) = level, using monotonicity between poles.
 
@@ -774,78 +830,26 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
                 continue
             if R is None and h.b == 0 and not (hinf > level):
                 continue
-            # Left endpoint of the bracket: F must be negative there.
+            d = (R - L) / 16 if L is not None and R is not None else Fraction(1)
+            # Left endpoint of the bracket: F negative; then the right, F positive.
             if L is not None:
-                d = (R - L) / 16 if R is not None else Fraction(1)
-                for _ in range(_MAX_SHRINK):
-                    lo = L + d
-                    v = F(lo)
-                    if v < 0:
-                        break
-                    if v == 0:
-                        roots.append(lo)
-                        lo = None
-                        break
-                    d /= 4
-                else:
-                    raise ConvergenceError("could not bracket below a pole")
-                if lo is None:
-                    continue
+                lo, v = _bracket_end(F, L, d, Fraction(1, 4), -1,
+                                     "could not bracket below a pole")
             else:
-                step = Fraction(1)
-                lo = R - step
-                for _ in range(_MAX_SHRINK):
-                    v = F(lo)
-                    if v < 0:
-                        break
-                    if v == 0:
-                        roots.append(lo)
-                        lo = None
-                        break
-                    step *= 2
-                    lo = R - step
-                else:
-                    raise ConvergenceError("no sign change toward -infinity")
-                if lo is None:
-                    continue
-            # Right endpoint: F positive.
+                lo, v = _bracket_end(F, R, Fraction(-1), 2, -1,
+                                     "no sign change toward -infinity")
+            if v == 0:
+                roots.append(lo)
+                continue
             if R is not None:
-                d = (R - L) / 16 if L is not None else Fraction(1)
-                for _ in range(_MAX_SHRINK):
-                    hi = R - d
-                    if hi <= lo:
-                        d /= 4
-                        continue
-                    v = F(hi)
-                    if v > 0:
-                        break
-                    if v == 0:
-                        roots.append(hi)
-                        hi = None
-                        break
-                    d /= 4
-                else:
-                    raise ConvergenceError("could not bracket above a pole")
-                if hi is None:
-                    continue
+                hi, v = _bracket_end(F, R, -d, Fraction(1, 4), 1,
+                                     "could not bracket above a pole", above=lo)
             else:
-                step = Fraction(1)
-                hi = L + step
-                for _ in range(_MAX_SHRINK):
-                    if hi > lo:
-                        v = F(hi)
-                        if v > 0:
-                            break
-                        if v == 0:
-                            roots.append(hi)
-                            hi = None
-                            break
-                    step *= 2
-                    hi = L + step
-                else:
-                    raise ConvergenceError("no sign change toward +infinity")
-                if hi is None:
-                    continue
+                hi, v = _bracket_end(F, L, Fraction(1), 2, 1,
+                                     "no sign change toward +infinity", above=lo)
+            if v == 0:
+                roots.append(hi)
+                continue
             brackets.append((sign, lo, hi))
         if brackets:
             located = _locate(h, level, [(lo, hi) for _, lo, hi in brackets])
@@ -944,56 +948,18 @@ def mobius(h: WeylLike, alpha: float) -> WeylLike:
 # ---------------------------------------------------------------------------
 
 
-def _rational_form(h: HerglotzRep, level: Fraction = Fraction(0)):
-    """Integer coefficients of h - level = N/Q with Q = prod (t_j - x).
-
-    N = (a - sum w_j t_j - level + b x) Q + sum_j w_j (1 + t_j^2) Q_j with
-    Q_j = Q / (t_j - x), one synthetic division per atom, so the build is
-    O(n^2) for n atoms.  With D the common denominator of the positions
-    and M that of the remaining data, D^n Q and M D^n N have integer
-    coefficients.  Returns (num, num_scale, den, den_scale), ascending
-    coefficient lists with N = num / num_scale and Q = den / den_scale.
-    """
-    if not h.omega.is_atomic:
-        raise ValueError("rational form needs a purely atomic measure")
-    atoms = h.omega.atoms
-    D = math.lcm(*(t.denominator for t, _ in atoms))
-    T = [t.numerator * (D // t.denominator) for t, _ in atoms]
-    # D^n Q = prod (T_j - D x)
-    den = [1]
-    for Tj in T:
-        den = ([Tj * den[0]] + [Tj * den[k] - D * den[k - 1] for k in range(1, len(den))]
-               + [-D * den[-1]])
-    lead = h.a - level - sum((w * t for t, w in atoms), Fraction(0))
-    rhos = [w * (1 + t * t) * D for t, w in atoms]
-    M = math.lcm(lead.denominator, h.b.denominator, *(r.denominator for r in rhos))
-    c0, c1 = int(lead * M), int(h.b * M)
-    # M D^n (lead + b x) Q
-    num = [c0 * den[0]] + [c0 * den[k] + c1 * den[k - 1] for k in range(1, len(den))]
-    num.append(c1 * den[-1])
-    for Tj, rho in zip(T, rhos):
-        # D^(n-1) Q_j from D^n Q = (T_j - D x) D^(n-1) Q_j, highest term first
-        r = int(rho * M)
-        quo = -den[-1] // D
-        num[len(den) - 2] += r * quo
-        for k in range(len(den) - 2, 0, -1):
-            quo = (Tj * quo - den[k]) // D
-            num[k - 1] += r * quo
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num, M * D ** len(atoms), den, D ** len(atoms)
-
-
 def atomic_rational_parts(h: HerglotzRep) -> Tuple[Poly, Poly]:
     """Write a purely atomic function as P/Q with Q = prod (t_j - x).
 
     P and Q are coprime by construction (P(t_j) is a nonzero multiple of the
     j-th mass), which is what makes pole-disjointness certificates exact.
-    Both come from `_rational_form`, the integer construction whose signs
-    certify exact zeros in `solve_level`.
+    Both come from `HerglotzRep._rational_form`, the integer construction
+    whose signs certify exact zeros in `solve_level`.
     """
-    num, num_scale, den, den_scale = _rational_form(h)
-    return (Poly(Fraction(c, num_scale) for c in num),
+    num, den = h._rational_form
+    D, M = h._integer_terms[:2]
+    den_scale = D ** len(h.omega.atoms)
+    return (Poly(Fraction(c, M * den_scale) for c in num),
             Poly(Fraction(c, den_scale) for c in den))
 
 

@@ -432,17 +432,18 @@ def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
                     exact: Union[bool, None] = None) -> int:
     """Number of spectral layers at x: the rank of the omega sample there.
 
-    On the exact route that is the rank of the residue block of M at x,
-    found by elimination on integers without forming the normalized
-    sample.  It is 0 where M has no pole.
+    On the exact route, at an atom that is the rank of the residue block
+    of M, found by elimination on integers without forming the normalized
+    sample.  Off the atoms the residue is v v^T / h' with last entry of v
+    equal to 1, so the rank is 1 by construction where the summed function
+    vanishes and 0 elsewhere: the vanishing test decides.
     """
     if _exact_route(sys, exact):
         xf = as_fraction(x)
         hit = _residue_at_atom(sys.reps, xf)
         if hit is not None:
             return exact_rank(hit[1])
-        u = _kirchhoff_vector(sys.reps, xf)
-        return 0 if u is None else exact_rank([[a * b for b in u] for a in u])
+        return 0 if _kirchhoff_vector(sys.reps, xf) is None else 1
     om = omega_at(sys, x, eps_schedule=eps_schedule, exact=False)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConvergenceError, InternalInvariantError
 from .herglotz import (
     HerglotzRep,
-    atom_weight,
     atomic_rational_parts,
     cos_sin,
     poly_gcd_degree,
@@ -42,7 +41,7 @@ from .measure import (
     number_from_json,
     number_to_json,
 )
-from .pasting import PastedSystem, multiplicity_at, trace_weyl
+from .pasting import PastedSystem, multiplicity_at, omega_at
 from .schrodinger import Edge, brentq
 
 OVERLAP = "overlap"
@@ -231,10 +230,18 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
     overlap eigenvalues with layer count carriers-1; the zeros of the
     summed function, one per pole-free gap, give simple eigenvalues.  The
     numeric route does the same with ODE-located poles and bracketed sign
-    changes, scanning the parts of each gap outside the density pieces.
-    Each reported point is re-derived as a rank: of M's residue block by
-    elimination on the exact route, of the omega sample on the numeric
-    one.  Disagreement is a hard error.
+    changes, scanning the parts of each gap outside the density pieces; a
+    gap whose ends the summed function cannot be evaluated at raises
+    ConvergenceError instead of being skipped.
+
+    Each reported point is re-derived once as a rank (`multiplicity_at`
+    on the exact route: the residue block's rank by elimination at an
+    overlap; at a zero the rank is 1 by construction and the vanishing
+    test of the sum decides).  The numeric route reads one `omega_at`
+    sample per point: an unconverged sample raises ConvergenceError, a
+    trace weight that its relative floor and Richardson error leave at
+    zero means no point mass, and the rank must equal the counted layers.
+    Disagreement is a hard error.
     """
     results: list[Eigenvalue] = []
     if sys.is_exact_atomic:
@@ -271,8 +278,10 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
         aa, bb = a + shift, b - shift
         try:
             va, vb = _real_sum_value(sys, aa), _real_sum_value(sys, bb)
-        except (ValueError, ZeroDivisionError):
-            continue
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConvergenceError(
+                f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
+            ) from exc
         if va == 0.0:
             results.append(Eigenvalue(aa, 1, KIRCHHOFF))
             continue
@@ -283,17 +292,17 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
 
     if cross_check:
         schedule = eps_schedule or sys.default_schedule()
-        tr = lambda z: trace_weyl(sys, z)
         for e in results:
-            w = atom_weight(tr, float(e.x), schedule=schedule)
-            if not w > 1e-10:
+            om = omega_at(sys, e.x, schedule, exact=False)
+            if not om.converged:
+                raise ConvergenceError(f"omega sample at x={e.x} did not converge")
+            if om.trace_vanishing:
                 raise InternalInvariantError(
                     f"reported eigenvalue {e.x} has no point mass in the trace"
                 )
-            got = multiplicity_at(sys, e.x, eps_schedule=schedule, exact=False)
-            if got != e.multiplicity:
+            if om.rank != e.multiplicity:
                 raise InternalInvariantError(
-                    f"layer count at {e.x}: counted {e.multiplicity}, rank gave {got}"
+                    f"layer count at {e.x}: counted {e.multiplicity}, rank gave {om.rank}"
                 )
     return sorted(results, key=lambda e: float(e.x))
 

@@ -5,9 +5,11 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starweyl.cli as cli
+from starweyl import pasting
 from starweyl import (
     ConvergenceError,
     Edge,
@@ -220,6 +222,22 @@ def test_verify_suites_small_scale():
                         "aronszajn-donoghue", "passed"}
     assert out["rank-lemma"]["trials"] == 20
     assert out["kac"]["points_checked"] > 0
+
+
+def test_rank_lemma_eliminates_once_per_trial(monkeypatch):
+    calls = []
+    original = pasting.exact_rank
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    for module in (pasting, cli):
+        if vars(module).get("exact_rank") is original:
+            monkeypatch.setattr(module, "exact_rank", counted)
+    out = cli.suite_rank_lemma(np.random.default_rng(7), trials=20)
+    assert out == {"trials": 20, "failures": 0, "passed": True}
+    assert len(calls) == 20
 
 
 def test_verify_suites_are_seeded():

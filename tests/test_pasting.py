@@ -43,6 +43,7 @@ from starweyl import (
     symplectic_form,
     trace_weyl,
 )
+from starweyl import pasting
 from starweyl.schrodinger import dirichlet_eigenvalues, weyl_m
 
 from conftest import atomic_reps, upper_half_points
@@ -272,6 +273,19 @@ def test_multiplicity_at_wraps_the_rank():
     assert multiplicity_at(kac_pair(), 0) == 1
     sys3 = PastedSystem.of([ScalarMeasure.point(0, 1)] * 3)
     assert multiplicity_at(sys3, 0) == 2
+
+
+def test_exact_multiplicity_eliminates_at_atoms_only(monkeypatch):
+    # Off the atoms the residue v v^T / h' has v's last entry 1: rank 1
+    # wherever the sum vanishes, so only the vanishing test runs there.
+    calls = []
+    original = pasting.exact_rank
+    monkeypatch.setattr(pasting, "exact_rank", lambda rows: calls.append(rows) or original(rows))
+    assert multiplicity_at(kac_pair(), 0) == 1
+    assert multiplicity_at(kac_pair(), F(1, 2)) == 0
+    assert calls == []
+    assert multiplicity_at(PastedSystem.of([ScalarMeasure.point(0, 1)] * 3), 0) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

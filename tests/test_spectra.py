@@ -44,7 +44,8 @@ from starweyl import (
     multiplicity_at,
     verify_kac,
 )
-from starweyl import spectra
+from starweyl import pasting, spectra
+from starweyl.cli import ProblemFile, builtin_problem
 from starweyl.spectra import _nodal_potential
 
 OVERLAP = "overlap"
@@ -172,6 +173,58 @@ def test_numeric_route_rejects_black_box_entries():
     sys_ = PastedSystem.of([wrapped, rep_of([(0, 1)])])
     with pytest.raises(ValueError):
         find_point_spectrum(sys_, (-1, 1))
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named `pasting` functions in every package module that binds
+    them; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(pasting, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (pasting, spectra):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_numeric_cross_check_runs_one_omega_ladder_per_eigenvalue(monkeypatch):
+    problem = ProblemFile.parse(builtin_problem("equilateral3"))
+    steps = len(problem.system.default_schedule())
+    calls = _count_calls(monkeypatch, "trace_weyl", "matrix_weyl")
+    eigs = find_point_spectrum(problem.system, problem.window)
+    assert len(eigs) == 6
+    assert calls == {"trace_weyl": 0, "matrix_weyl": steps * len(eigs)}
+
+
+def test_numeric_cross_check_rejects_a_point_without_mass(monkeypatch):
+    # A bracket midpoint stands in for the zero: a regular point, off the spectrum.
+    problem = ProblemFile.parse(builtin_problem("equilateral3"))
+    steps = len(problem.system.default_schedule())
+    monkeypatch.setattr(spectra, "brentq", lambda f, a, b, **kwargs: 0.5 * (a + b))
+    calls = _count_calls(monkeypatch, "trace_weyl", "matrix_weyl")
+    with pytest.raises(InternalInvariantError, match="no point mass"):
+        find_point_spectrum(problem.system, problem.window)
+    # Three overlaps pass, then the first spurious zero fails on its own ladder.
+    assert calls == {"trace_weyl": 0, "matrix_weyl": 4 * steps}
+
+
+def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
+    problem = ProblemFile.parse(builtin_problem("equilateral3"))
+    original = spectra._real_sum_value
+
+    def fails_after_the_pole_at_one(sys_, x):
+        if 1.0 < x < 1.001:  # only the left end of the gap (1, 4)
+            raise ValueError(f"{x} cannot be evaluated")
+        return original(sys_, x)
+
+    monkeypatch.setattr(spectra, "_real_sum_value", fails_after_the_pole_at_one)
+    with pytest.raises(ConvergenceError, match=r"gap \(1\.0+\d*, 4\.0+\d*\)"):
+        find_point_spectrum(problem.system, problem.window)
 
 
 # ---------------------------------------------------------------------------
