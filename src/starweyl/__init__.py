@@ -32,7 +32,6 @@ from .herglotz import (
     mobius,
     poly_gcd_degree,
     ratio_limit,
-    real_zeros,
     richardson,
     solve_level,
     stieltjes_invert,
@@ -141,7 +140,6 @@ __all__ = [
     "rank_md",
     "rank_one_limit_matrix",
     "ratio_limit",
-    "real_zeros",
     "richardson",
     "solve_edge",
     "solve_level",

@@ -15,8 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import zip_longest
+from functools import cached_property
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -95,8 +94,7 @@ def cauchy_transform(nu: ScalarMeasure, z: complex) -> complex:
     if z.imag == 0:
         raise ValueError("evaluation on the real axis is not defined; use eval_real")
     total = 0.0 + 0.0j
-    for t, w in nu.atoms:
-        tf, wf = float(t), float(w)
+    for tf, wf in nu.float_atoms:
         total += wf * ((1.0 + tf * tf) / (tf - z) - tf)
     for piece in nu.pieces:
         a, b = float(piece.lo), float(piece.hi)
@@ -203,10 +201,11 @@ class HerglotzRep:
 
     @cached_property
     def _integer_terms(self):
-        """(D, M, c0, c1, [(D t_j, R_j)]): the data of `value_parts` and
-        `_rational_form` in integers, with D the common denominator of the
-        positions and M that of c = a - sum w_j t_j, b and rho_j = D w_j
-        (1 + t_j^2); c0 = M c, c1 = M b and R_j = M rho_j."""
+        """(D, M, c0, c1, [(D t_j, R_j)]): the function in integers, with D
+        the common denominator of the positions and M that of c = a - sum
+        w_j t_j, b and rho_j = D w_j (1 + t_j^2); c0 = M c, c1 = M b and R_j
+        = M rho_j.  Every exact evaluation (`_integer_value`, `value_parts`)
+        and `atomic_rational_parts` read these."""
         atoms = self.omega.atoms
         D = math.lcm(*(t.denominator for t, _ in atoms))
         c = self.a - sum((w * t for t, w in atoms), Fraction(0))
@@ -216,58 +215,44 @@ class HerglotzRep:
                  for (t, _w), r in zip(atoms, rhos)]
         return D, M, int(c * M), int(self.b * M), terms
 
-    def value_parts(self, p: int, q: int) -> Tuple[int, int, int, int]:
-        """h(p/q) and h'(p/q) as unreduced integer fractions, off the atoms.
+    def _integer_value(self, p: int, q: int) -> Tuple[int, int]:
+        """h(p/q) as an unreduced integer fraction (num, den), den > 0.
 
-        Returns (num, den, dnum, dden) with h(p/q) = num/den, h'(p/q) =
-        dnum/dden and den, dden > 0; p/q need not be in lowest terms
-        (q > 0).  Over the shared denominators prod d_j and prod d_j^2,
-        d_j = D t_j q - D p, the terms accumulate in integers without any
-        gcd (see `_integer_terms`).  The reduced fractions are exactly
-        `eval_real` and `derivative_real`.
+        p/q need not be in lowest terms (q > 0).  With d_j = D t_j q - D p,
+        h = c + b x + sum_j rho_j / (D t_j - D x) accumulates over the shared
+        denominator prod d_j in integers, without any gcd (see
+        `_integer_terms`); num/den reduces to exactly `eval_real`.  Raises
+        ValueError at an atom and on density pieces.
         """
         if self.omega.pieces:
             raise ValueError("integer evaluation needs a purely atomic measure")
         D, M, c0, c1, terms = self._integer_terms
-        s, P, s2, P2 = 0, 1, 0, 1
+        s, P = 0, 1
         for T, R in terms:
             d = T * q - D * p
             if d == 0:
                 raise ValueError(f"{Fraction(p, q)} is a pole")
             s, P = s * d + R * P, P * d
-            s2, P2 = s2 * d * d + R * P2, P2 * d * d
         if P < 0:
             s, P = -s, -P
-        return (c0 * q + c1 * p) * P + q * q * s, M * q * P, c1 * P2 + q * q * D * s2, M * P2
+        return (c0 * q + c1 * p) * P + q * q * s, M * q * P
 
-    @cached_property
-    def _rational_form(self) -> Tuple[tuple, tuple]:
-        """Integer coefficients (num, den) of h = N/Q with Q = prod (t_j - x).
+    def value_parts(self, p: int, q: int) -> Tuple[int, int, int, int]:
+        """h(p/q) and h'(p/q) as unreduced integer fractions, off the atoms.
 
-        N = (c + b x) Q + sum_j w_j (1 + t_j^2) Q_j with Q_j = Q / (t_j - x),
-        one synthetic division per atom, so the build is O(n^2) for n atoms.
-        With D, M and c as in `_integer_terms`, num = M D^n N and den = D^n Q
-        are ascending integer coefficient lists.
+        Returns (num, den, dnum, dden) with h(p/q) = num/den from
+        `_integer_value`, h'(p/q) = dnum/dden and den, dden > 0; p/q need not
+        be in lowest terms (q > 0).  The slope takes a second pass over the
+        shared denominator prod d_j^2.  The reduced fractions are exactly
+        `eval_real` and `derivative_real`.
         """
-        if not self.omega.is_atomic:
-            raise ValueError("rational form needs a purely atomic measure")
-        D, _M, c0, c1, terms = self._integer_terms
-        # D^n Q = prod (T_j - D x)
-        den = [1]
-        for Tj, _ in terms:
-            den = ([Tj * den[0]] + [Tj * den[k] - D * den[k - 1] for k in range(1, len(den))]
-                   + [-D * den[-1]])
-        # M D^n (c + b x) Q
-        num = [c0 * den[0]] + [c0 * den[k] + c1 * den[k - 1] for k in range(1, len(den))]
-        num.append(c1 * den[-1])
-        for Tj, r in terms:
-            # D^(n-1) Q_j from D^n Q = (T_j - D x) D^(n-1) Q_j, highest term first
-            quo = -den[-1] // D
-            num[len(den) - 2] += r * quo
-            for k in range(len(den) - 2, 0, -1):
-                quo = (Tj * quo - den[k]) // D
-                num[k - 1] += r * quo
-        return tuple(num), tuple(den)
+        num, den = self._integer_value(p, q)
+        D, M, _c0, c1, terms = self._integer_terms
+        s2, P2 = 0, 1
+        for T, R in terms:
+            d2 = (T * q - D * p) ** 2
+            s2, P2 = s2 * d2 + R * P2, P2 * d2
+        return num, den, c1 * P2 + q * q * D * s2, M * P2
 
     def value_at_infinity(self) -> Fraction:
         """Limit along the real axis when b = 0 (finite only then)."""
@@ -602,33 +587,22 @@ _BISECT_BITS = 64
 _MAX_SHRINK = 200
 
 
-def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int, int], int]:
+def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int], int]:
     """sign(h(x) - level) as -1, 0 or +1 at x = p/q (q > 0) off the atoms.
 
-    With h = N/Q (see `HerglotzRep._rational_form`), h - level is
-    (L_d M D^n N - L_n M D^n Q) / (L_d M D^n Q) for level = L_n/L_d, and the
-    sign of its numerator at p/q is that of the homogeneous Horner sum over
-    its primitive integer coefficients; p/q need not be in lowest terms.
-    Q = prod (t_j - x) has the sign (-1)^left, where ``left`` is the number
-    of atoms below x.  No rational arithmetic is involved, and a zero is
-    detected exactly.
+    h(p/q) = num/den with den > 0 (`HerglotzRep._integer_value`), so the
+    sign is that of num L_d - L_n den for level = L_n/L_d; p/q need not be
+    in lowest terms.  The same function serves every gap between poles.  No
+    rational arithmetic is involved, a zero is detected exactly, and a
+    check at an atom raises ValueError.
     """
-    num, den = h._rational_form
-    M = h._integer_terms[1]
-    num = [level.denominator * a - level.numerator * M * b
-           for a, b in zip_longest(num, den, fillvalue=0)]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    g = math.gcd(*num)
-    head, *rest = (c // g for c in reversed(num))
+    value = h._integer_value
+    ln, ld = level.numerator, level.denominator
 
-    def sign(p: int, q: int, left: int) -> int:
-        acc, qk = head, 1
-        for c in rest:
-            qk *= q
-            acc = acc * p + c * qk
-        s = (acc > 0) - (acc < 0)
-        return -s if left % 2 else s
+    def sign(p: int, q: int) -> int:
+        num, den = value(p, q)
+        v = num * ld - ln * den
+        return (v > 0) - (v < 0)
 
     return sign
 
@@ -700,7 +674,8 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     """Root of an increasing function on [lo, hi] from its signs alone.
 
     ``sign(p, q)`` is -1, 0 or +1 at p/q, with sign < 0 at lo and > 0 at hi;
-    `solve_level` passes the integer sign check of `_level_sign`.  The
+    `solve_level` passes `_level_sign`, which takes p/q in any terms, and
+    the same function for every gap, since [lo, hi] holds no pole.  The
     bracket is kept as integer numerators over a shared denominator that
     doubles per step, so the midpoints are the exact rationals (lo + hi)/2
     without any gcd, and the result is the same Fraction.
@@ -772,11 +747,11 @@ def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):
     return None
 
 
-def _bracket_end(F: Callable[[Fraction], int], base: Fraction, step: Fraction,
+def _bracket_end(sign: Callable[[int, int], int], base: Fraction, step: Fraction,
                  ratio: Union[int, Fraction], want: int, message: str,
                  above: Union[Fraction, None] = None) -> Tuple[Fraction, int]:
-    """(x, F(x)) at the first candidate x = base + step * ratio^k where F
-    has sign ``want`` or vanishes, trying at most `_MAX_SHRINK` candidates.
+    """(x, sign at x) at the first candidate x = base + step * ratio^k where
+    the sign is ``want`` or 0, trying at most `_MAX_SHRINK` candidates.
 
     Candidates not above ``above`` (when given) are skipped but count
     toward the cap.  Raises ConvergenceError(``message``) when none fits.
@@ -785,7 +760,7 @@ def _bracket_end(F: Callable[[Fraction], int], base: Fraction, step: Fraction,
         x = base + step
         step *= ratio
         if above is None or x > above:
-            v = F(x)
+            v = sign(x.numerator, x.denominator)
             if v == want or v == 0:
                 return x, v
     raise ConvergenceError(message)
@@ -796,16 +771,17 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
 
     The function increases strictly on every interval free of poles, so each
     such gap carries at most one solution, bracketed and bisected on exact
-    rationals.  Each sign check is an integer Horner sum: h - level is
-    written once as N/Q with Q = prod (t_j - x), whose sign is fixed on each
-    gap (`_level_sign`).  All brackets are first located in float at once
-    (`_locate`), and the bisection starts next to that root when two
-    sign checks confirm it.  ``window`` (lo, hi) filters the output.
+    rationals.  Each sign check evaluates h in integers, the loop of
+    `HerglotzRep.value_parts` without the slope (`_level_sign`), and one
+    sign function serves every gap.  All brackets are first located in
+    float at once (`_locate`), and the bisection starts next to that root
+    when two sign checks confirm it.  ``window`` (lo, hi) filters the
+    output.
     """
     if not h.omega.is_atomic:
         raise ValueError("exact level solving needs a purely atomic measure")
     level = as_fraction(level)
-    level_sign = _level_sign(h, level)
+    sign = _level_sign(h, level)
 
     ts = [t for t, _ in h.omega.atoms]
     roots: list[Fraction] = []
@@ -819,52 +795,41 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         gaps += [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)]
         gaps.append((ts[-1], None))
         brackets = []
-        for left, (L, R) in enumerate(gaps):
-            # `left` atoms lie below this gap: they fix the sign of Q here.
-            sign = partial(level_sign, left=left)
-
-            def F(x: Fraction) -> int:
-                return sign(x.numerator, x.denominator)
-
+        for L, R in gaps:
             if L is None and h.b == 0 and not (hinf < level):
                 continue
             if R is None and h.b == 0 and not (hinf > level):
                 continue
             d = (R - L) / 16 if L is not None and R is not None else Fraction(1)
-            # Left endpoint of the bracket: F negative; then the right, F positive.
+            # Left endpoint of the bracket: sign negative; then the right, positive.
             if L is not None:
-                lo, v = _bracket_end(F, L, d, Fraction(1, 4), -1,
+                lo, v = _bracket_end(sign, L, d, Fraction(1, 4), -1,
                                      "could not bracket below a pole")
             else:
-                lo, v = _bracket_end(F, R, Fraction(-1), 2, -1,
+                lo, v = _bracket_end(sign, R, Fraction(-1), 2, -1,
                                      "no sign change toward -infinity")
             if v == 0:
                 roots.append(lo)
                 continue
             if R is not None:
-                hi, v = _bracket_end(F, R, -d, Fraction(1, 4), 1,
+                hi, v = _bracket_end(sign, R, -d, Fraction(1, 4), 1,
                                      "could not bracket above a pole", above=lo)
             else:
-                hi, v = _bracket_end(F, L, Fraction(1), 2, 1,
+                hi, v = _bracket_end(sign, L, Fraction(1), 2, 1,
                                      "no sign change toward +infinity", above=lo)
             if v == 0:
                 roots.append(hi)
                 continue
-            brackets.append((sign, lo, hi))
+            brackets.append((lo, hi))
         if brackets:
-            located = _locate(h, level, [(lo, hi) for _, lo, hi in brackets])
+            located = _locate(h, level, brackets)
             roots += [_bisect_exact(sign, lo, hi, guesses)
-                      for (sign, lo, hi), guesses in zip(brackets, located)]
+                      for (lo, hi), guesses in zip(brackets, located)]
     roots.sort()
     if window is not None:
         wlo, whi = as_fraction(window[0]), as_fraction(window[1])
         roots = [r for r in roots if wlo <= r <= whi]
     return roots
-
-
-def real_zeros(h: HerglotzRep, window) -> list:
-    """Zeros of the boundary values on a window, one per pole-free gap."""
-    return solve_level(h, 0, window)
 
 
 # ---------------------------------------------------------------------------
@@ -951,14 +916,32 @@ def mobius(h: WeylLike, alpha: float) -> WeylLike:
 def atomic_rational_parts(h: HerglotzRep) -> Tuple[Poly, Poly]:
     """Write a purely atomic function as P/Q with Q = prod (t_j - x).
 
-    P and Q are coprime by construction (P(t_j) is a nonzero multiple of the
-    j-th mass), which is what makes pole-disjointness certificates exact.
-    Both come from `HerglotzRep._rational_form`, the integer construction
-    whose signs certify exact zeros in `solve_level`.
+    P = (c + b x) Q + sum_j w_j (1 + t_j^2) Q_j with Q_j = Q / (t_j - x),
+    one synthetic division per atom, so the build is O(n^2) for n atoms.
+    It runs on the integers of `HerglotzRep._integer_terms`: with D, M and
+    c as there, M D^n P and D^n Q have integer coefficients.  P and Q are
+    coprime by construction (P(t_j) is a nonzero multiple of the j-th
+    mass), which is what makes pole-disjointness certificates exact.
     """
-    num, den = h._rational_form
-    D, M = h._integer_terms[:2]
-    den_scale = D ** len(h.omega.atoms)
+    if not h.omega.is_atomic:
+        raise ValueError("rational form needs a purely atomic measure")
+    D, M, c0, c1, terms = h._integer_terms
+    # D^n Q = prod (T_j - D x)
+    den = [1]
+    for Tj, _ in terms:
+        den = ([Tj * den[0]] + [Tj * den[k] - D * den[k - 1] for k in range(1, len(den))]
+               + [-D * den[-1]])
+    # M D^n (c + b x) Q
+    num = [c0 * den[0]] + [c0 * den[k] + c1 * den[k - 1] for k in range(1, len(den))]
+    num.append(c1 * den[-1])
+    for Tj, r in terms:
+        # D^(n-1) Q_j from D^n Q = (T_j - D x) D^(n-1) Q_j, highest term first
+        quo = -den[-1] // D
+        num[len(den) - 2] += r * quo
+        for k in range(len(den) - 2, 0, -1):
+            quo = (Tj * quo - den[k]) // D
+            num[k - 1] += r * quo
+    den_scale = D ** len(terms)
     return (Poly(Fraction(c, M * den_scale) for c in num),
             Poly(Fraction(c, den_scale) for c in den))
 

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -365,6 +366,11 @@ class ScalarMeasure:
 
     def atom_positions(self) -> Tuple[Fraction, ...]:
         return tuple(x for x, _ in self.atoms)
+
+    @cached_property
+    def float_atoms(self) -> Tuple[Tuple[float, float], ...]:
+        """The atoms as (position, mass) floats, converted once."""
+        return tuple((float(x), float(w)) for x, w in self.atoms)
 
     def atom_mass_at(self, x: NumberLike) -> Fraction:
         """Mass of the atom at x (zero if there is none), by binary search."""

@@ -332,9 +332,8 @@ def _residue_at_atom(reps: Sequence[HerglotzRep], x: Fraction):
     return head, md_matrix([rhos[l] for l in head], total)
 
 
-def _kirchhoff_vector(reps: Sequence[HerglotzRep], x: Fraction):
-    """The primitive integer multiple of (m_1, ..., m_{n-1}, 1) at a zero
-    of the summed function, or None where the sum does not vanish.
+def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
+    """Whether the summed function vanishes at x, a Kirchhoff zero.
 
     The residue there is v v^T / h' with v = (m_1(x), ..., m_{n-1}(x), 1).
     Requires no input to have an atom at x.  Every value and derivative is
@@ -349,13 +348,8 @@ def _kirchhoff_vector(reps: Sequence[HerglotzRep], x: Fraction):
     for num, den, dnum, dden in parts:
         S, B = S * den + num * B, B * den
         Dn, Dd = Dn * dden + dnum * Dd, Dd * dden
-    if Dn <= 0:
-        return None  # constant system cannot be pasted anyway
-    if abs(S) * 2**40 * Dd * q > B * (Dd * q + Dn * max(q, abs(p))):
-        return None
-    u = [num * (B // den) for num, den, _, _ in parts[:-1]] + [B]
-    g = math.gcd(*u)
-    return [v // g for v in u]
+    # Dn <= 0 only for a constant system, which cannot be pasted anyway.
+    return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * (Dd * q + Dn * max(q, abs(p)))
 
 
 def _exact_route(sys: PastedSystem, exact: Union[bool, None]) -> bool:
@@ -394,10 +388,8 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
                 return _finalize_omega(mat, True, True, False, exact_entries=omega,
                                        exact_rank=exact_rank(block))
             # single carrier: the joined measure has no atom here at all
-        else:
-            u = _kirchhoff_vector(reps, xf)
-            if u is not None:
-                return rank_one_limit_matrix([Fraction(v, u[-1]) for v in u[:-1]])
+        elif _kirchhoff_zero(reps, xf):
+            return rank_one_limit_matrix([r.eval_real(xf) for r in reps[:-1]])
         return _finalize_omega(np.zeros((n, n)), True, True, True, exact_rank=0)
 
     schedule = tuple(eps_schedule or sys.default_schedule())
@@ -443,7 +435,7 @@ def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
         hit = _residue_at_atom(sys.reps, xf)
         if hit is not None:
             return exact_rank(hit[1])
-        return 0 if _kirchhoff_vector(sys.reps, xf) is None else 1
+        return int(_kirchhoff_zero(sys.reps, xf))
     om = omega_at(sys, x, eps_schedule=eps_schedule, exact=False)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")

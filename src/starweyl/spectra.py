@@ -31,7 +31,7 @@ from .herglotz import (
     atomic_rational_parts,
     cos_sin,
     poly_gcd_degree,
-    real_zeros,
+    solve_level,
 )
 from .measure import (
     Piece,
@@ -218,7 +218,7 @@ def _exact_points(measures: Sequence[ScalarMeasure], window, sum_rep):
     overlaps = [Eigenvalue(x, k - 1, OVERLAP) for x, k in points if k >= 2]
     vanished = [x for x, k in points if k == 1]
     zeros = [] if sum_rep is None else [
-        Eigenvalue(u, 1, KIRCHHOFF) for u in real_zeros(sum_rep, window)]
+        Eigenvalue(u, 1, KIRCHHOFF) for u in solve_level(sum_rep, 0, window)]
     return overlaps, vanished, zeros
 
 

@@ -31,7 +31,6 @@ from starweyl import (
     mobius,
     poly_gcd_degree,
     ratio_limit,
-    real_zeros,
     richardson,
     solve_level,
     stieltjes_invert,
@@ -53,6 +52,18 @@ def test_cauchy_transform_at_i_equals_i_times_mass():
     omega = ScalarMeasure.of(atoms=[(F(1, 2), F(1, 3)), (F(2), F(1)), (F(-7), F(1, 5))])
     v = cauchy_transform(omega, 1j)
     assert v == pytest.approx(1j * float(omega.total_mass()), abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atomic_reps(), upper_half_points())
+def test_cauchy_transform_converts_each_atom_once_with_the_same_bits(h, z):
+    omega = h.omega
+    want = 0.0 + 0.0j
+    for t, w in omega.atoms:
+        tf, wf = float(t), float(w)
+        want += wf * ((1.0 + tf * tf) / (tf - z) - tf)
+    assert cauchy_transform(omega, z) == want
+    assert omega.float_atoms is omega.float_atoms
 
 
 def test_cauchy_transform_rejects_real_arguments():
@@ -270,7 +281,7 @@ def test_solve_level_counts_one_root_per_gap():
     assert above[0] < F(-2) and below[-1] > F(5, 2)
     for x in above:
         assert abs(h.eval_real(x)) < F(1, 2**50)
-    roots = real_zeros(h, (F(-10), F(10)))
+    roots = solve_level(h, 0, (F(-10), F(10)))
     assert roots == [r for r in above if abs(r) <= 10]
 
 

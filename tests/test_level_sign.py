@@ -1,14 +1,12 @@
 """Exact level solving by integer sign checks, against the Fraction route.
 
-`solve_level` reads the sign of h(x) - level from the integer numerator of
-the rational form N/Q.  The reference below is the earlier solver, which
-evaluated h(x) - level with `eval_real` in Fraction arithmetic at every
-step; both must return the same Fractions.
+`solve_level` reads the sign of h(x) - level from h(x) evaluated as an
+unreduced integer fraction with a positive denominator.  The reference
+below is the earlier solver, which evaluated h(x) - level with `eval_real`
+in Fraction arithmetic at every step; both must return the same Fractions.
 """
 
-from bisect import bisect_left
 from fractions import Fraction as F
-from functools import partial
 
 import numpy as np
 import pytest
@@ -204,15 +202,16 @@ def _sign(v) -> int:
 
 
 def _check_sign(h, level, x):
-    ts = h.omega.atom_positions()
-    if x in ts:
-        return
-    left = bisect_left(ts, x)
     sign = _level_sign(h, level)
+    if x in h.omega.atom_positions():
+        # a pole: the check raises, it never reads 0
+        with pytest.raises(ValueError):
+            sign(x.numerator, x.denominator)
+        return
     want = _sign(h.eval_real(x) - level)
-    assert sign(x.numerator, x.denominator, left) == want
-    # the Horner sum needs no lowest terms
-    assert sign(3 * x.numerator, 3 * x.denominator, left) == want
+    assert sign(x.numerator, x.denominator) == want
+    # the integer value needs no lowest terms
+    assert sign(3 * x.numerator, 3 * x.denominator) == want
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +231,7 @@ def test_integer_sign_detects_exact_zeros(h, x0):
     if x0 in h.omega.atom_positions():
         return
     level = h.eval_real(x0)
-    assert _level_sign(h, level)(x0.numerator, x0.denominator,
-                                 bisect_left(h.omega.atom_positions(), x0)) == 0
+    assert _level_sign(h, level)(x0.numerator, x0.denominator) == 0
     assert x0 in solve_level(h, level)
 
 
@@ -248,7 +246,31 @@ def test_integer_sign_at_the_snap_candidates(h, level):
 def test_integer_sign_with_a_slope_and_no_atoms():
     h = HerglotzRep.of(F(1, 3), F(2), ScalarMeasure())
     sign = _level_sign(h, F(1))
-    assert [sign(p, 3, 0) for p in (0, 1, 2)] == [-1, 0, 1]
+    assert [sign(p, 3) for p in (0, 1, 2)] == [-1, 0, 1]
+
+
+def test_a_constant_at_its_own_value_has_no_isolated_solution():
+    # h - level vanishes identically: no sign is ever asked for
+    assert solve_level(HerglotzRep.constant(1), 1) == []
+    assert solve_level(HerglotzRep.constant(F(-2, 3)), F(-2, 3), (-1, 1)) == []
+
+
+def test_sign_checks_compute_no_slope(monkeypatch):
+    # The slope is read once per bracket, by the exact Newton step of
+    # `_locate`; the sign checks evaluate the value alone.
+    h = _seeded_rep(40, 40)
+    level = _levels_for(40)[0]
+    roots = solve_level(h, level)
+    calls = []
+    value_parts = HerglotzRep.value_parts
+
+    def counted(self, p, q):
+        calls.append((p, q))
+        return value_parts(self, p, q)
+
+    monkeypatch.setattr(HerglotzRep, "value_parts", counted)
+    assert solve_level(h, level) == roots
+    assert len(calls) <= len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +372,7 @@ def _bisect_both_ways(h, level, lo, hi):
     """`_bisect_exact` on [lo, hi] without a guess, with the located
     guesses, and with float and exact guesses placed next to the root; all
     must agree."""
-    sign = partial(_level_sign(h, level), left=bisect_left(h.omega.atom_positions(), lo))
+    sign = _level_sign(h, level)
     plain = _bisect_exact(sign, lo, hi)
     (located,) = _locate(h, level, [(lo, hi)])
     assert located
@@ -398,7 +420,7 @@ def test_a_wrong_guess_falls_back_to_plain_stepping():
     level = F(1, 3)
     ts = h.omega.atom_positions()
     lo, hi = ts[3] + (ts[4] - ts[3]) / 16, ts[4] - (ts[4] - ts[3]) / 16
-    sign = partial(_level_sign(h, level), left=4)
+    sign = _level_sign(h, level)
     assert sign(lo.numerator, lo.denominator) < 0 < sign(hi.numerator, hi.denominator)
     plain = _bisect_exact(sign, lo, hi)
     for x in (lo, hi, (lo + hi) / 2, plain * (1 + F(1, 10**9)), hi + 1, lo - 1):

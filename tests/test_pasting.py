@@ -39,7 +39,7 @@ from starweyl import (
     pure_relation_weyl,
     rank_md,
     rank_one_limit_matrix,
-    real_zeros,
+    solve_level,
     symplectic_form,
     trace_weyl,
 )
@@ -602,7 +602,7 @@ def test_exact_omega_sample_is_unchanged(seed):
         entries.append(ScalarMeasure.of(atoms=[(pos[i], F(int(rng.integers(1, 9)), 4))
                                               for i in idx]))
     sys_ = PastedSystem.of(entries)
-    zeros = real_zeros(sys_.sum_rep(), (-4, 4))
+    zeros = solve_level(sys_.sum_rep(), 0, (-4, 4))
     for x in sorted(set(pos)) + zeros + [F(1, 7)] + [u + F(1, 2**30) for u in zeros]:
         om = omega_at(sys_, x, exact=True)
         want = _reference_omega_entries(sys_, x)
