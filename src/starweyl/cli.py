@@ -6,11 +6,15 @@ A problem file is a single JSON object:
       "task": "eigs" | "weyl" | "classify" | "verify" | "oracle",
       "system": {"edges": [...], "interface": {"type": "standard"}},
       "window": [a, b],
-      "eps0": 0.1,         # optional eps-ladder start
+      "eps0": 0.1,         # optional eps-ladder start (weyl: the offset)
       "eps_steps": 40,     # optional ladder length
       "grid": 1000,        # optional sampling/oracle resolution
       "exact": false       # force the rational route
     }
+
+A task rejects an optional key that it never reads (`UNREAD_KEYS`):
+`eps0` and `eps_steps` are read only by `eigs` on a system with a numeric
+entry (and `eps0` by `weyl`), `grid` only by `eigs`, `weyl` and `oracle`.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -54,6 +58,15 @@ from .spectra import (
 
 TASKS = ("eigs", "weyl", "classify", "verify", "oracle")
 BUILTINS = ("k74", "equilateral3", "kac2")
+# Optional keys that no computation of a task reads (weyl samples at the
+# single offset eps0); `eigs` on a purely atomic system runs no eps ladder.
+UNREAD_KEYS = {
+    "eigs": (),
+    "weyl": ("eps_steps",),
+    "classify": ("eps0", "eps_steps", "grid"),
+    "verify": ("eps0", "eps_steps", "grid"),
+    "oracle": ("eps0", "eps_steps"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +121,6 @@ class ProblemFile:
                 raise SchemaError(f"bad system spec: {exc}") from exc
         if system is None and task != "verify":
             raise SchemaError(f"task {task!r} needs a system")
-        if system is not None and system.angles is not None:
-            # Parsed and validated, but no computation reads them yet.
-            raise SchemaError('interface angles are not supported; use {"type": "standard"}')
         if task in ("eigs", "oracle") and any(
                 isinstance(e, Edge) and e.is_infinite for e in system.entries):
             raise SchemaError(f"task {task!r} needs finite edges: an infinite edge "
@@ -129,6 +139,13 @@ class ProblemFile:
         exact = obj.get("exact", False)
         if not isinstance(exact, bool):
             raise SchemaError("exact must be a boolean")
+        unread = UNREAD_KEYS[task]
+        if task == "eigs" and system.is_exact_atomic:
+            unread = ("eps0", "eps_steps")
+        ignored = [k for k in unread if obj.get(k) is not None]
+        if ignored:
+            where = " on a purely atomic system" if task == "eigs" else ""
+            raise SchemaError(f"task {task!r} reads no {', '.join(ignored)}{where}")
         return cls(task, system, (lo, hi),
                    None if eps0 is None else float(eps0), eps_steps, grid, exact)
 

@@ -333,20 +333,22 @@ def geometric_schedule(eps0: float = 0.1, steps: int = 40, ratio: float = 0.5):
 DEFAULT_SCHEDULE = geometric_schedule()
 
 
-# Relative error assumed of each sample handed to `richardson`.
+# Relative error assumed of each sample handed to `richardson`, and the
+# number of trailing samples it extrapolates from.
 _SAMPLE_RTOL = 1e-8
+_TAIL = 8
 
 
 def _size(v) -> float:
     return float(np.linalg.norm(v)) if isinstance(v, np.ndarray) else abs(v)
 
 
-def richardson(eps: Sequence[float], vals: Sequence, tail: int = 8):
+def richardson(eps: Sequence[float], vals: Sequence):
     """Accelerated limit of vals as eps -> 0.
 
     The samples are scalars or equally shaped arrays.  Neville's recursion
     evaluates at eps = 0 the polynomials in eps through ever more of the
-    last ``tail`` samples, eliminating one power of eps per stage; on a
+    last ``_TAIL`` samples, eliminating one power of eps per stage; on a
     geometric schedule its stage-m factor is r**m.  Real samples stay real.
     Returns the accelerated value together with a crude error estimate:
     on a geometric schedule the change produced by the last stage.  On any
@@ -356,7 +358,7 @@ def richardson(eps: Sequence[float], vals: Sequence, tail: int = 8):
     ``_SAMPLE_RTOL`` carried through the stages.  Raises ConvergenceError
     when two offsets are too close for their ratio to differ from 1.
     """
-    k = min(tail, len(vals))
+    k = min(_TAIL, len(vals))
     if k == 0:
         raise ValueError("no samples")
     if k == 1:
@@ -440,15 +442,15 @@ def ratio_limit(h1: WeylLike, h2: WeylLike, x: float, schedule=None) -> Boundary
     return _limit_of(ratio, float(x), schedule)
 
 
-def atom_weight(h: WeylLike, x0: NumberLike, schedule=None,
-                force_limit: bool = False) -> Union[Fraction, float]:
+def atom_weight(h: WeylLike, x0: NumberLike, schedule=None) -> Union[Fraction, float]:
     """Mass the representing measure puts on the single point x0.
 
     For a stored representation this is read off exactly.  For black-box
-    functions (or with ``force_limit``) it is the accelerated limit of
-    eps * Im h(x0 + i eps) / (1 + x0^2), clamped at zero.
+    functions (a representation's own ``eval`` included) it is the
+    accelerated limit of eps * Im h(x0 + i eps) / (1 + x0^2), clamped at
+    zero.
     """
-    if isinstance(h, HerglotzRep) and not force_limit:
+    if isinstance(h, HerglotzRep):
         return h.omega.atom_mass_at(x0)
     f = as_callable(h)
     x = float(x0)

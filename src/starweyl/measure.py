@@ -256,19 +256,12 @@ class DerivativeValue:
         return cls("undefined")
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 
     @property
     def is_positive(self) -> bool:
         return self.kind == "infinite" or (self.kind == "finite" and self.value > 0)
-
-
-IntervalSet = Sequence  # loose alias, normalized by _interval_set below
 
 
 def _interval_set(X) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -382,14 +375,6 @@ class ScalarMeasure:
 
     def piece_intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         return tuple((p.lo, p.hi) for p in self.pieces)
-
-    def support_bounds(self) -> Tuple[Fraction, Fraction] | None:
-        """Smallest closed interval containing the support, or None if zero."""
-        pts = [x for x, _ in self.atoms]
-        pts += [p.lo for p in self.pieces] + [p.hi for p in self.pieces]
-        if not pts:
-            return None
-        return min(pts), max(pts)
 
     def total_mass(self) -> Fraction:
         return sum((w for _, w in self.atoms), Fraction(0)) + sum(

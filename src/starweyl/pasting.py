@@ -66,7 +66,6 @@ class PastedSystem:
     """
 
     entries: Tuple[object, ...]
-    angles: Union[Tuple[Tuple[float, ...], float], None] = None
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -80,19 +79,10 @@ class PastedSystem:
             )
         if n_const == len(self.entries):
             raise PureRelationError("all entries constant: nothing left to paste")
-        if self.angles is not None:
-            a, b = self.angles
-            if len(a) != len(self.entries):
-                raise ValueError("need one interface angle per entry")
-            if not 0.0 < float(b) < math.pi:
-                raise ValueError("the vertex angle must lie strictly inside (0, pi)")
 
     @classmethod
-    def of(cls, items: Sequence, angles=None) -> "PastedSystem":
-        norm = tuple(_normalize_entry(it) for it in items)
-        if angles is not None:
-            angles = (tuple(float(v) for v in angles[0]), float(angles[1]))
-        return cls(norm, angles)
+    def of(cls, items: Sequence) -> "PastedSystem":
+        return cls(tuple(_normalize_entry(it) for it in items))
 
     @property
     def n(self) -> int:
@@ -136,12 +126,8 @@ class PastedSystem:
     def to_json(self) -> dict:
         if any(isinstance(e, HerglotzFunction) for e in self.entries):
             raise ValueError("black-box callables have no JSON form")
-        edges = [e.to_json() for e in self.entries]
-        if self.angles is None:
-            iface = {"type": "standard"}
-        else:
-            iface = {"type": "angles", "a": list(self.angles[0]), "b": self.angles[1]}
-        return {"edges": edges, "interface": iface}
+        return {"edges": [e.to_json() for e in self.entries],
+                "interface": {"type": "standard"}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PastedSystem":
@@ -156,12 +142,15 @@ class PastedSystem:
             else:
                 raise ValueError(f"unrecognized edge spec with keys {sorted(spec)}")
         iface = obj.get("interface", {"type": "standard"})
-        angles = None
-        if iface.get("type") == "angles":
-            angles = (iface["a"], iface["b"])
-        elif iface.get("type") != "standard":
-            raise ValueError(f"unknown interface type {iface.get('type')!r}")
-        return cls.of(items, angles)
+        if not isinstance(iface, dict):
+            raise ValueError(f"the interface must be an object, got {iface!r}")
+        kind = iface.get("type")
+        if kind == "angles":
+            # No computation honours a rotated vertex condition yet.
+            raise ValueError('interface angles are not supported; use {"type": "standard"}')
+        if kind != "standard":
+            raise ValueError(f"unknown interface type {kind!r}")
+        return cls.of(items)
 
 
 # ---------------------------------------------------------------------------

@@ -410,9 +410,21 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     Piecewise-linear elements with a lumped mass matrix on each edge; the
     shared value at the vertex enforces continuity, assembling the forms
     enforces the derivative-sum condition, and the outer condition enters
-    as elimination (Dirichlet) or a boundary term.  Eigenvalues inside the
-    window are clustered into multiplicity groups; clusters closer than
-    ten times the discretization error raise the ``coarse`` flag.
+    as elimination (Dirichlet) or a boundary term.
+
+    Unknown 0 is the vertex.  Edge l, with step h = L_l / grid, owns the
+    contiguous block of m_l unknowns after the previous edge's, its nodes
+    j = 1..m_l: m_l = grid, or grid - 1 on a Dirichlet edge.  Each edge
+    adds its tridiagonal forms as arrays: stiffness 2/h on the diagonal (1/h
+    at the outer node), -1/h off it, lumped mass h (h/2 at the outer node),
+    the nodal potential times the mass on the diagonal, and c/s at the
+    outer node for the outer angle with cos c and sin s.  The vertex sums
+    1/h, mass h/2 and its potential term over the edges.  Both matrices are
+    built in one sparse construction without duplicate entries.
+
+    Eigenvalues inside the window are clustered into multiplicity groups;
+    clusters closer than ten times the discretization error raise the
+    ``coarse`` flag.
     """
     if grid < 100:
         raise ValueError("the oracle needs at least 100 points per edge")
@@ -422,65 +434,39 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
 
     lo, hi = float(window[0]), float(window[1])
     n = len(edges)
-
-    index = {}
-    next_idx = 1  # 0 is the shared vertex value
-    for l, e in enumerate(edges):
-        for j in range(1, grid):
-            index[(l, j)] = next_idx
-            next_idx += 1
-        c, s = cos_sin(float(e.outer_angle))
-        if s != 0.0:
-            index[(l, grid)] = next_idx
-            next_idx += 1
-    size = next_idx
-
     potentials = [_nodal_potential(e, grid) for e in edges]
-    rowsA, colsA, valsA = [], [], []
-    massdiag = np.zeros(size)
 
-    def add(i, j, v):
-        rowsA.append(i)
-        colsA.append(j)
-        valsA.append(v)
-
-    for l, (e, qs) in enumerate(zip(edges, potentials)):
-        L = float(e.length)
-        h = L / grid
+    # Unknown 0 is the vertex, which takes a half element from every edge,
+    # summed in edge order; each edge owns the next block of unknowns.
+    vertex_k = vertex_w = 0.0
+    vals, rows, cols, mass = [], [], [], []
+    start = 1
+    for e, qs in zip(edges, potentials):
+        h = float(e.length) / grid
         c, s = cos_sin(float(e.outer_angle))
-        has_outer = s != 0.0
-
-        def node(j):
-            if j == 0:
-                return 0
-            if j == grid:
-                return index[(l, grid)] if has_outer else None
-            return index[(l, j)]
-
-        for j in range(grid):
-            a, b = node(j), node(j + 1)
-            k = 1.0 / h
-            if a is not None:
-                add(a, a, k)
-            if b is not None:
-                add(b, b, k)
-            if a is not None and b is not None:
-                add(a, b, -k)
-                add(b, a, -k)
-        for j in range(grid + 1):
-            idx = node(j)
-            if idx is None:
-                continue
-            w = h if 0 < j < grid else h / 2.0
-            massdiag[idx] += w
-            q = qs[j]
-            if q != 0.0:
-                add(idx, idx, q * w)
-        if has_outer:
-            add(index[(l, grid)], index[(l, grid)], c / s)
-
-    A = sp.csc_matrix(sp.coo_matrix((valsA, (rowsA, colsA)), shape=(size, size)))
-    B = sp.diags(massdiag, format="csc")
+        outer = s != 0.0  # Dirichlet eliminates the outer node j = grid
+        m = grid if outer else grid - 1
+        nodes = np.arange(start, start + m)  # the edge's nodes j = 1..m
+        left = np.concatenate(([0], nodes[:-1]))
+        w, k = np.full(m, h), np.full(m, 2.0 / h)
+        if outer:
+            w[-1], k[-1] = h / 2.0, 1.0 / h
+        d = k + qs[1:m + 1] * w
+        if outer:
+            d[-1] += c / s
+        off = np.full(m, -1.0 / h)
+        vals += [d, off, off]
+        rows += [nodes, left, nodes]
+        cols += [nodes, nodes, left]
+        mass.append(w)
+        vertex_k = vertex_k + 1.0 / h + qs[0] * (h / 2.0)
+        vertex_w += h / 2.0
+        start += m
+    size = start
+    A = sp.csc_matrix((np.concatenate([[vertex_k], *vals]),
+                       (np.concatenate([[0], *rows]), np.concatenate([[0], *cols]))),
+                      shape=(size, size))
+    B = sp.diags(np.concatenate([[vertex_w], *mass]), format="csc")
 
     qmax = max((float(np.abs(qs).max()) for qs in potentials), default=0.0)
     total_len = sum(float(e.length) for e in edges)

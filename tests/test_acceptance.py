@@ -156,7 +156,7 @@ def test_criterion_9_atom_weight_extrapolation():
     for _ in range(30):
         rep = random_atomic_rep(rng)
         for t, w in rep.omega.atoms:
-            got = atom_weight(rep, float(t), force_limit=True)
+            got = atom_weight(rep.eval, float(t))
             worst = max(worst, abs(got - float(w)) / float(w))
             checked += 1
     assert worst <= 1e-6

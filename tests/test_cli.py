@@ -32,7 +32,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def parse(**kw):
-    base = {"task": "eigs", "system": builtin_problem("kac2")["system"],
+    base = {"task": "eigs", "system": builtin_problem("equilateral3")["system"],
             "window": [-1, 1]}
     base.update(kw)
     return ProblemFile.parse(base)
@@ -95,6 +95,36 @@ def test_parse_rejects_non_finite_and_boolean_numbers(mutation):
     # JSON `true` is an int to Python and used to pass as 1.
     with pytest.raises(SchemaError):
         parse(**mutation)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "k74", "--eps0", "0.1"], ["classify", "k74", "--eps-steps", "5"],
+     ["classify", "k74", "--grid", "10"],
+     ["oracle", "equilateral3", "--eps0", "0.1"],
+     ["oracle", "equilateral3", "--eps-steps", "5"],
+     ["verify", "kac2", "--eps0", "0.1"], ["verify", "kac2", "--eps-steps", "5"],
+     ["verify", "kac2", "--grid", "10"],
+     ["eigs", "kac2", "--eps0", "0.1"], ["eigs", "kac2", "--eps-steps", "5"],
+     ["weyl", "equilateral3", "--eps-steps", "5"]],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_main_rejects_keys_the_task_never_reads(argv, tmp_path, capsys):
+    # No computation of the task reads the key: it is rejected, not ignored.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    key = argv[2].lstrip("-").replace("-", "_")
+    assert f"reads no {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_keeps_the_keys_a_task_reads():
+    assert parse(eps0=0.2, eps_steps=5, grid=9).grid == 9
+    assert parse(task="weyl", eps0=0.2, grid=9).eps0 == 0.2
+    assert parse(task="oracle", grid=200).grid == 200
+    kac2 = builtin_problem("kac2")
+    assert ProblemFile.parse({**kac2, "grid": 9}).grid == 9
+    # window and exact ride along in the kac2 builtin that `verify` reads
+    assert ProblemFile.parse({**kac2, "task": "verify"}).exact
 
 
 @pytest.mark.parametrize(

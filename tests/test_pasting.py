@@ -117,27 +117,30 @@ def test_entries_answer_one_protocol():
         fn.density_intervals()
 
 
-def test_angles_are_validated():
-    m = ScalarMeasure.point(0, 1)
-    PastedSystem.of([m, m], angles=((0.0, 0.3), 1.0))
-    with pytest.raises(ValueError):
-        PastedSystem.of([m, m], angles=((0.0,), 1.0))
-    with pytest.raises(ValueError):
-        PastedSystem.of([m, m], angles=((0.0, 0.0), 0.0))
-
-
 def test_system_json_round_trip():
     sys_ = PastedSystem.of(
-        [ScalarMeasure.point(-1, 1), Edge.of(math.pi), Edge.of("inf")],
-        angles=((0.0, 0.5, 1.0), 2.0),
-    )
+        [ScalarMeasure.point(-1, 1), Edge.of(math.pi), Edge.of("inf")])
     again = PastedSystem.from_json(sys_.to_json())
     assert again.n == 3
-    assert again.angles == sys_.angles
+    assert sys_.to_json()["interface"] == {"type": "standard"}
     assert isinstance(again.entries[0], HerglotzRep)
     assert again.entries[1] == sys_.entries[1]
     with pytest.raises(ValueError):
         PastedSystem.from_json({"edges": [{"what": 1}]})
+
+
+def test_interface_angles_are_rejected_when_parsed():
+    # No computation reads rotated vertex conditions, so they are rejected
+    # rather than computed as the standard interface.
+    edges = [ScalarMeasure.point(-1, 1).to_json(), ScalarMeasure.point(1, 1).to_json()]
+    with pytest.raises(ValueError, match="interface angles are not supported"):
+        PastedSystem.from_json(
+            {"edges": edges, "interface": {"type": "angles", "a": [0.7, 1.9], "b": 0.4}})
+    with pytest.raises(ValueError, match="unknown interface type"):
+        PastedSystem.from_json({"edges": edges, "interface": {"type": "robin"}})
+    with pytest.raises(ValueError, match="must be an object"):
+        PastedSystem.from_json({"edges": edges, "interface": "standard"})
+    assert PastedSystem.from_json({"edges": edges}).n == 2
 
 
 def test_callables_have_no_json_form():

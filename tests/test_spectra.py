@@ -342,6 +342,42 @@ def test_fd_oracle_repeats_exactly_within_one_process():
     assert [m for _, m in first.items] == [1, 2, 1, 2, 1, 2]
 
 
+# Items of the oracle as it was assembled node by node through an index
+# dict, frozen at grid 1000; the array assembly must reproduce them.
+FROZEN_ORACLE = {
+    "equilateral3": (
+        [Edge.of(math.pi)] * 3, (0.1, 10),
+        ((0.24999994860120855, 1), (0.9999991775386892, 2), (2.2499958362692927, 1),
+         (3.9999868405503998, 2), (6.249967872453201, 1), (8.99993338037308, 2))),
+    "mixed-free": (
+        [Edge.of(1, None, 0.0), Edge.of(Fraction(3, 2), None, math.pi / 2),
+         Edge.of(2, None, 1.1)], (0.1, 10),
+        ((0.32207019366639655, 1), (1.0587812825164722, 1), (3.2785462588631766, 1),
+         (6.888824940261457, 1), (9.869590195616906, 1))),
+    "well-obtuse": (
+        [Edge.of(1, [((0, 1), [-5])], 2.5), Edge.of(3)], (-3, 12),
+        ((0.5738597754026671, 1), (2.4013238879280276, 1), (5.737696457502677, 1),
+         (10.643172738599727, 1))),
+}
+
+
+@pytest.mark.parametrize("name", ["equilateral3", "mixed-free"])
+def test_fd_oracle_free_stars_keep_their_bits(name):
+    edges, window, frozen = FROZEN_ORACLE[name]
+    r = fd_oracle(edges, window, grid=1000)
+    assert r.items == frozen
+    assert not r.coarse
+
+
+def test_fd_oracle_potential_star_keeps_its_items():
+    edges, window, frozen = FROZEN_ORACLE["well-obtuse"]
+    r = fd_oracle(edges, window, grid=1000)
+    assert [k for _, k in r.items] == [k for _, k in frozen]
+    for (x, _), (want, _) in zip(r.items, frozen):
+        assert abs(x - want) <= 1e-12 * abs(want)
+    assert not r.coarse
+
+
 def test_nodal_potential_is_q_at_on_every_node():
     # A jump at 1 (a node), a jump at 1/3 (between nodes), an uncovered gap
     # (1.5, 1.75) and a piece ending inside the last cell.
