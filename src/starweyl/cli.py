@@ -208,20 +208,22 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# The offset of the plotted samples Im tr M(x + i eps) above the real axis.
+PLOT_EPS = 1e-3
+
+
 def emit_plot_data(system: PastedSystem, report: SpectralReport,
-                   grid: int = 200, eps: float = 1e-3) -> list:
-    """Rows (x, Im tr M(x + i eps), marker) over the report window.
+                   grid: int = 200) -> list:
+    """Rows (x, Im tr M(x + i PLOT_EPS), marker) over the report window.
 
     Grid samples carry an empty marker; one extra row per eigenvalue holds
     its layer count.  Rows are sorted by x, ready to plot.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     lo, hi = float(report.window[0]), float(report.window[1])
     xs = [float(v) for v in np.linspace(lo, hi, grid)] if grid > 0 else []
     marks = {float(e.x): e.multiplicity for e in report.eigenvalues}
     xs_all = sorted(set(xs) | set(marks))
-    return [(x, float(trace_weyl(system, x + 1j * eps).imag), marks.get(x, ""))
+    return [(x, float(trace_weyl(system, x + 1j * PLOT_EPS).imag), marks.get(x, ""))
             for x in xs_all]
 
 
@@ -234,13 +236,14 @@ def random_atomic_rep(rng: np.random.Generator, max_atoms: int = 6,
                       allow_slope: bool = True) -> HerglotzRep:
     """Small random purely atomic representation with rational data."""
     n = int(rng.integers(1, max_atoms + 1))
-    positions = set()
-    while len(positions) < n:
-        positions.add(Fraction(int(rng.integers(-40, 41)), 8))
-    atoms = [(p, Fraction(int(rng.integers(1, 33)), 16)) for p in sorted(positions)]
+    numerators = set()  # of the positions k/8, which sort as the k do
+    while len(numerators) < n:
+        numerators.add(int(rng.integers(-40, 41)))
+    atoms = tuple((Fraction(k, 8), Fraction(int(rng.integers(1, 33)), 16))
+                  for k in sorted(numerators))
     a = Fraction(int(rng.integers(-8, 9)), 4)
     b = Fraction(int(rng.integers(0, 3)), 2) if allow_slope else Fraction(0)
-    return HerglotzRep.of(a, b, ScalarMeasure.of(atoms=atoms))
+    return HerglotzRep(a, b, ScalarMeasure(atoms))
 
 
 def random_upper_z(rng: np.random.Generator) -> complex:

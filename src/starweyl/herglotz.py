@@ -442,13 +442,29 @@ def ratio_limit(h1: WeylLike, h2: WeylLike, x: float, schedule=None) -> Boundary
     return _limit_of(ratio, float(x), schedule)
 
 
+def point_mass(schedule: Sequence[float], weights: Sequence[float]):
+    """(weight, settled): the point mass that samples eps * Im h(x + i eps)
+    on ``schedule`` extrapolate to.
+
+    The limit is positive exactly at atoms and zero elsewhere, and a floor
+    of 1e-6 times the first sample tells the two apart: a limit at or below
+    it comes back as 0.0.  The verdict is settled only when the Richardson
+    error keeps the limit clear of the floor; a limit of positive samples
+    below -floor means the extrapolation failed, which is unsettled too.
+    """
+    weight, err = richardson(schedule, weights)
+    floor = 1e-6 * max(weights[0], 1e-300)
+    settled = weight >= -floor and abs(weight - floor) > err
+    return (weight if weight > floor else 0.0), settled
+
+
 def atom_weight(h: WeylLike, x0: NumberLike, schedule=None) -> Union[Fraction, float]:
     """Mass the representing measure puts on the single point x0.
 
     For a stored representation this is read off exactly.  For black-box
     functions (a representation's own ``eval`` included) it is the
-    accelerated limit of eps * Im h(x0 + i eps) / (1 + x0^2), clamped at
-    zero.
+    `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2): 0.0 below its
+    floor, and ConvergenceError when the floor verdict is not settled.
     """
     if isinstance(h, HerglotzRep):
         return h.omega.atom_mass_at(x0)
@@ -456,8 +472,10 @@ def atom_weight(h: WeylLike, x0: NumberLike, schedule=None) -> Union[Fraction, f
     x = float(x0)
     schedule = tuple(schedule or DEFAULT_SCHEDULE)
     vals = [eps * f(x + 1j * eps).imag / (1.0 + x * x) for eps in schedule]
-    limit, _err = richardson(schedule, vals)
-    return max(0.0, float(limit))
+    weight, settled = point_mass(schedule, vals)
+    if not settled:
+        raise ConvergenceError(f"point mass at x={x} did not settle against its floor")
+    return float(weight)
 
 
 # ---------------------------------------------------------------------------

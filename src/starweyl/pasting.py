@@ -30,12 +30,12 @@ from .herglotz import (
     HerglotzFunction,
     HerglotzRep,
     cos_sin,
-    geometric_schedule,
     mobius,
+    point_mass,
     richardson,
 )
-from .measure import NumberLike, ScalarMeasure, as_fraction
-from .schrodinger import Edge
+from .measure import NumberLike, ScalarMeasure, as_fraction, sum_measures
+from .schrodinger import EDGE_SCHEDULE, Edge
 
 RANK_RTOL = 1e-8
 
@@ -113,15 +113,10 @@ class PastedSystem:
             raise ValueError("the summed representation needs all entries exact")
         a = sum((r.a for r in reps), Fraction(0))
         b = sum((r.b for r in reps), Fraction(0))
-        omega = ScalarMeasure()
-        for r in reps:
-            omega = omega + r.omega
-        return HerglotzRep(a, b, omega)
+        return HerglotzRep(a, b, sum_measures(r.omega for r in reps))
 
     def default_schedule(self):
-        # ODE-backed values lose accuracy once eps drops under the solver
-        # error amplified by 1/eps, hence the shorter ladder for edges.
-        return geometric_schedule(1e-2, 13) if self.has_edges else DEFAULT_SCHEDULE
+        return EDGE_SCHEDULE if self.has_edges else DEFAULT_SCHEDULE
 
     def to_json(self) -> dict:
         if any(isinstance(e, HerglotzFunction) for e in self.entries):
@@ -357,7 +352,8 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     Route selection: exact residue arithmetic when every entry is a purely
     atomic representation (unless ``exact=False``), the extrapolated
     eps-limit otherwise.  Points the trace measure does not charge come
-    back flagged ``trace_vanishing`` with a zero matrix.
+    back flagged ``trace_vanishing`` with a zero matrix; numerically that
+    is the `point_mass` verdict on eps * Im tr M.
     """
     n = sys.n
     if _exact_route(sys, exact):
@@ -395,14 +391,9 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
         weights.append(eps * T)
         ratios.append(M.imag / T)
     # eps * Im tr M extrapolates to the trace weight of the point: positive
-    # exactly at atoms, zero at regular and purely continuous points.  The
-    # floor tells the two apart only when the error estimate keeps the weight
-    # clear of it, and a limit of positive samples below -floor means the
-    # extrapolation failed; otherwise the sample is not converged.
-    weight, weight_err = richardson(schedule, weights)
-    floor = 1e-6 * max(weights[0], 1e-300)
-    settled = weight >= -floor and abs(weight - floor) > weight_err
-    if weight <= floor:
+    # exactly at atoms, zero at regular and purely continuous points.
+    weight, settled = point_mass(schedule, weights)
+    if weight == 0.0:
         return _finalize_omega(np.zeros((n, n)), False, settled, True)
     limit, err = richardson(schedule, ratios)
     converged = settled and err <= max(1e-6, 1e-4 * float(np.linalg.norm(limit)))

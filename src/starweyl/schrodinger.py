@@ -37,6 +37,12 @@ from .measure import (
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-12
 
+# The eps ladder for limits onto the real axis through edges.  The ODE
+# relative error is ~1e-12, and near a pole |m| ~ 1/eps, so eps below ~1e-6
+# only amplifies solver noise: start at 1e-2.  Free edges (closed form,
+# accurate to rounding) use the same ladder.
+EDGE_SCHEDULE = geometric_schedule(1e-2, 13)
+
 
 def brentq(f, a, b, **kwargs):
     """`scipy.optimize.brentq`, loaded at the first call.
@@ -441,7 +447,7 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     return sorted(roots)
 
 
-def edge_to_herglotz(edge: Edge, window, schedule=None) -> HerglotzRep:
+def edge_to_herglotz(edge: Edge, window) -> HerglotzRep:
     """Purely atomic snapshot of m on a window: decoupled eigenvalues as
     atom positions, masses extracted from m itself by the eps-limit.
 
@@ -452,15 +458,9 @@ def edge_to_herglotz(edge: Edge, window, schedule=None) -> HerglotzRep:
     """
     if edge.is_infinite:
         raise ValueError("infinite free edges have no atomic representation")
-    if schedule is None:
-        # For potential edges the ODE relative error is ~1e-12, and near a
-        # pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies solver noise.
-        # Start at 1e-2.  Free edges (closed form, accurate to rounding) use
-        # the same schedule.
-        schedule = geometric_schedule(1e-2, 13)
     atoms = []
     for x in edge.poles(window):
-        w = atom_weight(edge, x, schedule=schedule)
+        w = atom_weight(edge, x, schedule=EDGE_SCHEDULE)
         if w <= 0:
             raise ConvergenceError(f"nonpositive extracted mass at decoupled eigenvalue {x}")
         atoms.append((x, w))

@@ -41,7 +41,7 @@ from .measure import (
     number_from_json,
     number_to_json,
 )
-from .pasting import PastedSystem, multiplicity_at, omega_at
+from .pasting import PastedSystem, multiplicity_at
 from .schrodinger import Edge, brentq
 
 OVERLAP = "overlap"
@@ -222,8 +222,7 @@ def _exact_points(measures: Sequence[ScalarMeasure], window, sum_rep):
     return overlaps, vanished, zeros
 
 
-def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
-                        cross_check: bool = True) -> list:
+def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None) -> list:
     """All eigenvalues of the pasted problem in the window.
 
     Exact route (purely atomic representations): shared atom positions give
@@ -234,14 +233,12 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
     gap whose ends the summed function cannot be evaluated at raises
     ConvergenceError instead of being skipped.
 
-    Each reported point is re-derived once as a rank (`multiplicity_at`
-    on the exact route: the residue block's rank by elimination at an
-    overlap; at a zero the rank is 1 by construction and the vanishing
-    test of the sum decides).  The numeric route reads one `omega_at`
-    sample per point: an unconverged sample raises ConvergenceError, a
-    trace weight that its relative floor and Richardson error leave at
-    zero means no point mass, and the rank must equal the counted layers.
-    Disagreement is a hard error.
+    On both routes each reported point is re-derived once as a rank by
+    `multiplicity_at`, which takes the same route: the residue block's rank
+    or the vanishing test of the sum when exact, one `omega_at` ladder
+    otherwise.  A point without mass has rank 0, and a rank that differs
+    from the counted layers raises InternalInvariantError; a numeric sample
+    that does not converge raises ConvergenceError.
     """
     results: list[Eigenvalue] = []
     if sys.is_exact_atomic:
@@ -249,62 +246,44 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None,
         overlaps, _vanished, zeros = _exact_points(
             [r.omega for r in sys.reps], window, sys.sum_rep())
         results = overlaps + zeros
-        if cross_check:
-            for e in results:
-                got = multiplicity_at(sys, e.x, exact=True)
-                if got != e.multiplicity:
-                    raise InternalInvariantError(
-                        f"layer count at {e.x}: counted {e.multiplicity}, rank gave {got}"
-                    )
-        return sorted(results, key=lambda e: e.x)
+    else:
+        lo, hi = float(window[0]), float(window[1])
+        clusters = _cluster_positions(_pole_positions_numeric(sys, window))
+        for x, entries in clusters:
+            if len(entries) >= 2:
+                results.append(Eigenvalue(x, len(entries) - 1, OVERLAP))
 
-    # Numeric route.
-    lo, hi = float(window[0]), float(window[1])
-    poles = _pole_positions_numeric(sys, window)
-    clusters = _cluster_positions(poles)
-    for x, entries in clusters:
-        if len(entries) >= 2:
-            results.append(Eigenvalue(x, len(entries) - 1, OVERLAP))
+        blocked = [(float(a), float(b)) for e in sys.entries for a, b in e.density_intervals()]
+        gap_bounds = [lo] + [x for x, _ in clusters] + [hi]
+        parts = []
+        for a, b in zip(gap_bounds, gap_bounds[1:]):
+            parts.extend(_density_free_parts(a, b, blocked))
+        for a, b in parts:
+            if b - a <= 1e-9 * (1 + abs(a)):
+                continue
+            shift = 1e-7 * (b - a)
+            aa, bb = a + shift, b - shift
+            try:
+                va, vb = _real_sum_value(sys, aa), _real_sum_value(sys, bb)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConvergenceError(
+                    f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
+                ) from exc
+            if va == 0.0:
+                results.append(Eigenvalue(aa, 1, KIRCHHOFF))
+                continue
+            if va < 0 < vb:
+                u = brentq(lambda t: _real_sum_value(sys, t), aa, bb,
+                           xtol=1e-13, rtol=8.9e-16)
+                results.append(Eigenvalue(float(u), 1, KIRCHHOFF))
 
-    blocked = [(float(a), float(b)) for e in sys.entries for a, b in e.density_intervals()]
-    gap_bounds = [lo] + [x for x, _ in clusters] + [hi]
-    parts = []
-    for a, b in zip(gap_bounds, gap_bounds[1:]):
-        parts.extend(_density_free_parts(a, b, blocked))
-    for a, b in parts:
-        if b - a <= 1e-9 * (1 + abs(a)):
-            continue
-        shift = 1e-7 * (b - a)
-        aa, bb = a + shift, b - shift
-        try:
-            va, vb = _real_sum_value(sys, aa), _real_sum_value(sys, bb)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConvergenceError(
-                f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
-            ) from exc
-        if va == 0.0:
-            results.append(Eigenvalue(aa, 1, KIRCHHOFF))
-            continue
-        if va < 0 < vb:
-            u = brentq(lambda t: _real_sum_value(sys, t), aa, bb,
-                       xtol=1e-13, rtol=8.9e-16)
-            results.append(Eigenvalue(float(u), 1, KIRCHHOFF))
-
-    if cross_check:
-        schedule = eps_schedule or sys.default_schedule()
-        for e in results:
-            om = omega_at(sys, e.x, schedule, exact=False)
-            if not om.converged:
-                raise ConvergenceError(f"omega sample at x={e.x} did not converge")
-            if om.trace_vanishing:
-                raise InternalInvariantError(
-                    f"reported eigenvalue {e.x} has no point mass in the trace"
-                )
-            if om.rank != e.multiplicity:
-                raise InternalInvariantError(
-                    f"layer count at {e.x}: counted {e.multiplicity}, rank gave {om.rank}"
-                )
-    return sorted(results, key=lambda e: float(e.x))
+    for e in results:
+        got = multiplicity_at(sys, e.x, eps_schedule)
+        if got != e.multiplicity:
+            raise InternalInvariantError(
+                f"layer count at {e.x}: counted {e.multiplicity}, rank gave {got}"
+            )
+    return sorted(results, key=lambda e: e.x)
 
 
 # ---------------------------------------------------------------------------

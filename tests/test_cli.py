@@ -236,8 +236,6 @@ def test_emit_plot_data_grid_and_parallel_agree():
     rows = emit_plot_data(p.system, report, grid=9)
     assert len(rows) == 9
     assert [r[2] for r in rows] == [""] * 9
-    with pytest.raises(ValueError):
-        emit_plot_data(p.system, report, grid=9, eps=0.0)
 
 
 # ---------------------------------------------------------------------------

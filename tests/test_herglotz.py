@@ -6,6 +6,7 @@ is used repeatedly: at z = i the integrand (1 + t i)/(t - i) collapses to i
 for every real t, so it is an exact oracle independent of the atom layout.
 """
 
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -222,6 +223,20 @@ def test_atom_weight_exact_and_extrapolated_routes_agree():
     approx = atom_weight(h.eval, F(1, 3))
     assert float(approx) == pytest.approx(2.0, rel=1e-8)
     assert atom_weight(h.eval, 5.0) == 0.0
+
+
+def test_atom_weight_has_no_mass_at_an_integrable_singularity():
+    # -1/sqrt(z) has density |x|^(-1/2) / pi on x < 0 and no atom at 0;
+    # eps * Im h ~ sqrt(eps / 2) extrapolates to a little above zero, under
+    # the floor.
+    assert atom_weight(HerglotzFunction(lambda z: -1 / cmath.sqrt(z)), 0.0) == 0.0
+
+
+def test_atom_weight_raises_when_the_mass_does_not_settle():
+    # eps * Im h = 1e-6 (1 + sin(1/eps)) oscillates on the floor's scale.
+    h = HerglotzFunction(lambda z: 1j * (1e-6 + 1e-6 * math.sin(1 / z.imag)) / z.imag)
+    with pytest.raises(ConvergenceError):
+        atom_weight(h, 0.0)
 
 
 # ---------------------------------------------------------------------------
