@@ -41,6 +41,7 @@ from .measure import ScalarMeasure, as_fraction
 from .pasting import (
     PastedSystem,
     interface_matrix,
+    matrix_from_values,
     matrix_weyl,
     rank_md,
     trace_weyl,
@@ -281,13 +282,14 @@ def suite_herglotz_psd(rng: np.random.Generator, trials: int = 1000) -> dict:
         n = int(rng.integers(2, 6))
         sys_ = PastedSystem.of([random_atomic_rep(rng) for _ in range(n)])
         z = random_upper_z(rng)
-        M = matrix_weyl(sys_, z)
+        ms = sys_.entry_values(z)
+        M = matrix_from_values(ms)
         im = (M - M.conj().T) / 2j
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(im).min()))
         w = interface_matrix(n)
         w11, w12 = w[:n, :n], w[:n, n:]
         w21, w22 = w[n:, :n], w[n:, n:]
-        mt = np.diag(sys_.entry_values(z))
+        mt = np.diag(ms)
         resid = M @ (w11 + w12 @ mt) - (w21 + w22 @ mt)
         worst_identity = max(worst_identity, float(np.linalg.norm(resid)))
         sym = np.linalg.norm(matrix_weyl(sys_, z.conjugate()) - M.conj().T)

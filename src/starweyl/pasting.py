@@ -59,7 +59,7 @@ def _normalize_entry(item):
 class PastedSystem:
     """n >= 2 interface functions joined at a single vertex.
 
-    Entries may be exact representations, ODE-backed edges, or plain
+    Entries may be exact representations, Schrodinger edges, or plain
     callables.  At most one entry may be a real constant (a degenerate
     relation in place of a function); with two or more the joined object
     stops being an operator, so that is rejected here.
@@ -197,18 +197,22 @@ def _others(ms: list) -> list:
 
 
 def matrix_weyl(sys: PastedSystem, z: complex) -> np.ndarray:
-    """The n x n matrix M(z) of the joined problem, entrywise from m_l(z).
+    """The n x n matrix M(z) of the joined problem, entrywise from m_l(z)."""
+    return matrix_from_values(sys.entry_values(z))
+
+
+def matrix_from_values(ms: np.ndarray) -> np.ndarray:
+    """M from the entry values m_1..m_n at one z.
 
     With m = sum of all m_l: M_ij = -m_i m_j / m and M_ii = m_i (m - m_i)/m
     for i, j < n-1-indexed block, M_in = -m_i / m, M_nn = -1/m.  Off the
     real axis m cannot vanish (its imaginary part is a positive sum), so
     the division is safe.  m - m_i is summed from the other entries.
     """
-    ms = sys.entry_values(z)
-    n = sys.n
+    n = len(ms)
     m = ms.sum()
     if m == 0:
-        raise ZeroDivisionError(f"sum of interface values vanishes at z={z}")
+        raise ZeroDivisionError("sum of interface values vanishes")
     others = _others(ms.tolist())
     M = np.empty((n, n), dtype=complex)
     for i in range(n - 1):

@@ -10,7 +10,11 @@ downstream.
 Free edges are evaluated in closed form: infinite ones give i sqrt(z) with
 the square root taken in the upper half-plane, finite ones the
 trigonometric ratio in `_free_values`.  Edges with a potential are
-integrated segment by segment from the outer endpoint (`solve_edge`).
+integrated from the outer endpoint by products of cell transfer matrices
+(`solve_edge`): the constant-perturbation idea of Ixaru and of MATSLISE in
+the fourth-order Magnus form of Iserles and Norsett, exact on segments
+where q is constant, with one Richardson step between n and 2n cells.  It
+takes an array of z in one pass, which the pole scan uses.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -34,13 +39,11 @@ from .measure import (
     number_to_json,
 )
 
-_ODE_RTOL = 1e-12
-_ODE_ATOL = 1e-12
-
-# The eps ladder for limits onto the real axis through edges.  The ODE
-# relative error is ~1e-12, and near a pole |m| ~ 1/eps, so eps below ~1e-6
-# only amplifies solver noise: start at 1e-2.  Free edges (closed form,
-# accurate to rounding) use the same ladder.
+# The eps ladder for limits onto the real axis through edges.  The transfer
+# matrices leave a relative error up to ~1e-12 in (u, u') (`_TRANSFER_RTOL`),
+# and near a pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies that error:
+# start at 1e-2.  Free edges (closed form, accurate to rounding) use the same
+# ladder.
 EDGE_SCHEDULE = geometric_schedule(1e-2, 13)
 
 
@@ -169,6 +172,11 @@ class Edge:
                 return float(piece.poly(float(x)))
         return 0.0
 
+    @cached_property
+    def _cells_cache(self) -> dict:
+        """(x0, x1, n) -> the integrator's cells; see `_cells`."""
+        return {}
+
     def _breakpoints(self) -> list:
         if self.potential is None:
             return []
@@ -206,12 +214,37 @@ class Edge:
 
 @dataclass(frozen=True)
 class Solution:
-    """Value and derivative of a solution at one point, for one z."""
+    """Value and derivative of a solution at one point, for one z or an array of z.
+
+    The integrator keeps them as (u, du) = 2**exponent * (u_scaled,
+    du_scaled), so that a solution that grows past the float range still has
+    a usable direction.  `u` and `du` are the unscaled values; beyond the
+    float range they are inf in an array and raise OverflowError for one z.
+    """
 
     z: complex
     x: float
-    u: complex
-    du: complex
+    u_scaled: complex
+    du_scaled: complex
+    exponent: int = 0
+
+    @property
+    def u(self):
+        return _unscaled(self.u_scaled, self.exponent)
+
+    @property
+    def du(self):
+        return _unscaled(self.du_scaled, self.exponent)
+
+
+def _unscaled(v, exponent):
+    if isinstance(v, np.ndarray):
+        if np.iscomplexobj(v):
+            return np.ldexp(v.real, exponent) + 1j * np.ldexp(v.imag, exponent)
+        return np.ldexp(v, exponent)
+    if isinstance(v, complex):
+        return complex(math.ldexp(v.real, exponent), math.ldexp(v.imag, exponent))
+    return math.ldexp(v, exponent)
 
 
 def _segments(x0: float, x1: float, breaks: Sequence[float]) -> list:
@@ -235,47 +268,224 @@ def _segment_coeffs(edge: Edge, mid: float) -> Tuple[float, ...]:
     return ()
 
 
-def _rhs(coeffs: Tuple[float, ...], z: complex, real_path: bool):
-    """Right-hand side of u'' = (q - z) u as a real first-order system."""
-
-    def q(x):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    if real_path:
-        zr = z.real
-
-        def rhs(x, y):
-            return [y[1], (q(x) - zr) * y[0]]
-
-        return rhs
-
-    ci = -z.imag
-
-    def rhs(x, y):
-        cr = q(x) - z.real
-        # u'' = (q - z) u with u = y0 + i y1, u' = y2 + i y3
-        return [
-            y[2],
-            y[3],
-            cr * y[0] - ci * y[1],
-            cr * y[1] + ci * y[0],
-        ]
-
-    return rhs
+# The cell step is the fourth-order Magnus step with the potential sampled at
+# the two Gauss points of the cell (Iserles & Norsett 1999).  With w = q - z
+# at those points and h the signed cell width it is exp of
+#     Omega = [[d, h], [h wbar, -d]],  wbar = (w1 + w2)/2,  d = sqrt(3)/12 h^2 (w1 - w2),
+# and since Omega^2 = mu^2 I with mu^2 = d^2 + h^2 wbar,
+#     exp Omega = cosh(mu) I + (sinh(mu)/mu) Omega.
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+# Cells per polynomial segment at the first attempt, and the most it may take.
+_CELLS_FIRST = 128
+_CELLS_MAX = 4096
+# Bound on the estimated error of the result, relative to |u| + |u'|.
+_TRANSFER_RTOL = 1e-12
+# A cell with Re mu above this is computed divided by 2**k, k = (Re mu - 20)/ln 2
+# rounded down: cosh and sinh of mu - k ln 2 equal 2**-k cosh mu and
+# 2**-k sinh mu to a relative e**-40.
+_SCALED_RE_MU = 20.0
+_LN2 = math.log(2.0)
+# A product with an entry above this is taken again, normalized at every level.
+_LARGE = 2.0 ** 900
+# Cells times z per array pass, which bounds the memory of one pass.
+_CELL_BUDGET = 1 << 16
 
 
-def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
-              x0: float, x1: float) -> Solution:
+@dataclass(frozen=True)
+class _Cells:
+    """The cells of [x0, x1] in the order of integration, with three slots each.
+
+    Slot 0 is the cell itself, slots 1 and 2 its first and second half, so
+    one pass gives the n-cell and the 2n-cell product.  A segment where q is
+    constant is one exact cell; its halves are the cell itself and an empty
+    cell, which steps by the identity.  Arrays have shape (3, cells, 1).
+    """
+
+    h: np.ndarray
+    hq: np.ndarray  # h qbar, so that h wbar = hq - h z
+    d: np.ndarray
+    hh: np.ndarray  # h^2
+    c0: np.ndarray  # d^2 + h^2 qbar, so that mu^2 = c0 - h^2 z
+    refined: bool  # some segment is split, so slot 0 and slots 1-2 differ
+
+
+def _cells(edge: Edge, x0: float, x1: float, n: int) -> _Cells:
+    """The cells of [x0, x1] at n cells per segment where q is not constant.
+
+    The Gauss-point values of q depend on the edge and n alone, so every z
+    shares them: they are kept on the edge.
+    """
+    key = (x0, x1, n)
+    cache = edge._cells_cache
+    if key not in cache:
+        cache[key] = _cut_cells(edge, x0, x1, n)
+    return cache[key]
+
+
+def _cut_cells(edge: Edge, x0: float, x1: float, n: int) -> _Cells:
+    widths, q = [[], [], []], [[], [], []]
+    refined = False
+    for a, b in _segments(x0, x1, edge._breakpoints()):
+        coeffs = _segment_coeffs(edge, 0.5 * (a + b))
+        if len(coeffs) <= 1:
+            q0 = coeffs[0] if coeffs else 0.0
+            for slot, h in enumerate((b - a, b - a, 0.0)):
+                widths[slot].append(np.array([h]))
+                q[slot].append(np.full((1, 2), q0))
+            continue
+        refined = True
+        h = (b - a) / n
+        left = a + h * np.arange(n)
+        for slot, (x, w) in enumerate(((left, h), (left, 0.5 * h), (left + 0.5 * h, 0.5 * h))):
+            xs = x[:, None] + w * _GAUSS
+            qs = np.zeros_like(xs)
+            for c in coeffs:
+                qs = qs * xs + c
+            widths[slot].append(np.full(n, w))
+            q[slot].append(qs)
+    h = np.array([np.concatenate(w) for w in widths])[:, :, None]
+    qs = np.array([np.concatenate(v) for v in q])
+    qbar = (0.5 * (qs[..., 0] + qs[..., 1]))[:, :, None]
+    d = _COMMUTATOR * h * h * (qs[..., 0] - qs[..., 1])[:, :, None]
+    hh = h * h
+    cells = _Cells(h, h * qbar, d, hh, d * d + hh * qbar, refined)
+    for arr in (cells.h, cells.hq, cells.d, cells.hh, cells.c0):
+        arr.setflags(write=False)
+    return cells
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for stacks of 2x2 matrices with the matrix axes first."""
+    return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
+
+
+def _normalized(T: np.ndarray, E: np.ndarray):
+    """Divide each matrix of the stack by the power of two nearest its largest
+    entry and add that power to its exponent; exact in floating point."""
+    _, e = np.frexp(np.abs(T).max(axis=(0, 1)))
+    return T * np.ldexp(1.0, -e), E + e
+
+
+def _leaves(cells: _Cells, z: np.ndarray):
+    """The cell matrices, shape (2, 2, 3, cells, len(z)), each divided by
+    2**E; E is None when no cell is scaled."""
+    mu = np.sqrt(cells.c0 - cells.hh * z)
+    re, im = mu.real, mu.imag
+    E = None
+    if (re > _SCALED_RE_MU).any():
+        E = ((np.maximum(re, _SCALED_RE_MU) - _SCALED_RE_MU) / _LN2).astype(np.int64)
+        re = re - E * _LN2
+    # cosh and sinh of re + i im, from real functions
+    ca, sa, cb, sb = np.cosh(re), np.sinh(re), np.cos(im), np.sin(im)
+    ch, sh = np.empty_like(mu), np.empty_like(mu)
+    np.multiply(ca, cb, out=ch.real)
+    np.multiply(sa, sb, out=ch.imag)
+    np.multiply(sa, cb, out=sh.real)
+    np.multiply(ca, sb, out=sh.imag)
+    if mu.all():
+        sh /= mu
+    else:  # sinh(mu)/mu is 1 at mu = 0
+        sh = np.divide(sh, mu, out=np.ones_like(mu), where=mu != 0)
+    shd = sh * cells.d
+    T = np.array([[ch + shd, sh * cells.h], [sh * (cells.hq - cells.h * z), ch - shd]])
+    return T, E
+
+
+def _cell_products(cells: _Cells, zs: np.ndarray, normalize: bool):
+    """Transfer matrices over all cells, at n and at 2n cells per segment.
+
+    Returns T of shape (2, 2, 2, len(zs)) (row, column, n or 2n, z) and the
+    exponent E of shape (2, len(zs)); the transfer matrix is 2**E T.  With
+    `normalize`, every level of the tree is divided by powers of two.
+    """
+    T, E = _leaves(cells, zs[None, None, :])
+    # slot 0 is the n-cell chain; the product of slots 2 and 1 the 2n-cell one
+    T = np.stack([T[:, :, 0], _mul(T[:, :, 2], T[:, :, 1])], axis=2)
+    if E is not None:
+        E = np.stack([E[0], E[1] + E[2]])
+    elif normalize:
+        E = np.zeros(T.shape[2:], dtype=np.int64)
+    while T.shape[3] > 1:
+        if normalize:
+            T, E = _normalized(T, E)
+        count = T.shape[3]
+        even = count - count % 2
+        paired = _mul(T[:, :, :, 1:even:2], T[:, :, :, 0:even:2])
+        if count % 2:
+            paired = np.concatenate([paired, T[:, :, :, -1:]], axis=3)
+        T = paired
+        if E is not None:
+            summed = E[:, 1:even:2] + E[:, 0:even:2]
+            E = np.concatenate([summed, E[:, -1:]], axis=1) if count % 2 else summed
+    if E is None:
+        return T[:, :, :, 0], np.zeros((2, zs.size), dtype=np.int64)
+    return T[:, :, :, 0], E[:, 0]
+
+
+def _propagate(edge: Edge, zs: np.ndarray, u0: complex, du0: complex, x0: float, x1: float):
+    """(u, du, exponent) at x1 for every z, from (u0, du0) at x0.
+
+    The value is the 2n-cell one plus one Richardson step, at the first n
+    where the error estimate passes.  Past the array passes each z is
+    finished on its own, in Python scalars.
+    """
+    out = [None] * zs.size
+    todo = list(range(zs.size))
+    n = _CELLS_FIRST
+    while todo:
+        if n > _CELLS_MAX:
+            raise ConvergenceError(
+                f"transfer matrices on [{x0}, {x1}] did not settle at {_CELLS_MAX} cells "
+                f"per segment for z = {zs[todo[0]]}")
+        cells = _cells(edge, x0, x1, n)
+        step = max(1, _CELL_BUDGET // cells.h.shape[1])
+        left = []
+        for lo in range(0, len(todo), step):
+            idx = todo[lo:lo + step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                T, E = _cell_products(cells, zs[idx], normalize=False)
+                large = not (np.isfinite(T).all() and np.abs(T).max() < _LARGE)
+            if large:
+                T, E = _cell_products(cells, zs[idx], normalize=True)
+            T, E = T.transpose(3, 2, 0, 1).tolist(), E.T.tolist()
+            for i, (runs, (e_n, e_2n)) in zip(idx, zip(T, E)):
+                (((a, b), (c, d)), ((a2, b2), (c2, d2))) = runs
+                u, du = a2 * u0 + b2 * du0, c2 * u0 + d2 * du0
+                if not cells.refined:
+                    out[i] = (u, du, e_2n)
+                    continue
+                # align the n-cell value to the 2n-cell exponent (exact),
+                # then extrapolate the fourth-order error away
+                align = math.ldexp(1.0, e_n - e_2n)
+                diff_u = u - (a * u0 + b * du0) * align
+                diff_du = du - (c * u0 + d * du0) * align
+                if abs(diff_u) + abs(diff_du) <= 15.0 * _TRANSFER_RTOL * (abs(u) + abs(du)):
+                    out[i] = (u + diff_u / 15.0, du + diff_du / 15.0, e_2n)
+                else:
+                    left.append(i)
+        todo = left
+        n *= 2
+    return out
+
+
+def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
+               x0: float, x1: float) -> Solution:
     """Integrate -u'' + q u = z u from (u, u')(x0) = init to x1.
 
-    Complex z is split into real and imaginary parts so the integrator
-    always sees a real system.  Integration restarts at every potential
-    breakpoint and each segment uses its own piece's polynomial, so the
-    right-hand side is smooth on each segment, which is what the
-    high-order stepper needs to hit its tolerance.
+    [x0, x1] is cut at the potential breakpoints; a segment where q is
+    constant is one cell, on which the step below is exact, and any other
+    segment is cut into n equal cells.  Each cell steps by the closed-form
+    exponential of its fourth-order Magnus matrix (see `_GAUSS`), and the
+    cell matrices are multiplied in a pairwise tree.  The n-cell and the
+    2n-cell results are combined by one Richardson step; their difference,
+    over 15, estimates the error of the 2n-cell result.  n starts at
+    `_CELLS_FIRST` and doubles until that estimate is below `_TRANSFER_RTOL`
+    relative to |u| + |u'|; past `_CELLS_MAX` it raises `ConvergenceError`.
+
+    z may be one number or an array; every z takes the same arithmetic
+    whatever else is in the array, so a value in a batch has the bits it
+    has alone.  Real z with a real init gives real floats.
     """
     x0, x1 = float(x0), float(x1)
     if not edge.is_infinite:
@@ -285,27 +495,15 @@ def solve_edge(edge: Edge, z: complex, init: Tuple[complex, complex],
     if x0 == x1:
         return Solution(z, x1, init[0], init[1])
 
-    zc = complex(z)
-    real_path = zc.imag == 0.0 and complex(init[0]).imag == 0.0 and complex(init[1]).imag == 0.0
-    if real_path:
-        y = [float(complex(init[0]).real), float(complex(init[1]).real)]
-    else:
-        u0, du0 = complex(init[0]), complex(init[1])
-        y = [u0.real, u0.imag, du0.real, du0.imag]
-
-    from scipy.integrate import solve_ivp
-
-    for a, b in _segments(x0, x1, edge._breakpoints()):
-        rhs = _rhs(_segment_coeffs(edge, 0.5 * (a + b)), zc, real_path)
-        res = solve_ivp(rhs, (a, b), y, method="DOP853",
-                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=False)
-        if not res.success:
-            raise ConvergenceError(f"ODE integration failed on [{a}, {b}]: {res.message}")
-        y = [float(v) for v in res.y[:, -1]]
-
-    if real_path:
-        return Solution(zc, x1, y[0], y[1])
-    return Solution(zc, x1, complex(y[0], y[1]), complex(y[2], y[3]))
+    zs = np.asarray(z, dtype=complex)
+    u0, du0 = complex(init[0]), complex(init[1])
+    u, du, exponent = (np.array(v) for v in zip(*_propagate(edge, zs.ravel(), u0, du0, x0, x1)))
+    if not (zs.imag.any() or u0.imag or du0.imag):
+        u, du = u.real, du.real
+    if zs.ndim == 0:
+        return Solution(z, x1, u[0].item(), du[0].item(), int(exponent[0]))
+    return Solution(z, x1, u.reshape(zs.shape), du.reshape(zs.shape),
+                    exponent.reshape(zs.shape))
 
 
 def _outer_init(edge: Edge) -> Tuple[float, float]:
@@ -353,14 +551,19 @@ def _free_values(edge: Edge, z: complex):
     return s * C + c * S, s * z * S - c * C
 
 
-def _boundary_values(edge: Edge, z: complex):
+def _boundary_values(edge: Edge, z):
     """(u(0), u'(0)) of the outer-condition solution on a finite edge, up to
-    a common factor that is positive for real z: closed form when free, the
-    ODE otherwise."""
+    a common factor that is positive for real z: closed form when free,
+    transfer matrices otherwise (for one z or, with a potential, an array).
+
+    With a potential the pair is `solve_edge`'s scaled one: where the
+    solution outgrows the float range, the cell matrices and each level of
+    their product are divided by positive factors, which keeps the ratio and
+    the sign of u(0)."""
     if edge.potential is None:
         return _free_values(edge, z)
     sol = solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0)
-    return sol.u, sol.du
+    return sol.u_scaled, sol.du_scaled
 
 
 def weyl_m(edge: Edge, z: complex) -> complex:
@@ -390,46 +593,77 @@ def _interface_value(edge: Edge, z: float) -> float:
     return float(_boundary_values(edge, complex(float(z)))[0])
 
 
+def _interface_values(edge: Edge, zs: list) -> list:
+    """`_interface_value` at every z of the list; one array pass with a potential."""
+    if edge.potential is None:
+        return [_interface_value(edge, zv) for zv in zs]
+    return _boundary_values(edge, np.array(zs, dtype=float))[0].tolist()
+
+
+def _free_poles(edge: Edge, lo: float, hi: float) -> Union[list, None]:
+    """Poles strictly inside (lo, hi) of a free Dirichlet or Neumann edge:
+    (j pi/L)^2 for j >= 1, or ((j + 1/2) pi/L)^2 for j >= 0.  None for a
+    potential or any other outer angle."""
+    if edge.potential is not None:
+        return None
+    c, s = cos_sin(float(edge.outer_angle))
+    if s == 0.0:
+        offset = 0.0
+    elif c == 0.0:
+        offset = 0.5
+    else:
+        return None
+    L = float(edge.length)
+    poles = []
+    j = 0 if offset else 1
+    while (pole := ((j + offset) * math.pi / L) ** 2) < hi:
+        if pole > lo:
+            poles.append(pole)
+        j += 1
+    return poles
+
+
 def dirichlet_eigenvalues(edge: Edge, window) -> list:
     """All real z in the window where the outer-condition solution vanishes
     at the interface (the poles of m, i.e. the decoupled eigenvalues).
 
-    The scan runs in the variable s with z = s|s|: for z > 0 solutions
+    Free Dirichlet and Neumann edges give them in closed form.  Otherwise
+    the scan runs in the variable s with z = s|s|: for z > 0 solutions
     oscillate at rate sqrt(z), so a uniform s-step of pi/(10 L) tracks
     every sign change; for z < 0 the function is monotone in practice and
-    the same step is more than enough.
+    the same step is more than enough.  The scan grid goes through the
+    edge in one array call; `brentq` refines each sign change one z at a
+    time, on the same bits.
     """
     if edge.is_infinite:
         raise ValueError("infinite edges have no discrete decoupled spectrum")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must have positive length")
+    poles = _free_poles(edge, lo, hi)
+    if poles is not None:
+        return poles
     L = float(edge.length)
-
-    # Window endpoints sitting exactly on an eigenvalue would break the
-    # sign-change logic; nudge them inward (they are boundary cases anyway).
-    for _ in range(8):
-        if _interface_value(edge, lo) != 0.0:
-            break
-        lo += 1e-9 * (1 + abs(lo))
-    else:
-        raise ConvergenceError("window start sits on an eigenvalue and will not move off it")
-    for _ in range(8):
-        if _interface_value(edge, hi) != 0.0:
-            break
-        hi -= 1e-9 * (1 + abs(hi))
-    else:
-        raise ConvergenceError("window end sits on an eigenvalue and will not move off it")
 
     def s_of(zv: float) -> float:
         return math.copysign(math.sqrt(abs(zv)), zv)
 
     step = math.pi / (10.0 * L)
-    s_lo, s_hi = s_of(lo), s_of(hi)
-    count = max(2, int(math.ceil((s_hi - s_lo) / step)) + 1)
-    ss = np.linspace(s_lo, s_hi, count)
-    zs = [s * abs(s) for s in ss]
-    vals = [_interface_value(edge, zv) for zv in zs]
+    # Window endpoints sitting exactly on an eigenvalue would break the
+    # sign-change logic; nudge them inward (they are boundary cases anyway).
+    for _ in range(8):
+        s_lo, s_hi = s_of(lo), s_of(hi)
+        count = max(2, int(math.ceil((s_hi - s_lo) / step)) + 1)
+        zs = [s * abs(s) for s in np.linspace(s_lo, s_hi, count)]
+        at_lo, at_hi, *vals = _interface_values(edge, [lo, hi, *zs])
+        if at_lo != 0.0 and at_hi != 0.0:
+            break
+        if at_lo == 0.0:
+            lo += 1e-9 * (1 + abs(lo))
+        if at_hi == 0.0:
+            hi -= 1e-9 * (1 + abs(hi))
+    else:
+        raise ConvergenceError("a window end sits on an eigenvalue and will not move off it")
 
     roots: list[float] = []
     for i in range(len(zs) - 1):

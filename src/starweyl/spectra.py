@@ -228,7 +228,7 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None) -> list:
     Exact route (purely atomic representations): shared atom positions give
     overlap eigenvalues with layer count carriers-1; the zeros of the
     summed function, one per pole-free gap, give simple eigenvalues.  The
-    numeric route does the same with ODE-located poles and bracketed sign
+    numeric route does the same with the edges' poles and bracketed sign
     changes, scanning the parts of each gap outside the density pieces; a
     gap whose ends the summed function cannot be evaluated at raises
     ConvergenceError instead of being skipped.

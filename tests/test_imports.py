@@ -5,6 +5,7 @@ not hide an import.  The last test pins the module-level names `brentq` and
 `eigsh` that the benchmark tracer counts calls through.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,20 @@ from starweyl import schrodinger, spectra
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCIPY_LOADED = 'print(any(m.split(".")[0] == "scipy" for m in sys.modules))'
+
+# Two edges with a potential (one of them a jump) and a free edge.
+POTENTIAL_STAR = {
+    "task": "weyl",
+    "system": {"edges": [
+        {"length": 2, "outer_angle": 0.7, "potential": {"pieces": [
+            {"interval": [0, 1], "coeffs": [1, "1/4"]},
+            {"interval": [1, 2], "coeffs": [2]}]}},
+        {"length": "3/2", "outer_angle": 0.0, "potential": {"pieces": [
+            {"interval": [0, "3/2"], "coeffs": ["1/2", "1/8", "1/8"]}]}},
+        {"length": 1, "outer_angle": 0.0, "potential": "free"}],
+        "interface": {"type": "standard"}},
+    "window": [1, 5],
+}
 
 
 def fresh(body: str, cwd: Path) -> str:
@@ -41,8 +56,14 @@ def fresh(body: str, cwd: Path) -> str:
         'assert cli.main(["eigs", "kac2", "--exact", "--out", "out"]) == 0',
         'assert cli.main(["weyl", "equilateral3", "--grid", "3", "--out", "out"]) == 0',
         'assert cli.run_verify_suites(seed=0, scale=0.01)["passed"]',
+        "from starweyl.schrodinger import Edge, weyl_m\n"
+        "assert weyl_m(Edge.of(1, [((0, 1), (2, -1))]), 3 + 1j).imag > 0",
+        "import json\n"
+        f"open('pot.json', 'w').write(json.dumps({POTENTIAL_STAR!r}))\n"
+        'assert cli.main(["weyl", "pot.json", "--grid", "3", "--out", "out"]) == 0',
     ],
-    ids=["import", "classify-k74", "eigs-kac2-exact", "weyl-equilateral3", "verify"],
+    ids=["import", "classify-k74", "eigs-kac2-exact", "weyl-equilateral3", "verify",
+         "potential-edge", "weyl-potential-star"],
 )
 def test_exact_and_closed_form_tasks_never_load_scipy(body, tmp_path):
     assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "False\n"
@@ -53,10 +74,8 @@ def test_exact_and_closed_form_tasks_never_load_scipy(body, tmp_path):
     [
         'assert cli.main(["eigs", "equilateral3", "--out", "out"]) == 0',
         'assert cli.main(["oracle", "equilateral3", "--grid", "200", "--out", "out"]) == 0',
-        "from starweyl.schrodinger import Edge, weyl_m\n"
-        "assert weyl_m(Edge.of(1, [((0, 1), (2, -1))]), 3 + 1j).imag > 0",
     ],
-    ids=["eigs-equilateral3", "oracle-equilateral3", "potential-edge"],
+    ids=["eigs-equilateral3", "oracle-equilateral3"],
 )
 def test_numeric_tasks_load_scipy_from_cold(body, tmp_path):
     assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "True\n"
@@ -74,6 +93,12 @@ def test_scipy_entry_points_are_called_through_module_globals(tmp_path, monkeypa
 
         monkeypatch.setattr(module, name, counting)
     assert cli.main(["eigs", "equilateral3", "--out", str(tmp_path / "eigs")]) == 0
+    # free Dirichlet poles are closed-form; a general outer angle is scanned
+    general = cli.builtin_problem("equilateral3")
+    general["system"]["edges"][0]["outer_angle"] = 1.0
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(general))
+    assert cli.main(["eigs", str(path), "--out", str(tmp_path / "general")]) == 0
     assert cli.main(["oracle", "equilateral3", "--grid", "200",
                      "--out", str(tmp_path / "oracle")]) == 0
     assert set(calls) == {"starweyl.spectra.brentq", "starweyl.spectra.eigsh",

@@ -5,9 +5,10 @@ Dirichlet m(z) = -sqrt(z) cot(sqrt(z) L), Neumann m(z) = sqrt(z) tan(sqrt(z) L),
 half line m(z) = i sqrt(z).  The residue of the Dirichlet m at z = k^2 (L = pi)
 is 2k^2/pi, giving measure mass (2k^2/pi)/(1 + k^4) after the 1 + x^2 rescale.
 
-weyl_m evaluates free finite edges in closed form, so the tests that compare
-it with the ODE (solve_edge integrated from the outer end) are two-route
-checks; piecewise-constant potentials are checked against products of
+weyl_m evaluates free finite edges in closed form and edges with a potential
+by cell transfer matrices (solve_edge).  The slow reference for both is
+scipy's DOP853 integrator, which lives here in the tests only;
+piecewise-constant potentials are also checked against products of
 closed-form transfer matrices.
 """
 
@@ -16,7 +17,11 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from starweyl import (
     Edge,
@@ -27,6 +32,7 @@ from starweyl import (
     solve_edge,
     weyl_m,
 )
+from starweyl.schrodinger import _boundary_values
 
 ODE_TOL = 1e-9
 
@@ -36,23 +42,54 @@ def dirichlet_m(z, L):
     return -s * cmath.cos(s * L) / cmath.sin(s * L)
 
 
+def dop853_values(edge, z, init, x0, x1):
+    """(u, u')(x1) from init at x0 by scipy's DOP853 at rtol = atol = 1e-12,
+    restarted at every potential breakpoint, as a real system in (Re, Im)."""
+    breaks = sorted({float(v) for p in edge.potential or () for v in (p.lo, p.hi)}
+                    | {float(x0), float(x1)})
+    nodes = [b for b in breaks if min(x0, x1) <= b <= max(x0, x1)]
+    if x1 < x0:
+        nodes.reverse()
+    y = [complex(init[0]).real, complex(init[0]).imag, complex(init[1]).real,
+         complex(init[1]).imag]
+    for a, b in zip(nodes, nodes[1:]):
+        mid = 0.5 * (a + b)
+        coeffs = next((p.poly.coeffs for p in edge.potential or () if p.lo <= mid <= p.hi), ())
+        coeffs = [float(c) for c in coeffs]
+
+        def rhs(x, y, coeffs=coeffs):
+            cr = sum(c * x**j for j, c in enumerate(coeffs)) - z.real
+            return [y[2], y[3], cr * y[0] + z.imag * y[1], cr * y[1] - z.imag * y[0]]
+
+        res = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-12, atol=1e-12)
+        assert res.success, res.message
+        y = res.y[:, -1]
+    return complex(y[0], y[1]), complex(y[2], y[3])
+
+
 def ode_m(edge, z):
-    """m(z) through the ODE, integrated from the outer end to the vertex."""
+    """m(z) through DOP853, integrated from the outer end to the vertex."""
     c, s = cos_sin(edge.outer_angle)
-    sol = solve_edge(edge, z, (s, -c), float(edge.length), 0.0)
-    return sol.du / sol.u
+    u, du = dop853_values(edge, complex(z), (s, -c), float(edge.length), 0.0)
+    return du / u
 
 
-def transfer_m(L, beta, pieces, z):
-    """m(z) for a piecewise-constant potential, pieces [(lo, hi, q)] covering
-    [0, L], as a product of closed-form transfer matrices from x = L to 0."""
+def transfer_values(L, beta, pieces, z):
+    """(u(0), u'(0)) for a piecewise-constant potential, pieces [(lo, hi, q)]
+    covering [0, L], as a product of closed-form transfer matrices from x = L
+    to 0."""
     c, s = cos_sin(beta)
     u, du = complex(s), complex(-c)
     for lo, hi, q in sorted(pieces, reverse=True):
         w = cmath.sqrt(z - q)
         h = lo - hi
         cw, sw = cmath.cos(w * h), cmath.sin(w * h)
-        u, du = cw * u + sw / w * du, -w * sw * u + cw * du
+        u, du = cw * u + (sw / w if w else h) * du, -w * sw * u + cw * du
+    return u, du
+
+
+def transfer_m(L, beta, pieces, z):
+    u, du = transfer_values(L, beta, pieces, z)
     return du / u
 
 
@@ -113,13 +150,33 @@ def test_wronskian_is_conserved_along_the_edge():
     assert wr == pytest.approx(1.0, abs=ODE_TOL)
 
 
-def test_complex_energy_splits_into_a_real_system():
+def test_complex_energy_on_a_free_edge_is_the_closed_form():
     e = Edge.of(1)
     z = 1.5 + 0.5j
     sol = solve_edge(e, z, (0.0, 1.0), 0.0, 1.0)
     s = cmath.sqrt(z)
     assert sol.u == pytest.approx(cmath.sin(s) / s, abs=ODE_TOL)
     assert sol.du == pytest.approx(cmath.cos(s), abs=ODE_TOL)
+
+
+def test_a_batch_of_z_gives_each_z_its_bits_alone():
+    # the scan evaluates its grid in one call and brentq re-evaluates the
+    # brackets one z at a time; -1e5 makes the batch normalize its products
+    e = Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [2])], 0.7)
+    zs = np.array([-1e5, -3.0, 0.0, 1.3, 2.5, 4.75, 17.0])
+    c, s = cos_sin(0.7)
+    batch = solve_edge(e, zs, (s, -c), 2.0, 0.0)
+    for i, z in enumerate(zs):
+        alone = solve_edge(e, float(z), (s, -c), 2.0, 0.0)
+        assert (batch.u[i], batch.du[i]) == (alone.u, alone.du)
+        assert isinstance(alone.u, float)
+    assert np.array_equal(np.sign(_boundary_values(e, zs)[0]),
+                          [np.sign(_boundary_values(e, float(z))[0]) for z in zs])
+    zc = zs + 1e-3j
+    batch = solve_edge(e, zc, (s, -c), 2.0, 0.0)
+    for i, z in enumerate(zc):
+        alone = solve_edge(e, complex(z), (s, -c), 2.0, 0.0)
+        assert (batch.u[i], batch.du[i]) == (alone.u, alone.du)
 
 
 def test_solver_rejects_points_outside_the_edge():
@@ -221,11 +278,75 @@ def test_weyl_m_satisfies_the_outer_condition_it_came_from():
     assert sol.u * c + sol.du * s == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e5, 3e5])
+@pytest.mark.parametrize("slope", [0, F(1, 10**9)])
+def test_deep_evanescence_keeps_the_shifted_closed_form(shift, slope):
+    # q = 5/2 on [0, 3] at z = 5/2 - shift, where cosh(3 sqrt(shift)) overflows
+    # a float.  The constant piece is one cell, scaled on its own; the tiny
+    # slope cuts it into cells whose product is normalized level by level,
+    # and moves m by a relative 1e-14 at most.
+    e = Edge.of(3, [((0, 3), [F(5, 2), slope])])
+    k = math.sqrt(shift)
+    assert weyl_m(e, 2.5 - shift) == pytest.approx(-k / math.tanh(3 * k), rel=1e-12)
+
+
 def test_constant_potential_shifts_the_energy_argument():
     free = Edge.of(1)
     shifted = Edge.of(1, [((0, 1), [F(5, 2)])], 0.0)
     for z in (0.3, 1j, -2.0):
         assert weyl_m(shifted, z + 2.5) == pytest.approx(weyl_m(free, z), abs=1e-9)
+
+
+@st.composite
+def potential_edges(draw):
+    """Edges with up to three pieces of degree <= 2, jumps between them, deep
+    wells and high plateaus, and gaps where q = 0."""
+    length = draw(st.sampled_from([F(1), F(3, 2), F(2), F(3)]))
+    cuts = sorted(draw(st.sets(st.integers(1, 7), max_size=3)))
+    nodes = [F(0)] + [length * F(c, 8) for c in cuts] + [length]
+    pieces = []
+    for lo, hi in zip(nodes, nodes[1:]):
+        if draw(st.integers(0, 4)) == 0:
+            continue  # a gap
+        level = draw(st.sampled_from([-40, -8, -1, 0, 1, 3, 25, 120]))
+        coeffs = [F(level) + draw(st.fractions(-2, 2, max_denominator=4))]
+        coeffs += draw(st.lists(st.fractions(-3, 3, max_denominator=8), max_size=2))
+        pieces.append(((lo, hi), coeffs))
+    angle = draw(st.sampled_from([0.0, 0.7, math.pi / 2, 2.3]))
+    return Edge.of(length, pieces or [((0, length), [1])], angle)
+
+
+energies = st.builds(complex, st.floats(-30, 150), st.sampled_from([0.0, 1e-6, 1e-3, 0.5, 4.0]))
+
+
+def _piecewise_constant(edge):
+    """[(lo, hi, q)] covering [0, L], or None if some piece is not constant."""
+    pieces, at = [], 0.0
+    for p in edge.potential:
+        if p.poly.degree > 0:
+            return None
+        if float(p.lo) > at:
+            pieces.append((at, float(p.lo), 0.0))
+        pieces.append((float(p.lo), float(p.hi), float(p.poly(0))))
+        at = float(p.hi)
+    if at < float(edge.length):
+        pieces.append((at, float(edge.length), 0.0))
+    return pieces
+
+
+@settings(max_examples=40, deadline=None)
+@given(potential_edges(), energies)
+def test_transfer_matrices_match_dop853_on_random_potentials(edge, z):
+    c, s = cos_sin(edge.outer_angle)
+    L = float(edge.length)
+    got = solve_edge(edge, z, (s, -c), L, 0.0)
+    u, du = dop853_values(edge, z, (s, -c), L, 0.0)
+    scale = abs(u) + abs(du)
+    assert abs(got.u - u) + abs(got.du - du) <= 1e-9 * scale
+    pieces = _piecewise_constant(edge)
+    if pieces is not None:
+        tu, tdu = transfer_values(L, edge.outer_angle, pieces, z)
+        assert abs(got.u - tu) + abs(got.du - tdu) <= 1e-12 * (abs(tu) + abs(tdu))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +381,20 @@ def test_dirichlet_eigenvalues_of_free_edges_are_the_closed_form_poles():
                                           rel=1e-12)
         assert neumann == pytest.approx([((j + 0.5) * math.pi / L) ** 2 for j in range(6)],
                                         rel=1e-12)
+
+
+def test_free_dirichlet_and_neumann_poles_need_no_root_finder(monkeypatch):
+    from starweyl import schrodinger
+
+    def no_brentq(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(schrodinger, "brentq", no_brentq)
+    # strictly inside the window: pi^2 and 4 pi^2 / 4 sit on its ends
+    assert dirichlet_eigenvalues(Edge.of(1), (math.pi**2, 50.0)) == [4 * math.pi**2]
+    assert dirichlet_eigenvalues(Edge.of(1, "free", math.pi / 2), (-1.0, math.pi**2 / 4)) == []
+    assert dirichlet_eigenvalues(Edge.of(2, "free", math.pi / 2), (-1.0, 6.0)) == pytest.approx(
+        [(math.pi / 4) ** 2, (3 * math.pi / 4) ** 2], rel=1e-15)
 
 
 def test_obtuse_outer_angle_gives_one_negative_pole():
