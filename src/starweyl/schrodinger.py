@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple, Union
@@ -216,35 +216,26 @@ class Edge:
 class Solution:
     """Value and derivative of a solution at one point, for one z or an array of z.
 
-    The integrator keeps them as (u, du) = 2**exponent * (u_scaled,
-    du_scaled), so that a solution that grows past the float range still has
-    a usable direction.  `u` and `du` are the unscaled values; beyond the
-    float range they are inf in an array and raise OverflowError for one z.
+    `u` and `du` are inf where the solution outgrows the float range.
+    `scaled` is the same pair where both are finite, and the pair divided by
+    a power of two for each z where they are not; `solve_edge` fills it in.
     """
 
     z: complex
     x: float
-    u_scaled: complex
-    du_scaled: complex
-    exponent: int = 0
-
-    @property
-    def u(self):
-        return _unscaled(self.u_scaled, self.exponent)
-
-    @property
-    def du(self):
-        return _unscaled(self.du_scaled, self.exponent)
+    u: complex
+    du: complex
+    scaled: Union[Tuple, None] = field(default=None, repr=False, compare=False)
 
 
-def _unscaled(v, exponent):
-    if isinstance(v, np.ndarray):
-        if np.iscomplexobj(v):
-            return np.ldexp(v.real, exponent) + 1j * np.ldexp(v.imag, exponent)
-        return np.ldexp(v, exponent)
-    if isinstance(v, complex):
-        return complex(math.ldexp(v.real, exponent), math.ldexp(v.imag, exponent))
-    return math.ldexp(v, exponent)
+def _unscaled(v: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """2**exponent v, exact, and inf past the float range."""
+    with np.errstate(over="ignore"):
+        if not np.iscomplexobj(v):
+            return np.ldexp(v, exponent)
+        out = np.empty_like(v)
+        out.real, out.imag = np.ldexp(v.real, exponent), np.ldexp(v.imag, exponent)
+        return out
 
 
 def _segments(x0: float, x1: float, breaks: Sequence[float]) -> list:
@@ -277,8 +268,10 @@ def _segment_coeffs(edge: Edge, mid: float) -> Tuple[float, ...]:
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # Cells per polynomial segment at the first attempt, and the most it may take.
+# q = 60 x^2 on [0, 3] takes 8192 at z = 100 or 600; at the cap one z on
+# three such segments peaks near 50 MB in a pass.
 _CELLS_FIRST = 128
-_CELLS_MAX = 4096
+_CELLS_MAX = 1 << 14
 # Bound on the estimated error of the result, relative to |u| + |u'|.
 _TRANSFER_RTOL = 1e-12
 # A cell with Re mu above this is computed divided by 2**k, k = (Re mu - 20)/ln 2
@@ -286,9 +279,7 @@ _TRANSFER_RTOL = 1e-12
 # 2**-k sinh mu to a relative e**-40.
 _SCALED_RE_MU = 20.0
 _LN2 = math.log(2.0)
-# A product with an entry above this is taken again, normalized at every level.
-_LARGE = 2.0 ** 900
-# Cells times z per array pass, which bounds the memory of one pass.
+# Cells times z per array pass; more z than that are split over several passes.
 _CELL_BUDGET = 1 << 16
 
 
@@ -368,14 +359,10 @@ def _normalized(T: np.ndarray, E: np.ndarray):
 
 
 def _leaves(cells: _Cells, z: np.ndarray):
-    """The cell matrices, shape (2, 2, 3, cells, len(z)), each divided by
-    2**E; E is None when no cell is scaled."""
+    """The cell matrices, shape (2, 2, 3, cells, len(z)), each divided by 2**E."""
     mu = np.sqrt(cells.c0 - cells.hh * z)
-    re, im = mu.real, mu.imag
-    E = None
-    if (re > _SCALED_RE_MU).any():
-        E = ((np.maximum(re, _SCALED_RE_MU) - _SCALED_RE_MU) / _LN2).astype(np.int64)
-        re = re - E * _LN2
+    E = ((np.maximum(mu.real, _SCALED_RE_MU) - _SCALED_RE_MU) / _LN2).astype(np.int64)
+    re, im = mu.real - E * _LN2, mu.imag
     # cosh and sinh of re + i im, from real functions
     ca, sa, cb, sb = np.cosh(re), np.sinh(re), np.cos(im), np.sin(im)
     ch, sh = np.empty_like(mu), np.empty_like(mu)
@@ -392,34 +379,28 @@ def _leaves(cells: _Cells, z: np.ndarray):
     return T, E
 
 
-def _cell_products(cells: _Cells, zs: np.ndarray, normalize: bool):
+def _cell_products(cells: _Cells, zs: np.ndarray):
     """Transfer matrices over all cells, at n and at 2n cells per segment.
 
     Returns T of shape (2, 2, 2, len(zs)) (row, column, n or 2n, z) and the
-    exponent E of shape (2, len(zs)); the transfer matrix is 2**E T.  With
-    `normalize`, every level of the tree is divided by powers of two.
+    exponent E of shape (2, len(zs)); the transfer matrix is 2**E T.  Every
+    level of the tree is divided by powers of two, which is exact, so no
+    product overflows and each z gets the same bits in any batch.
     """
     T, E = _leaves(cells, zs[None, None, :])
     # slot 0 is the n-cell chain; the product of slots 2 and 1 the 2n-cell one
     T = np.stack([T[:, :, 0], _mul(T[:, :, 2], T[:, :, 1])], axis=2)
-    if E is not None:
-        E = np.stack([E[0], E[1] + E[2]])
-    elif normalize:
-        E = np.zeros(T.shape[2:], dtype=np.int64)
+    E = np.stack([E[0], E[1] + E[2]])
     while T.shape[3] > 1:
-        if normalize:
-            T, E = _normalized(T, E)
+        T, E = _normalized(T, E)
         count = T.shape[3]
         even = count - count % 2
         paired = _mul(T[:, :, :, 1:even:2], T[:, :, :, 0:even:2])
+        summed = E[:, 1:even:2] + E[:, 0:even:2]
         if count % 2:
             paired = np.concatenate([paired, T[:, :, :, -1:]], axis=3)
-        T = paired
-        if E is not None:
-            summed = E[:, 1:even:2] + E[:, 0:even:2]
-            E = np.concatenate([summed, E[:, -1:]], axis=1) if count % 2 else summed
-    if E is None:
-        return T[:, :, :, 0], np.zeros((2, zs.size), dtype=np.int64)
+            summed = np.concatenate([summed, E[:, -1:]], axis=1)
+        T, E = paired, summed
     return T[:, :, :, 0], E[:, 0]
 
 
@@ -443,11 +424,7 @@ def _propagate(edge: Edge, zs: np.ndarray, u0: complex, du0: complex, x0: float,
         left = []
         for lo in range(0, len(todo), step):
             idx = todo[lo:lo + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                T, E = _cell_products(cells, zs[idx], normalize=False)
-                large = not (np.isfinite(T).all() and np.abs(T).max() < _LARGE)
-            if large:
-                T, E = _cell_products(cells, zs[idx], normalize=True)
+            T, E = _cell_products(cells, zs[idx])
             T, E = T.transpose(3, 2, 0, 1).tolist(), E.T.tolist()
             for i, (runs, (e_n, e_2n)) in zip(idx, zip(T, E)):
                 (((a, b), (c, d)), ((a2, b2), (c2, d2))) = runs
@@ -493,17 +470,21 @@ def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
         if not (-1e-12 <= min(x0, x1) and max(x0, x1) <= L + 1e-12):
             raise ValueError(f"[{x0}, {x1}] is not inside the edge [0, {L}]")
     if x0 == x1:
-        return Solution(z, x1, init[0], init[1])
+        return Solution(z, x1, init[0], init[1], tuple(init))
 
     zs = np.asarray(z, dtype=complex)
     u0, du0 = complex(init[0]), complex(init[1])
     u, du, exponent = (np.array(v) for v in zip(*_propagate(edge, zs.ravel(), u0, du0, x0, x1)))
     if not (zs.imag.any() or u0.imag or du0.imag):
         u, du = u.real, du.real
+    uu, udu = _unscaled(u, exponent), _unscaled(du, exponent)
+    fits = np.isfinite(uu) & np.isfinite(udu)
+    values = (uu, udu, np.where(fits, uu, u), np.where(fits, udu, du))
     if zs.ndim == 0:
-        return Solution(z, x1, u[0].item(), du[0].item(), int(exponent[0]))
-    return Solution(z, x1, u.reshape(zs.shape), du.reshape(zs.shape),
-                    exponent.reshape(zs.shape))
+        uu, udu, su, sdu = (v[0].item() for v in values)
+    else:
+        uu, udu, su, sdu = (v.reshape(zs.shape) for v in values)
+    return Solution(z, x1, uu, udu, (su, sdu))
 
 
 def _outer_init(edge: Edge) -> Tuple[float, float]:
@@ -557,13 +538,12 @@ def _boundary_values(edge: Edge, z):
     transfer matrices otherwise (for one z or, with a potential, an array).
 
     With a potential the pair is `solve_edge`'s scaled one: where the
-    solution outgrows the float range, the cell matrices and each level of
-    their product are divided by positive factors, which keeps the ratio and
-    the sign of u(0)."""
+    solution outgrows the float range it is divided by a power of two, which
+    keeps the ratio and the sign of u(0).  Elsewhere it is (u(0), u'(0))
+    itself, so `brentq` refines a function continuous in z."""
     if edge.potential is None:
         return _free_values(edge, z)
-    sol = solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0)
-    return sol.u_scaled, sol.du_scaled
+    return solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0).scaled
 
 
 def weyl_m(edge: Edge, z: complex) -> complex:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from starweyl import (
+    ConvergenceError,
     Edge,
     cos_sin,
     dirichlet_eigenvalues,
@@ -32,6 +33,7 @@ from starweyl import (
     solve_edge,
     weyl_m,
 )
+from starweyl import schrodinger
 from starweyl.schrodinger import _boundary_values
 
 ODE_TOL = 1e-9
@@ -161,7 +163,7 @@ def test_complex_energy_on_a_free_edge_is_the_closed_form():
 
 def test_a_batch_of_z_gives_each_z_its_bits_alone():
     # the scan evaluates its grid in one call and brentq re-evaluates the
-    # brackets one z at a time; -1e5 makes the batch normalize its products
+    # brackets one z at a time; -1e5 gives the batch its largest scale factors
     e = Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [2])], 0.7)
     zs = np.array([-1e5, -3.0, 0.0, 1.3, 2.5, 4.75, 17.0])
     c, s = cos_sin(0.7)
@@ -169,6 +171,8 @@ def test_a_batch_of_z_gives_each_z_its_bits_alone():
     for i, z in enumerate(zs):
         alone = solve_edge(e, float(z), (s, -c), 2.0, 0.0)
         assert (batch.u[i], batch.du[i]) == (alone.u, alone.du)
+        assert (batch.scaled[0][i], batch.scaled[1][i]) == alone.scaled
+        assert alone.scaled == (alone.u, alone.du)  # finite, so not rescaled
         assert isinstance(alone.u, float)
     assert np.array_equal(np.sign(_boundary_values(e, zs)[0]),
                           [np.sign(_boundary_values(e, float(z))[0]) for z in zs])
@@ -177,6 +181,38 @@ def test_a_batch_of_z_gives_each_z_its_bits_alone():
     for i, z in enumerate(zc):
         alone = solve_edge(e, complex(z), (s, -c), 2.0, 0.0)
         assert (batch.u[i], batch.du[i]) == (alone.u, alone.du)
+
+
+def _cells_taken(monkeypatch):
+    """The cell counts per segment that solve_edge tries, in order."""
+    taken, cells = [], schrodinger._cells
+
+    def counting(edge, x0, x1, n):
+        taken.append(n)
+        return cells(edge, x0, x1, n)
+
+    monkeypatch.setattr(schrodinger, "_cells", counting)
+    return taken
+
+
+def test_steep_potential_at_high_energy_matches_dop853(monkeypatch):
+    # q = 60 x^2 rises to 540 across the edge; the cell count has to double
+    # past the first attempt at least twice before the estimate passes
+    e = Edge.of(3, [((0, 3), [0, 0, 60])], 0.7)
+    c, s = cos_sin(0.7)
+    for z in (600 + 20j, 600 - 20j, 600.0):
+        taken = _cells_taken(monkeypatch)
+        got = solve_edge(e, z, (s, -c), 3.0, 0.0)
+        assert max(taken) >= 4 * schrodinger._CELLS_FIRST
+        u, du = dop853_values(e, complex(z), (s, -c), 3.0, 0.0)
+        assert abs(got.u - u) + abs(got.du - du) <= ODE_TOL * (abs(u) + abs(du))
+
+
+def test_transfer_matrices_give_up_past_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(schrodinger, "_CELLS_MAX", schrodinger._CELLS_FIRST)
+    e = Edge.of(3, [((0, 3), [0, 0, 60])], 0.7)
+    with pytest.raises(ConvergenceError):
+        solve_edge(e, 600.0, (0.0, 1.0), 3.0, 0.0)
 
 
 def test_solver_rejects_points_outside_the_edge():
