@@ -417,6 +417,8 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
                 "items": [[x, k] for x, k in res.items],
                 "coarse": res.coarse,
                 "h_max": res.h_max,
+                "count_below_lo": res.count_below_lo,
+                "count_below_hi": res.count_below_hi,
             })
             _write_csv(out / "oracle.csv", ("x", "multiplicity"), res.items)
         elif problem.task == "verify":

@@ -360,6 +360,8 @@ class FdOracleResult:
     items: Tuple[Tuple[float, int], ...]
     coarse: bool
     h_max: float
+    count_below_lo: int
+    count_below_hi: int
 
 
 def _nodal_potential(edge: Edge, grid: int) -> np.ndarray:
@@ -383,13 +385,9 @@ def _nodal_potential(edge: Edge, grid: int) -> np.ndarray:
     return q
 
 
-def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult:
-    """Star spectrum from a direct discretization, single shared vertex DOF.
-
-    Piecewise-linear elements with a lumped mass matrix on each edge; the
-    shared value at the vertex enforces continuity, assembling the forms
-    enforces the derivative-sum condition, and the outer condition enters
-    as elimination (Dirichlet) or a boundary term.
+def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
+    """The oracle's pencil (A, B) and its tree form for `_count_below`, from
+    the edges and their `_nodal_potential` arrays.
 
     Unknown 0 is the vertex.  Edge l, with step h = L_l / grid, owns the
     contiguous block of m_l unknowns after the previous edge's, its nodes
@@ -401,24 +399,19 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     1/h, mass h/2 and its potential term over the edges.  Both matrices are
     built in one sparse construction without duplicate entries.
 
-    Eigenvalues inside the window are clustered into multiplicity groups;
-    clusters closer than ten times the discretization error raise the
-    ``coarse`` flag.
+    The tree form is ((a_0, b_0), chains): the vertex's diagonals of A and
+    B, and per edge the diagonals of A and B and the squared coupling of
+    each node to its inner neighbour (the vertex for node 1), all ordered
+    from the outer node inward.
     """
-    if grid < 100:
-        raise ValueError("the oracle needs at least 100 points per edge")
-    if any(e.is_infinite for e in edges):
-        raise ValueError("the discretization oracle needs finite edges")
     import scipy.sparse as sp
 
-    lo, hi = float(window[0]), float(window[1])
-    n = len(edges)
-    potentials = [_nodal_potential(e, grid) for e in edges]
+    grid = len(potentials[0]) - 1
 
     # Unknown 0 is the vertex, which takes a half element from every edge,
     # summed in edge order; each edge owns the next block of unknowns.
     vertex_k = vertex_w = 0.0
-    vals, rows, cols, mass = [], [], [], []
+    vals, rows, cols, mass, chains = [], [], [], [], []
     start = 1
     for e, qs in zip(edges, potentials):
         h = float(e.length) / grid
@@ -438,6 +431,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
         rows += [nodes, left, nodes]
         cols += [nodes, nodes, left]
         mass.append(w)
+        chains.append((d[::-1].copy(), w[::-1].copy(), (off * off)[::-1].tolist()))
         vertex_k = vertex_k + 1.0 / h + qs[0] * (h / 2.0)
         vertex_w += h / 2.0
         start += m
@@ -446,31 +440,101 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
                        (np.concatenate([[0], *rows]), np.concatenate([[0], *cols]))),
                       shape=(size, size))
     B = sp.diags(np.concatenate([[vertex_w], *mass]), format="csc")
+    return A, B, ((float(vertex_k), vertex_w), chains)
 
-    qmax = max((float(np.abs(qs).max()) for qs in potentials), default=0.0)
-    total_len = sum(float(e.length) for e in edges)
-    want = int(math.ceil(total_len * math.sqrt(max(hi + qmax, 1.0)) / math.pi)) + 2 * n + 10
-    sigma = min(lo, 0.0) - 1.0 - qmax
+
+def _count_below(tree, lam: float) -> int:
+    """Number of eigenvalues of the pencil below lam: Sylvester's inertia.
+
+    An LDL^T factorization of A - lam B that eliminates every chain from
+    its outer node inward and the vertex last has no fill-in; the count of
+    its negative pivots is the count (Barth, Martin & Wilkinson's bisection
+    count, carried from a path to a star).  A pivot that is exactly zero is
+    replaced by a tiny negative one, as LAPACK's bisection does: a
+    perturbation far below the rounding error of A - lam B.
+    """
+    (a0, b0), chains = tree
+    below = 0
+    vertex = a0 - lam * b0
+    for a, b, coupling in chains:
+        t = 0.0
+        for d, c in zip((a - lam * b).tolist(), coupling):
+            p = d - t or -1e-300
+            if p < 0.0:
+                below += 1
+            t = c / p
+        vertex -= t
+    return below + (vertex < 0.0)
+
+
+def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult:
+    """Star spectrum from a direct discretization, single shared vertex DOF.
+
+    Piecewise-linear elements with a lumped mass matrix on each edge (see
+    `_fd_pencil`); the shared value at the vertex enforces continuity,
+    assembling the forms enforces the derivative-sum condition, and the
+    outer condition enters as elimination (Dirichlet) or a boundary term.
+
+    Sylvester inertia counts of A - lam B (`_count_below`) size and certify
+    the eigensolve.  count(hi) - count(lo) is the number of eigenvalues in
+    the window; none means no eigensolve.  Shift-invert Lanczos runs at
+    sigma = min(lo, 0) - 1 - max |q|, or one window width below lo when
+    that is higher, moved down while an eigenvalue lies next to it.  It
+    asks for every eigenvalue in [2 sigma - hi, hi], which count(hi) -
+    count(2 sigma - hi) gives exactly, plus two.  The eigenvalues inside
+    the window are clustered into multiplicity groups; clusters closer than
+    ten times the discretization error raise the ``coarse`` flag.
+
+    Every return is certified: the in-window count equals count(hi) -
+    count(lo), and each cluster's multiplicity equals the count difference
+    across it, taken at the midpoints of the gaps around it.
+    `ConvergenceError` is raised when a check fails, or when the window
+    needs more eigenvalues than the grid's size allows (grid too small).
+    """
+    if grid < 100:
+        raise ValueError("the oracle needs at least 100 points per edge")
+    if any(e.is_infinite for e in edges):
+        raise ValueError("the discretization oracle needs finite edges")
+
+    lo, hi = float(window[0]), float(window[1])
+    potentials = [_nodal_potential(e, grid) for e in edges]
+    A, B, tree = _fd_pencil(edges, potentials)
+    size = A.shape[0]
+    h_max = max(float(e.length) / grid for e in edges)
+    below_lo, below_hi = _count_below(tree, lo), _count_below(tree, hi)
+    if below_hi == below_lo:
+        return FdOracleResult(items=(), coarse=False, h_max=h_max,
+                              count_below_lo=below_lo, count_below_hi=below_hi)
+
+    # sigma starts below the spectrum (Robin terms aside) unless that is
+    # more than one window width below lo, where Lanczos would separate the
+    # window's eigenvalues poorly.  Counts only grow with lam: none below
+    # sigma + delta means none below sigma - delta or 2 sigma - hi either.
+    qmax = max(float(np.abs(qs).max()) for qs in potentials)
+    sigma = max(min(lo, 0.0) - 1.0 - qmax, lo - (hi - lo))
+    delta = 1e-6 * (1.0 + abs(sigma))
+    below_sigma = _count_below(tree, sigma + delta)
+    while below_sigma and _count_below(tree, sigma - delta) != below_sigma:
+        sigma -= 2.0 * delta
+        below_sigma = _count_below(tree, sigma + delta)
+    need = below_hi - (_count_below(tree, 2.0 * sigma - hi) if below_sigma else 0)
+    if need > size - 2:
+        raise ConvergenceError(
+            f"the window needs {need} eigenvalues of a pencil of size {size}; grid too small")
 
     # A fixed pseudo-random start vector makes repeated calls agree bit for
     # bit.  A constant vector would not do: it is symmetric under permuting
     # equal edges, so Lanczos would never see the antisymmetric modes that
     # carry the higher layer counts.
     v0 = np.random.default_rng(0).standard_normal(size)
-    eigvals = None
-    k = min(want, size - 2)
-    for _ in range(3):
-        vals = eigsh(A, k=k, M=B, sigma=sigma, which="LM", v0=v0,
-                     return_eigenvectors=False)
-        vals = np.sort(vals)
-        if vals[-1] > hi or k >= size - 2:
-            eigvals = vals
-            break
-        k = min(size - 2, 2 * k)
-    if eigvals is None:
-        raise ConvergenceError("could not capture the whole window; grid too small")
+    eigvals = np.sort(eigsh(A, k=min(need + 2, size - 2), M=B, sigma=sigma, which="LM",
+                            v0=v0, return_eigenvectors=False))
 
     inside = [float(v) for v in eigvals if lo <= v <= hi]
+    if len(inside) != below_hi - below_lo:
+        raise ConvergenceError(
+            f"the eigensolve found {len(inside)} eigenvalues in the window, "
+            f"the inertia count {below_hi - below_lo}")
     clusters: list[list[float]] = []
     for v in inside:
         if clusters and v - clusters[-1][-1] < 1e-6 * (1 + abs(v)):
@@ -479,13 +543,20 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
             clusters.append([v])
     items = tuple((sum(c) / len(c), len(c)) for c in clusters)
 
-    h_max = max(float(e.length) / grid for e in edges)
+    gaps = [(c[-1] + d[0]) / 2.0 for c, d in zip(clusters, clusters[1:])]
+    counts = [below_lo, *(_count_below(tree, x) for x in gaps), below_hi]
+    for (x, k), below, above in zip(items, counts, counts[1:]):
+        if above - below != k:
+            raise ConvergenceError(
+                f"the cluster at {x!r} holds {k} eigenvalues, the inertia count {above - below}")
+
     coarse = False
     for (x1, _), (x2, _) in zip(items, items[1:]):
         est = max(x1 * x1, x2 * x2, 1.0) * h_max * h_max / 12.0
         if x2 - x1 < 10.0 * est:
             coarse = True
-    return FdOracleResult(items=items, coarse=coarse, h_max=h_max)
+    return FdOracleResult(items=items, coarse=coarse, h_max=h_max,
+                          count_below_lo=below_lo, count_below_hi=below_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,22 @@ def test_run_oracle_star_interval(tmp_path):
     for (x, _), want in zip(obj["items"], (1.0, 4.0, 9.0)):
         assert abs(x - want) <= 1e-3 * want
     assert len((tmp_path / "oracle.csv").read_text().splitlines()) == 4
+    assert (obj["count_below_lo"], obj["count_below_hi"]) == (0, 3)
+
+
+def test_run_oracle_too_small_a_grid_is_exit_3(tmp_path):
+    # Both unit Dirichlet edges at grid 100 leave 199 unknowns, and all 199
+    # eigenvalues lie in the window: more than Lanczos can return.
+    edge = Edge.of(1).to_json()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "task": "oracle",
+        "system": {"edges": [edge, edge], "interface": {"type": "standard"}},
+        "window": [0.5, 1e7],
+        "grid": 100,
+    }))
+    assert main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "grid too small" in (tmp_path / "out" / "error.json").read_text()
 
 
 def test_run_oracle_needs_edges(tmp_path):

@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl import (
     AcRegion,
@@ -342,18 +344,21 @@ def test_fd_oracle_repeats_exactly_within_one_process():
     assert [m for _, m in first.items] == [1, 2, 1, 2, 1, 2]
 
 
-# Items of the oracle as it was assembled node by node through an index
-# dict, frozen at grid 1000; the array assembly must reproduce them.
+# Items of the oracle at grid 1000.  The free stars are pinned as the
+# eigensolve sized by inertia counts returns them (k = 11 and 7 vectors);
+# they are within 5.5e-15 relative of the Weyl-law-sized solve (k = 26 and
+# 21).  The potential star keeps the items of the oracle as it was
+# assembled node by node through an index dict.
 FROZEN_ORACLE = {
     "equilateral3": (
         [Edge.of(math.pi)] * 3, (0.1, 10),
-        ((0.24999994860120855, 1), (0.9999991775386892, 2), (2.2499958362692927, 1),
-         (3.9999868405503998, 2), (6.249967872453201, 1), (8.99993338037308, 2))),
+        ((0.2499999486012079, 1), (0.9999991775386865, 2), (2.249995836269284, 1),
+         (3.9999868405504015, 2), (6.249967872453228, 1), (8.999933380373077, 2))),
     "mixed-free": (
         [Edge.of(1, None, 0.0), Edge.of(Fraction(3, 2), None, math.pi / 2),
          Edge.of(2, None, 1.1)], (0.1, 10),
-        ((0.32207019366639655, 1), (1.0587812825164722, 1), (3.2785462588631766, 1),
-         (6.888824940261457, 1), (9.869590195616906, 1))),
+        ((0.3220701936663948, 1), (1.0587812825164717, 1), (3.278546258863173, 1),
+         (6.888824940261442, 1), (9.869590195616894, 1))),
     "well-obtuse": (
         [Edge.of(1, [((0, 1), [-5])], 2.5), Edge.of(3)], (-3, 12),
         ((0.5738597754026671, 1), (2.4013238879280276, 1), (5.737696457502677, 1),
@@ -401,6 +406,99 @@ def test_fd_oracle_coarse_flag_tracks_resolution():
     fine = fd_oracle(edges, (0.5, 1.5), grid=3000)
     assert not fine.coarse
     assert [m for _, m in fine.items] == [1, 1]
+
+
+def test_fd_oracle_refuses_a_window_beyond_its_grid():
+    # 199 unknowns, all 199 eigenvalues in the window: Lanczos returns at
+    # most 197, so the count-sized solve must refuse instead of truncating.
+    with pytest.raises(ConvergenceError, match="grid too small"):
+        fd_oracle([Edge.of(1), Edge.of(1)], (0.5, 1e7), grid=100)
+
+
+def _spy_eigsh(monkeypatch):
+    calls = []
+    real = spectra.eigsh
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigsh", spy)
+    return calls
+
+
+def _pencil(edges, grid):
+    return spectra._fd_pencil(edges, [_nodal_potential(e, grid) for e in edges])
+
+
+def test_fd_oracle_deep_star_is_sized_by_counts(monkeypatch):
+    # Three Dirichlet edges of length 1 on q = 10000: the free star's
+    # spectrum shifted by 10000, ((j + 1/2) pi)^2 simple and (j pi)^2 double.
+    edges = [Edge.of(1, [((0, 1), [10000])])] * 3
+    calls = _spy_eigsh(monkeypatch)
+    r = fd_oracle(edges, (9999, 10100), grid=4000)
+    assert [k for _, k in r.items] == [1, 2, 1, 2, 1, 2]
+    assert (r.count_below_lo, r.count_below_hi) == (0, 9)
+    for (x, _), j in zip(r.items, range(1, 7)):
+        assert abs(x - 10000 - (j * math.pi / 2) ** 2) <= 1e-3 * (j * math.pi / 2) ** 2
+    assert len(calls) == 1
+    _, _, tree = _pencil(edges, 4000)
+    sigma = calls[0]["sigma"]
+    bound = spectra._count_below(tree, 10100) - spectra._count_below(tree, 2 * sigma - 10100)
+    assert calls[0]["k"] <= bound + 2
+
+
+def test_fd_oracle_empty_window_runs_no_eigensolve(monkeypatch):
+    calls = _spy_eigsh(monkeypatch)
+    r = fd_oracle([Edge.of(math.pi)] * 3, (0.3, 0.9), grid=1000)
+    assert r.items == () and not r.coarse
+    assert (r.count_below_lo, r.count_below_hi) == (1, 1)
+    assert calls == []
+
+
+def _potential(length):
+    """A free edge, or one to three pieces mixing deep wells, high plateaus
+    and linear ramps."""
+    levels = st.sampled_from([-400, -30, 0, 7, 2500, 10000])
+
+    @st.composite
+    def pieces(draw):
+        cuts = sorted(draw(st.sets(st.integers(1, 7), max_size=2)))
+        bounds = [Fraction(0), *(length * Fraction(c, 8) for c in cuts), length]
+        return [((a, b), [draw(levels), draw(st.integers(-40, 40))])
+                for a, b in zip(bounds, bounds[1:])]
+
+    return st.one_of(st.just("free"), pieces())
+
+
+@st.composite
+def fd_stars(draw):
+    edges = []
+    for _ in range(draw(st.integers(2, 5))):
+        length = Fraction(draw(st.integers(2, 12)), 4)
+        angle = draw(st.one_of(st.just(0.0), st.just(math.pi / 2),
+                               st.floats(0.2, 2.9)))
+        edges.append(Edge.of(length, draw(_potential(length)), angle))
+    return edges, draw(st.integers(100, 150))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fd_stars(), st.data())
+def test_count_below_matches_dense_eigenvalues(star, data):
+    import numpy as np
+    import scipy.linalg
+
+    edges, grid = star
+    A, B, tree = _pencil(edges, grid)
+    eigs = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    j = data.draw(st.integers(0, len(eigs) - 1))
+    lams = [eigs[j] + side * 1e-9 * max(1.0, abs(eigs[j])) for side in (-1, 1)]
+    lam = data.draw(st.floats(-1e3, 2e4))
+    # a random lam closer than that to an eigenvalue has no reliable side
+    if np.min(np.abs(eigs - lam)) > 1e-9 * max(1.0, abs(lam)):
+        lams.append(lam)
+    for lam in lams:
+        assert spectra._count_below(tree, lam) == np.count_nonzero(eigs < lam), lam
 
 
 def test_fd_oracle_input_validation():
