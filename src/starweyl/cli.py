@@ -48,6 +48,7 @@ from .pasting import (
 )
 from .schrodinger import Edge
 from .spectra import (
+    ORACLE_MIN_GRID,
     SpectralReport,
     aronszajn_donoghue_check,
     build_example_k74,
@@ -137,6 +138,8 @@ class ProblemFile:
         grid = obj.get("grid")
         if grid is not None and not (_is_int(grid) and grid >= 1):
             raise SchemaError("grid must be a positive integer")
+        if task == "oracle" and grid is not None and grid < ORACLE_MIN_GRID:
+            raise SchemaError(f"the oracle needs grid >= {ORACLE_MIN_GRID} points per edge")
         exact = obj.get("exact", False)
         if not isinstance(exact, bool):
             raise SchemaError("exact must be a boolean")

@@ -1,12 +1,13 @@
-"""Herglotz functions: representation, evaluation, and boundary limits.
+"""Herglotz functions: representation, evaluation, and point masses.
 
 A function of the upper half-plane with nonnegative imaginary part is stored
 as the triple (a, b, omega): a real offset, a nonnegative slope, and a finite
 `ScalarMeasure`, entering through the kernel (1 + x z)/(x - z).  Purely
 atomic representations support an exact real-axis calculus (poles, zeros,
 residues, level sets) with rational arithmetic; density pieces evaluate
-through closed-form logarithms.  Limits onto the real axis are taken along a
-decreasing schedule of imaginary offsets with Richardson acceleration.
+through closed-form logarithms.  Black-box functions are read on the real
+axis along a decreasing schedule of imaginary offsets: `richardson`
+extrapolates the samples and `point_mass` decides whether an atom sits at x.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, InternalInvariantError, PureRelationError
+from .errors import ConvergenceError
 from .measure import (
     NumberLike,
-    ONE_PLUS_X2,
-    Piece,
     Poly,
     ScalarMeasure,
     as_fraction,
@@ -32,15 +31,13 @@ from .measure import (
     number_to_json,
 )
 
-DIVERGENCE_THRESHOLD = 1e12
-
 
 def cos_sin(alpha: float) -> Tuple[float, float]:
     """cos/sin with values snapped to exact 0 and +-1 near the axes.
 
     Angles are almost always multiples of pi/4 in practice; snapping keeps
-    alpha = pi/2 meaning "exactly the inverse transform" instead of leaking
-    a 6e-17 residue of pi's float rounding into exact rational paths.
+    an outer angle of pi/2 an exact Neumann condition (c = 0) instead of
+    leaking a 6e-17 residue of pi's float rounding into exact paths.
     """
     c, s = math.cos(alpha), math.sin(alpha)
     for name, v in (("c", c), ("s", s)):
@@ -130,10 +127,6 @@ class HerglotzRep:
     @classmethod
     def from_measure(cls, omega: ScalarMeasure) -> "HerglotzRep":
         return cls.of(0, 0, omega)
-
-    @classmethod
-    def constant(cls, c: NumberLike) -> "HerglotzRep":
-        return cls.of(c, 0, None)
 
     @property
     def is_constant(self) -> bool:
@@ -281,7 +274,6 @@ class HerglotzFunction:
     """A Herglotz function known only through point evaluation."""
 
     fn: Callable[[complex], complex]
-    label: str = ""
 
     def eval(self, z: complex) -> complex:
         return self.fn(z)
@@ -308,14 +300,6 @@ def as_callable(h: WeylLike) -> Callable[[complex], complex]:
     if callable(h):
         return h
     raise TypeError(f"cannot evaluate {type(h).__name__} as a Herglotz function")
-
-
-def classical_parts(h: HerglotzRep) -> Tuple[Fraction, Fraction, ScalarMeasure]:
-    """The same function with the measure in the 1/(x - z) normalization.
-
-    Returns (a, b, omega_tilde) where omega_tilde = (1 + x^2) * omega.
-    """
-    return h.a, h.b, h.omega.times_polynomial(ONE_PLUS_X2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,65 +367,6 @@ def richardson(eps: Sequence[float], vals: Sequence):
     return v[-1], max(changes[-2:] + [_SAMPLE_RTOL * _size(bound[-1])])
 
 
-@dataclass(frozen=True)
-class BoundaryLimit:
-    """Outcome of a limit x + i*eps -> x.
-
-    ``value`` is None when the samples diverge (``infinite`` is then set).
-    ``tol`` records the achieved error estimate of the extrapolation.
-    """
-
-    value: complex | float | None
-    infinite: bool
-    eps_trace: Tuple[Tuple[float, complex], ...]
-    converged: bool
-    tol: float | None
-
-    def __post_init__(self):
-        es = [e for e, _ in self.eps_trace]
-        if any(es[i] <= es[i + 1] for i in range(len(es) - 1)):
-            raise ValueError("eps_trace must be strictly decreasing")
-
-
-def _limit_of(sample, x: float, schedule) -> BoundaryLimit:
-    """Extrapolated limit of the real or complex ``sample(x + i eps)`` as
-    eps -> 0; a sample beyond DIVERGENCE_THRESHOLD makes it infinite."""
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    trace = []
-    for eps in schedule:
-        v = sample(x + 1j * eps)
-        trace.append((eps, v))
-        if abs(v) > DIVERGENCE_THRESHOLD:
-            return BoundaryLimit(None, True, tuple(trace), True, None)
-    limit, err = richardson(schedule, [v for _, v in trace])
-    ok = err <= max(1e-8, 1e-6 * abs(limit))
-    return BoundaryLimit(limit, False, tuple(trace), ok, err)
-
-
-def boundary_imag_limit(h: WeylLike, x: float, schedule=None) -> BoundaryLimit:
-    """Limit of the imaginary part at x; diverges exactly at point masses."""
-    f = as_callable(h)
-    return _limit_of(lambda z: f(z).imag, float(x), schedule)
-
-
-def boundary_limit(h: WeylLike, x: float, schedule=None) -> BoundaryLimit:
-    """Full complex boundary value at x (when it exists)."""
-    return _limit_of(as_callable(h), float(x), schedule)
-
-
-def ratio_limit(h1: WeylLike, h2: WeylLike, x: float, schedule=None) -> BoundaryLimit:
-    """Limit of Im h1 / Im h2 at x; a derivative of one measure by another."""
-    f1, f2 = as_callable(h1), as_callable(h2)
-
-    def ratio(z: complex) -> float:
-        denom = f2(z).imag
-        if denom == 0.0:
-            raise ConvergenceError(f"Im of the reference function vanished at eps={z.imag}")
-        return f1(z).imag / denom
-
-    return _limit_of(ratio, float(x), schedule)
-
-
 def point_mass(schedule: Sequence[float], weights: Sequence[float]):
     """(weight, settled): the point mass that samples eps * Im h(x + i eps)
     on ``schedule`` extrapolate to.
@@ -476,127 +401,6 @@ def atom_weight(h: WeylLike, x0: NumberLike, schedule=None) -> Union[Fraction, f
     if not settled:
         raise ConvergenceError(f"point mass at x={x} did not settle against its floor")
     return float(weight)
-
-
-# ---------------------------------------------------------------------------
-# Stieltjes inversion
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StieltjesResult:
-    measure: ScalarMeasure
-    warnings: Tuple[str, ...]
-
-
-def _refine_atom_position(f, pos: float, halfwidth: float) -> float:
-    """Sharpen an atom location by maximizing Im f(x + i eps) as eps shrinks,
-    then polishing on the steep zero crossing of Re f(x + i eps).
-
-    The polish matters: near a pole Re f flips sign over a width of order
-    eps^2 * (background / residue), so a bracketed root there pins the
-    position orders of magnitude tighter than the broad Im peak does.
-    """
-    from scipy.optimize import brentq, minimize_scalar
-
-    eps = halfwidth
-    for _ in range(4):
-        res = minimize_scalar(
-            lambda t: -f(t + 1j * eps).imag,
-            bounds=(pos - 4 * eps, pos + 4 * eps),
-            method="bounded",
-            options={"xatol": eps * 1e-6},
-        )
-        pos = float(res.x)
-        eps *= 0.1
-    for eps in (1e-4, 1e-6, 1e-8):
-        a, b = pos - 10 * eps, pos + 10 * eps
-        fa = f(a + 1j * eps).real
-        fb = f(b + 1j * eps).real
-        if fa > 0 > fb:
-            pos = float(brentq(lambda t: f(t + 1j * eps).real, a, b,
-                               xtol=1e-15, rtol=8.9e-16))
-    return pos
-
-
-def stieltjes_invert(h: WeylLike, window, grid: int = 1000,
-                     eps: float = 1e-6) -> StieltjesResult:
-    """Recover an approximation of the representing measure on a window.
-
-    When ``h`` carries its representation the answer is its measure
-    restricted to the window, exactly.  Otherwise atoms are detected as
-    spikes at the grid scale and refined, and the smooth part is sampled
-    via Im h(x + i eps) and returned as a piecewise-linear density.
-    """
-    if not float(window[0]) < float(window[1]):
-        raise ValueError("window must have positive length")
-    if isinstance(h, HerglotzRep):
-        clipped = h.omega.restrict((as_fraction(window[0]), as_fraction(window[1])))
-        return StieltjesResult(clipped, ())
-    lo, hi = float(window[0]), float(window[1])
-    f = as_callable(h)
-    warnings: list[str] = []
-    cell = (hi - lo) / grid
-
-    atoms: list[tuple] = []
-    det_eps = cell
-    xs = np.linspace(lo, hi, grid + 1)
-    spikes = np.array([det_eps * f(x + 1j * det_eps).imag / (1 + x * x) for x in xs])
-    floor = 1e-8 + 10.0 * float(np.median(spikes))
-    i = 1
-    while i < grid:
-        if spikes[i] > floor and spikes[i] >= spikes[i - 1] and spikes[i] >= spikes[i + 1]:
-            pos = _refine_atom_position(f, float(xs[i]), cell)
-            # The ladder stops above the residual position error: below that
-            # scale the probe sits next to the atom and the weight collapses.
-            w = atom_weight(f, pos, schedule=geometric_schedule(1e-3, 15))
-            if w > 0.1 * floor:
-                atoms.append((pos, w))
-            i += 2
-        else:
-            i += 1
-    positions = sorted(float(p) for p, _ in atoms)
-    if any(b - a < 2 * cell for a, b in zip(positions, positions[1:])):
-        warnings.append("grid too coarse: atom spacing below two grid cells")
-
-    def atom_tail(x: float) -> float:
-        s = 0.0
-        for p, w in atoms:
-            pf, wf = float(p), float(w)
-            s += wf * (1 + pf * pf) * eps / ((x - pf) ** 2 + eps * eps)
-        return s
-
-    xs = np.linspace(lo, hi, grid + 1)
-    dens = []
-    for x in xs:
-        raw = f(x + 1j * eps).imag - atom_tail(float(x))
-        dens.append(max(0.0, raw / (math.pi * (1 + x * x))))
-    pieces = []
-    tiny = 1e-12
-    for i in range(grid):
-        d0, d1 = dens[i], dens[i + 1]
-        if d0 <= tiny and d1 <= tiny:
-            continue
-        slope = (d1 - d0) / cell
-        x0 = float(xs[i])
-        pieces.append(Piece(
-            as_fraction(x0), as_fraction(float(xs[i + 1])),
-            Poly([d0 - slope * x0, slope]),
-        ))
-    try:
-        measure = ScalarMeasure.of(atoms=atoms, pieces=pieces)
-    except ValueError:
-        # Linear interpolation can dip a hair below zero between samples.
-        fixed = []
-        for p in pieces:
-            m = p.poly.min_on(p.lo, p.hi)
-            if m < 0:
-                fixed.append(Piece(p.lo, p.hi, p.poly + Poly([as_fraction(-m)])))
-            else:
-                fixed.append(p)
-        measure = ScalarMeasure.of(atoms=atoms, pieces=fixed)
-        warnings.append("density clipped up to stay nonnegative")
-    return StieltjesResult(measure, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -850,82 +654,6 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         wlo, whi = as_fraction(window[0]), as_fraction(window[1])
         roots = [r for r in roots if wlo <= r <= whi]
     return roots
-
-
-# ---------------------------------------------------------------------------
-# Moebius transforms of the boundary condition
-# ---------------------------------------------------------------------------
-
-
-def _mobius_exact(h: HerglotzRep, c: Fraction, s: Fraction) -> HerglotzRep:
-    """Transformed representation for purely atomic data, s != 0."""
-    level = -c / s
-    poles = solve_level(h, level)
-    atoms = []
-    for u in poles:
-        hp = h.derivative_real(u)
-        atoms.append((u, 1 / (s * s * hp * (1 + u * u))))
-    w_tilde = sum(((1 + t * t) * w for t, w in h.omega.atoms), Fraction(0))
-    if h.b == 0:
-        hinf = h.value_at_infinity()
-        if s * hinf + c == 0:
-            if w_tilde == 0:
-                raise PureRelationError(
-                    "transform of the constant hits the excluded vertical relation"
-                )
-            b_new = (1 + hinf * hinf) / w_tilde
-            s1 = sum(((1 + t * t) * w * t for t, w in h.omega.atoms), Fraction(0))
-            a_new = c / s - (1 + hinf * hinf) * s1 / (w_tilde * w_tilde)
-        else:
-            b_new = Fraction(0)
-            a_new = (c * hinf - s) / (s * hinf + c)
-    else:
-        b_new = Fraction(0)
-        a_new = c / s
-    a_new += sum((w * u for u, w in atoms), Fraction(0))
-    out = HerglotzRep.of(a_new, b_new, ScalarMeasure.of(atoms=atoms))
-    # The rebuilt representation must agree with the direct formula.
-    z0 = 0.37 + 1.1j
-    direct = (float(c) * h.eval(z0) - float(s)) / (float(s) * h.eval(z0) + float(c))
-    err = abs(out.eval(z0) - direct)
-    if err > 1e-8 * (1 + abs(direct)):
-        raise InternalInvariantError(
-            f"transformed representation mismatch: |delta| = {err:.3e}"
-        )
-    return out
-
-
-def mobius(h: WeylLike, alpha: float) -> WeylLike:
-    """The boundary-angle transform h -> (cos(a) h - sin(a))/(sin(a) h + cos(a)).
-
-    Purely atomic representations come back as representations, with new
-    poles and masses computed by the exact level-set machinery.  Anything
-    else comes back as a callable.  A constant input whose transform would
-    be the vertical relation raises PureRelationError.
-    """
-    c, s = cos_sin(float(alpha))
-    if isinstance(h, HerglotzRep):
-        if s == 0.0:
-            return h  # (c h)/(c) with c = +-1
-        cf, sf = as_fraction(c), as_fraction(s)
-        if h.is_constant:
-            denom = sf * h.a + cf
-            if denom == 0:
-                raise PureRelationError(
-                    f"constant {h.a} maps to infinity under angle {alpha}"
-                )
-            return HerglotzRep.constant((cf * h.a - sf) / denom)
-        if h.is_atomic:
-            return _mobius_exact(h, cf, sf)
-    f = as_callable(h)
-    if s == 0.0:
-        return HerglotzFunction(f, label="identity transform")
-
-    def g(z: complex) -> complex:
-        v = f(z)
-        return (c * v - s) / (s * v + c)
-
-    return HerglotzFunction(g, label=f"angle {alpha} transform")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 A measure here is a finite list of weighted points plus finitely many
 density pieces, each piece a polynomial that is nonnegative on a bounded
-interval.  Every operation (mass of a window, sum, restriction, symmetric
-derivative, decomposition against another measure) is closed-form over
-rationals, so tests can demand equality instead of tolerances.
+interval.  Every operation (mass of a window, sum, scaling) is closed-form
+over rationals, so tests can demand equality instead of tolerances.
 
 Positions, masses and coefficients are stored as `fractions.Fraction`.
 Floats passed in are converted to their exact binary value; two atoms merge
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -130,20 +129,6 @@ class Poly:
         anti = self.antiderivative()
         return anti(b) - anti(a)
 
-    def taylor_at(self, c: NumberLike) -> "Poly":
-        """Coefficients of p(c + h) as a polynomial in h, exactly."""
-        c = as_fraction(c)
-        work = list(self.coeffs)
-        n = len(work)
-        out = []
-        # Repeated synthetic division by (x - c); remainders are the shifted
-        # coefficients in ascending order.
-        for i in range(n):
-            for j in range(n - 2, i - 1, -1):
-                work[j] += c * work[j + 1]
-            out.append(work[i])
-        return Poly(out)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -187,7 +172,6 @@ class Poly:
 
 
 ZERO_POLY = Poly(())
-ONE_PLUS_X2 = Poly((1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -221,47 +205,6 @@ class Piece:
     def from_json(cls, obj: dict) -> "Piece":
         lo, hi = (number_from_json(v) for v in obj["interval"])
         return cls(lo, hi, Poly([number_from_json(c) for c in obj["coeffs"]]))
-
-
-@dataclass(frozen=True)
-class DerivativeValue:
-    """Result of a symmetric-derivative limit at one point.
-
-    ``kind`` is one of "finite", "infinite", "undefined"; only finite values
-    carry a number, always nonnegative.
-    """
-
-    kind: str
-    value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "infinite", "undefined"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "finite":
-            if self.value is None or self.value < 0:
-                raise ValueError("finite derivative values must be >= 0")
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} derivative carries no value")
-
-    @classmethod
-    def finite(cls, v: NumberLike) -> "DerivativeValue":
-        return cls("finite", as_fraction(v))
-
-    @classmethod
-    def infinite(cls) -> "DerivativeValue":
-        return cls("infinite")
-
-    @classmethod
-    def undefined(cls) -> "DerivativeValue":
-        return cls("undefined")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
-
-    @property
-    def is_positive(self) -> bool:
-        return self.kind == "infinite" or (self.kind == "finite" and self.value > 0)
 
 
 def _interval_set(X) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -338,10 +281,6 @@ class ScalarMeasure:
                 norm_pieces.append(Piece(as_fraction(lo), as_fraction(hi), p))
         norm_pieces.sort(key=lambda p: (p.lo, p.hi))
         return cls(tuple(sorted(acc.items())), tuple(norm_pieces))
-
-    @classmethod
-    def zero(cls) -> "ScalarMeasure":
-        return cls()
 
     @classmethod
     def point(cls, x: NumberLike, w: NumberLike = 1) -> "ScalarMeasure":
@@ -429,147 +368,6 @@ class ScalarMeasure:
             pieces=[Piece(p.lo, p.hi, p.poly.scaled(c)) for p in self.pieces],
         )
 
-    def times_polynomial(self, poly: Poly) -> "ScalarMeasure":
-        """Reweight by a polynomial that is positive on the support."""
-        atoms = []
-        for x, w in self.atoms:
-            fac = poly(x)
-            if fac < 0:
-                raise ValueError(f"weight polynomial negative at atom {x}")
-            atoms.append((x, w * fac))
-        pieces = [Piece(p.lo, p.hi, p.poly * poly) for p in self.pieces]
-        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
-
-    def restrict(self, X) -> "ScalarMeasure":
-        ivs = _interval_set(X)
-        atoms = [(x, w) for x, w in self.atoms if _in_set(x, ivs)]
-        pieces = []
-        for piece in self.pieces:
-            for a, b in ivs:
-                lo, hi = max(piece.lo, a), min(piece.hi, b)
-                if lo < hi:
-                    pieces.append(Piece(lo, hi, piece.poly))
-        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
-
-    # -- local structure ------------------------------------------------------
-
-    def _side_density(self, x: Fraction, side: int) -> Poly:
-        """Density polynomial governing the side of ``x`` (+1 right, -1 left)."""
-        for p in self.pieces:
-            if side > 0 and p.lo <= x < p.hi:
-                return p.poly
-            if side < 0 and p.lo < x <= p.hi:
-                return p.poly
-        return ZERO_POLY
-
-    def _local_series(self, x: Fraction, nterms: int) -> list:
-        """Coefficients of eps -> mass([x-eps, x+eps]) for small eps.
-
-        Entry 0 is the atom mass at x; entry k >= 1 multiplies eps**k.  Valid
-        for eps smaller than the gap to the nearest other feature, which is
-        all a one-sided limit ever sees.
-        """
-        out = [self.atom_mass_at(x)] + [Fraction(0)] * nterms
-        right = self._side_density(x, +1)
-        left = self._side_density(x, -1)
-        if not right.is_zero:
-            t = right.taylor_at(x)
-            for k in range(1, nterms + 1):
-                if k - 1 <= t.degree:
-                    out[k] += t.coeffs[k - 1] / k
-        if not left.is_zero:
-            t = left.taylor_at(x)
-            for k in range(1, nterms + 1):
-                if k - 1 <= t.degree:
-                    out[k] += (-1) ** (k - 1) * t.coeffs[k - 1] / k
-        return out
-
-    def locally_positive_at(self, x: NumberLike) -> bool:
-        """True when every interval [x-eps, x+eps] has positive mass."""
-        x = as_fraction(x)
-        depth = max([p.poly.degree for p in self.pieces], default=0) + 1
-        return any(c != 0 for c in self._local_series(x, depth))
-
-    def symmetric_derivative(self, sigma: "ScalarMeasure", x: NumberLike) -> DerivativeValue:
-        """Limit of mass ratios over shrinking symmetric intervals at ``x``.
-
-        Both measures are expanded locally in the half-width, and the limit
-        is read off the lowest-order nonvanishing terms.  The answer is
-        infinite when ``x`` supports this measure but not ``sigma``, and
-        undefined when it supports neither.
-        """
-        x = as_fraction(x)
-        depth = (
-            max(
-                [p.poly.degree for p in self.pieces]
-                + [p.poly.degree for p in sigma.pieces],
-                default=0,
-            )
-            + 1
-        )
-        F = self._local_series(x, depth)
-        G = sigma._local_series(x, depth)
-        ordF = next((k for k, c in enumerate(F) if c != 0), None)
-        ordG = next((k for k, c in enumerate(G) if c != 0), None)
-        if ordG is None:
-            return DerivativeValue.infinite() if ordF is not None else DerivativeValue.undefined()
-        if ordF is None:
-            return DerivativeValue.finite(0)
-        if ordF < ordG:
-            return DerivativeValue.infinite()
-        if ordF > ordG:
-            return DerivativeValue.finite(0)
-        return DerivativeValue.finite(F[ordF] / G[ordG])
-
-    def lebesgue_decompose(
-        self, sigma: "ScalarMeasure"
-    ) -> Tuple["ScalarMeasure", "ScalarMeasure"]:
-        """Split into a part dominated by ``sigma`` and a part singular to it.
-
-        Atoms follow the atom positions of ``sigma``; density pieces follow
-        the density support of ``sigma``.  The two parts always add back to
-        the original measure exactly.
-        """
-        sig_atoms = set(sigma.atom_positions())
-        ac_atoms = [(x, w) for x, w in self.atoms if x in sig_atoms]
-        s_atoms = [(x, w) for x, w in self.atoms if x not in sig_atoms]
-        sig_support = _interval_set(sigma.piece_intervals()) if sigma.pieces else ()
-        ac_pieces: list[Piece] = []
-        s_pieces: list[Piece] = []
-        for piece in self.pieces:
-            covered: list[Tuple[Fraction, Fraction]] = []
-            for a, b in sig_support:
-                lo, hi = max(piece.lo, a), min(piece.hi, b)
-                if lo < hi:
-                    covered.append((lo, hi))
-                    ac_pieces.append(Piece(lo, hi, piece.poly))
-            cursor = piece.lo
-            for lo, hi in covered:
-                if cursor < lo:
-                    s_pieces.append(Piece(cursor, lo, piece.poly))
-                cursor = hi
-            if cursor < piece.hi:
-                s_pieces.append(Piece(cursor, piece.hi, piece.poly))
-        return (
-            ScalarMeasure.of(atoms=ac_atoms, pieces=ac_pieces),
-            ScalarMeasure.of(atoms=s_atoms, pieces=s_pieces),
-        )
-
-    def mutually_singular(self, other: "ScalarMeasure") -> bool:
-        """True when the two measures live on disjoint sets.
-
-        Structurally: no shared atom position, and the density intervals
-        overlap at most in isolated points.
-        """
-        mine = set(self.atom_positions())
-        if mine.intersection(other.atom_positions()):
-            return False
-        for p in self.pieces:
-            for q in other.pieces:
-                if max(p.lo, q.lo) < min(p.hi, q.hi):
-                    return False
-        return True
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -593,20 +391,3 @@ def sum_measures(measures: Iterable[ScalarMeasure]) -> ScalarMeasure:
         total = total + m
     return total
 
-
-def overlap_count(measures: Sequence[ScalarMeasure], x: NumberLike) -> int:
-    """Number of measures visible at ``x`` relative to their sum.
-
-    Counts the entries whose derivative against the total is positive.  The
-    point must carry the total measure locally, otherwise the count is
-    meaningless and a ValueError is raised.
-    """
-    mu = sum_measures(measures)
-    if not mu.locally_positive_at(x):
-        raise ValueError(f"{x} is outside the support of the combined measure")
-    count = 0
-    for m in measures:
-        d = m.symmetric_derivative(mu, x)
-        if d.is_positive:
-            count += 1
-    return count

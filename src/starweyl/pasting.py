@@ -29,8 +29,6 @@ from .herglotz import (
     DEFAULT_SCHEDULE,
     HerglotzFunction,
     HerglotzRep,
-    cos_sin,
-    mobius,
     point_mass,
     richardson,
 )
@@ -141,7 +139,7 @@ class PastedSystem:
             raise ValueError(f"the interface must be an object, got {iface!r}")
         kind = iface.get("type")
         if kind == "angles":
-            # No computation honours a rotated vertex condition yet.
+            # By design: the pasting is the standard interface condition.
             raise ValueError('interface angles are not supported; use {"type": "standard"}')
         if kind != "standard":
             raise ValueError(f"unknown interface type {kind!r}")
@@ -496,24 +494,6 @@ def rank_md(b: Sequence[NumberLike], d: NumberLike) -> int:
     return computed
 
 
-def predicted_rank_singular(d: Sequence[NumberLike]) -> int:
-    """Layer count from derivative shares on the shared singular part.
-
-    Input: the shares each input contributes at a point, nonnegative and
-    summing to one.  A share of exactly one would mean a single dominant
-    input; such points carry no spectrum of the joined problem and are
-    rejected rather than assigned a rank.
-    """
-    ds = [as_fraction(v) for v in d]
-    if any(v < 0 or v > 1 for v in ds):
-        raise ValueError("shares must lie in [0, 1]")
-    if sum(ds) != 1:
-        raise ValueError(f"shares must sum to 1, got {sum(ds)}")
-    if any(v == 1 for v in ds):
-        raise ValueError("a single dominant share carries no joined spectrum")
-    return sum(1 for v in ds if v > 0) - 1
-
-
 def rank_one_limit_matrix(m_values: Sequence[NumberLike]) -> OmegaMatrix:
     """The omega sample at a zero of the summed function, from the finite
     real limits of the first n-1 inputs: the normalized Gram matrix of
@@ -526,40 +506,3 @@ def rank_one_limit_matrix(m_values: Sequence[NumberLike]) -> OmegaMatrix:
     mat = np.array([[float(c) for c in row] for row in omega])
     return _finalize_omega(mat, True, True, False, exact_entries=omega, exact_rank=1)
 
-
-# ---------------------------------------------------------------------------
-# Generalized vertex conditions
-# ---------------------------------------------------------------------------
-
-
-def pure_relation_weyl(beta: float) -> HerglotzRep:
-    """Constant interface data -cot(beta) of the bare vertex relation."""
-    c, s = cos_sin(float(beta))
-    if s == 0.0:
-        raise PureRelationError("beta = 0 mod pi leaves no function, only a relation")
-    t = -c / s
-    if abs(t - round(t)) < 1e-12:
-        t = float(round(t))
-    return HerglotzRep.constant(t)
-
-
-def generalized_multiplicity(sys: PastedSystem, a: Sequence[float], b: float,
-                             x: NumberLike, eps_schedule=None) -> int:
-    """Multiplicity at x under rotated interface conditions.
-
-    Each entry is re-anchored by its angle a_l, and the rotated vertex sum
-    condition contributes one more (constant) entry -cot(b).  The result
-    is the plain multiplicity of that enlarged standard pasting.  b on the
-    excluded boundary (0 mod pi) is rejected.
-    """
-    if len(a) != sys.n:
-        raise ValueError("need one angle per entry")
-    if not 0.0 < float(b) < math.pi:
-        raise ValueError("the vertex angle must lie strictly inside (0, pi)")
-    transformed = [mobius(e, alpha) for e, alpha in zip(sys.entries, a)]
-    enlarged = PastedSystem.of(transformed + [pure_relation_weyl(b)])
-    if eps_schedule is None and sys.has_edges:
-        # Rotated edges come back as black-box callables, hidden from the
-        # enlarged system's schedule choice: inherit the edge-aware ladder.
-        eps_schedule = sys.default_schedule()
-    return multiplicity_at(enlarged, x, eps_schedule=eps_schedule)

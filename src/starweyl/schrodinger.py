@@ -29,15 +29,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConvergenceError
-from .herglotz import HerglotzRep, atom_weight, cos_sin, geometric_schedule
-from .measure import (
-    NumberLike,
-    Poly,
-    ScalarMeasure,
-    as_fraction,
-    number_from_json,
-    number_to_json,
-)
+from .herglotz import cos_sin, geometric_schedule
+from .measure import Poly, as_fraction, number_from_json, number_to_json
 
 # The eps ladder for limits onto the real axis through edges.  The transfer
 # matrices leave a relative error up to ~1e-12 in (u, u') (`_TRANSFER_RTOL`),
@@ -660,22 +653,3 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
         roots.append(zs[-1])
     return sorted(roots)
 
-
-def edge_to_herglotz(edge: Edge, window) -> HerglotzRep:
-    """Purely atomic snapshot of m on a window: decoupled eigenvalues as
-    atom positions, masses extracted from m itself by the eps-limit.
-
-    Only the structure inside the window is represented (a and b are set
-    to zero and out-of-window poles are dropped): downstream consumers
-    compare interface data locally, and locality is exactly what survives
-    the truncation.
-    """
-    if edge.is_infinite:
-        raise ValueError("infinite free edges have no atomic representation")
-    atoms = []
-    for x in edge.poles(window):
-        w = atom_weight(edge, x, schedule=EDGE_SCHEDULE)
-        if w <= 0:
-            raise ConvergenceError(f"nonpositive extracted mass at decoupled eigenvalue {x}")
-        atoms.append((x, w))
-    return HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=atoms))

@@ -46,6 +46,8 @@ from .schrodinger import Edge, brentq
 
 OVERLAP = "overlap"
 KIRCHHOFF = "kirchhoff-zero"
+# Fewest points per edge `fd_oracle` discretizes with.
+ORACLE_MIN_GRID = 100
 
 
 def eigsh(A, **kwargs):
@@ -491,8 +493,8 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     `ConvergenceError` is raised when a check fails, or when the window
     needs more eigenvalues than the grid's size allows (grid too small).
     """
-    if grid < 100:
-        raise ValueError("the oracle needs at least 100 points per edge")
+    if grid < ORACLE_MIN_GRID:
+        raise ValueError(f"the oracle needs at least {ORACLE_MIN_GRID} points per edge")
     if any(e.is_infinite for e in edges):
         raise ValueError("the discretization oracle needs finite edges")
 

@@ -453,6 +453,7 @@ def test_main_reads_problem_files(tmp_path):
         ["eigs", "k75"],
         ["eigs", "kac2", "--window", "1", "-1"],
         ["eigs", "equilateral3", "--exact"],
+        ["oracle", "equilateral3", "--grid", "50"],
     ],
 )
 def test_main_schema_errors_are_exit_2(argv, tmp_path, capsys):

@@ -19,22 +19,15 @@ from starweyl import (
     HerglotzFunction,
     HerglotzRep,
     Poly,
-    PureRelationError,
     ScalarMeasure,
     atom_weight,
     atomic_rational_parts,
-    boundary_imag_limit,
-    boundary_limit,
     cauchy_transform,
-    classical_parts,
     cos_sin,
     geometric_schedule,
-    mobius,
     poly_gcd_degree,
-    ratio_limit,
     richardson,
     solve_level,
-    stieltjes_invert,
 )
 from starweyl.herglotz import as_callable
 
@@ -74,7 +67,7 @@ def test_cauchy_transform_rejects_real_arguments():
 
 def test_rep_requires_nonnegative_slope():
     with pytest.raises(ValueError):
-        HerglotzRep.of(0, -1, ScalarMeasure.zero())
+        HerglotzRep.of(0, -1, ScalarMeasure())
 
 
 @settings(max_examples=80, deadline=None)
@@ -114,16 +107,9 @@ def test_value_at_infinity_for_bounded_reps():
     h = HerglotzRep.of(F(1, 2), 0, ScalarMeasure.of(atoms=[(1, F(1, 3)), (-2, F(1, 4))]))
     # a - sum(w t) = 1/2 - (1/3 - 1/2)
     assert h.value_at_infinity() == F(1, 2) - F(1, 3) + F(1, 2)
-    hb = HerglotzRep.of(0, 1, ScalarMeasure.zero())
+    hb = HerglotzRep.of(0, 1, ScalarMeasure())
     with pytest.raises(ValueError):
         hb.value_at_infinity()
-
-
-def test_classical_parts_reweights_by_one_plus_x_squared():
-    h = HerglotzRep.of(F(1, 2), F(2), ScalarMeasure.point(1, F(3)))
-    a, b, omega_t = classical_parts(h)
-    assert (a, b) == (F(1, 2), F(2))
-    assert omega_t.atom_mass_at(1) == F(6)
 
 
 def test_rep_json_round_trip():
@@ -182,39 +168,13 @@ def test_richardson_fit_keeps_real_samples_real():
 
 
 # ---------------------------------------------------------------------------
-# boundary limits
+# atom weights
 # ---------------------------------------------------------------------------
 
 
 def _rep_with_pole_at_third():
     return HerglotzRep.of(F(1, 2), 0, ScalarMeasure.of(
         atoms=[(F(-1), F(1, 2)), (F(1, 3), F(2))]))
-
-
-def test_boundary_limit_at_a_regular_point_matches_exact_value():
-    h = _rep_with_pole_at_third()
-    out = boundary_limit(h.eval, 10.0)
-    assert out.converged and not out.infinite
-    assert out.value == pytest.approx(float(h.eval_real(F(10))), abs=1e-9)
-    assert len(out.eps_trace) > 0
-
-
-def test_boundary_imag_limit_flags_divergence_at_atoms():
-    h = _rep_with_pole_at_third()
-    out = boundary_imag_limit(h.eval, 1 / 3)
-    assert out.infinite and out.value is None
-
-
-def test_ratio_limit_of_two_functions_sharing_a_pole():
-    h = _rep_with_pole_at_third()
-    out = ratio_limit(h.eval, lambda z: 2 * h.eval(z), 1 / 3)
-    assert out.value == pytest.approx(0.5, abs=1e-10)
-
-
-def test_ratio_limit_rejects_real_denominator():
-    h = _rep_with_pole_at_third()
-    with pytest.raises(ConvergenceError):
-        ratio_limit(h.eval, lambda z: complex(1.0), 0.0)
 
 
 def test_atom_weight_exact_and_extrapolated_routes_agree():
@@ -237,39 +197,6 @@ def test_atom_weight_raises_when_the_mass_does_not_settle():
     h = HerglotzFunction(lambda z: 1j * (1e-6 + 1e-6 * math.sin(1 / z.imag)) / z.imag)
     with pytest.raises(ConvergenceError):
         atom_weight(h, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# inversion
-# ---------------------------------------------------------------------------
-
-
-def test_stieltjes_invert_on_a_rep_is_exact_restriction():
-    h = HerglotzRep.of(F(1, 2), 0, ScalarMeasure.of(
-        atoms=[(F(-1), F(1, 2)), (F(1, 3), F(2))],
-        pieces=[((2, 3), [F(1, 4)])],
-    ))
-    res = stieltjes_invert(h, (0, F(5, 2)))
-    assert res.warnings == ()
-    assert res.measure.atom_positions() == (F(1, 3),)
-    assert res.measure.piece_intervals() == ((F(2), F(5, 2)),)
-
-
-def test_stieltjes_invert_recovers_atoms_and_density_from_a_black_box():
-    h = HerglotzRep.of(F(1, 2), 0, ScalarMeasure.of(
-        atoms=[(F(-1), F(1, 2)), (F(1, 3), F(2))],
-        pieces=[((2, 3), [F(1, 4)])],
-    ))
-    res = stieltjes_invert(HerglotzFunction(h.eval), (-2, 4), grid=900)
-    got = res.measure
-    assert len(got.atoms) == 2
-    positions = [float(p) for p in got.atom_positions()]
-    assert positions[0] == pytest.approx(-1.0, abs=1e-9)
-    assert positions[1] == pytest.approx(1 / 3, abs=1e-9)
-    assert float(got.atom_mass_at(got.atom_positions()[0])) == pytest.approx(0.5, rel=1e-4)
-    assert float(got.atom_mass_at(got.atom_positions()[1])) == pytest.approx(2.0, rel=1e-4)
-    total = float(got.mass((F(-2), F(4))))
-    assert total == pytest.approx(2.75, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -307,60 +234,6 @@ def test_solve_level_respects_the_window():
     inside = solve_level(h, 0, window=(F(-2), F(2)))
     assert inside == [r for r in everything if F(-2) <= r <= F(2)]
     assert len(inside) == 2
-
-
-# ---------------------------------------------------------------------------
-# angle transforms
-# ---------------------------------------------------------------------------
-
-
-def test_mobius_identity_for_zero_angle():
-    h = _rep_with_pole_at_third()
-    assert mobius(h, 0.0) is h
-
-
-def test_mobius_constant_rotates_exactly():
-    h = HerglotzRep.constant(F(1))
-    g = mobius(h, math.pi / 4)  # (c - s)/(s + c) with c = s: zero
-    assert g.is_constant and g.a == 0
-    with pytest.raises(PureRelationError):
-        mobius(HerglotzRep.constant(F(-1)), math.pi / 4)
-
-
-def test_mobius_degenerate_case_produces_the_linear_rep():
-    h = HerglotzRep.of(0, 0, ScalarMeasure.point(0, 1))  # -1/z
-    g = mobius(h, math.pi / 2)                            # z
-    assert (g.a, g.b) == (F(0), F(1))
-    assert g.omega.is_zero
-    assert g.eval(2 + 3j) == 2 + 3j
-
-
-@settings(max_examples=25, deadline=None)
-@given(atomic_reps(max_atoms=4, allow_slope=False))
-def test_mobius_round_trip_recovers_the_function(h):
-    z = 0.37 + 1.1j
-    for alpha in (0.3, 1.2):
-        g = mobius(mobius(h, alpha), -alpha)
-        assert g.eval(z) == pytest.approx(h.eval(z), rel=1e-12, abs=1e-12)
-
-
-def test_mobius_transform_of_atomic_rep_stays_atomic_and_correct():
-    h = _rep_with_pole_at_third()
-    alpha = 0.7
-    g = mobius(h, alpha)
-    assert isinstance(g, HerglotzRep) and g.omega.is_atomic
-    c, s = cos_sin(alpha)
-    for z in (1j, 0.5 + 0.25j, -2 + 1j):
-        direct = (c * h.eval(z) - s) / (s * h.eval(z) + c)
-        assert g.eval(z) == pytest.approx(direct, rel=1e-12)
-
-
-def test_mobius_on_a_callable_wraps():
-    f = HerglotzFunction(lambda z: 1j)
-    g = mobius(f, 0.5)
-    assert isinstance(g, HerglotzFunction)
-    c, s = cos_sin(0.5)
-    assert g.eval(1j) == pytest.approx((c * 1j - s) / (s * 1j + c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Cold start: scipy is imported only inside the calls that need it.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests do
-not hide an import.  The last test pins the module-level names `brentq` and
-`eigsh` that the benchmark tracer counts calls through.
+not hide an import.  One test pins the module-level names `brentq` and
+`eigsh` that the benchmark tracer counts calls through; the static checks
+read the sources and pin the scipy surface and the package's export list.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import starweyl
 import starweyl.cli as cli
 from starweyl import schrodinger, spectra
 
@@ -103,3 +106,33 @@ def test_scipy_entry_points_are_called_through_module_globals(tmp_path, monkeypa
                      "--out", str(tmp_path / "oracle")]) == 0
     assert set(calls) == {"starweyl.spectra.brentq", "starweyl.spectra.eigsh",
                           "starweyl.schrodinger.brentq"}
+
+
+# Everything src/starweyl/ may take from scipy.
+SCIPY_SURFACE = {"scipy.optimize.brentq", "scipy.sparse", "scipy.sparse.linalg.eigsh"}
+
+
+def test_src_references_only_the_pinned_scipy_names():
+    used = set()
+    for path in (SRC / "starweyl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                used |= {a.name for a in node.names if a.name.split(".")[0] == "scipy"}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                used |= {f"{node.module}.{a.name}" for a in node.names}
+    assert used <= SCIPY_SURFACE, sorted(used - SCIPY_SURFACE)
+
+
+def test_all_is_sorted_resolves_and_matches_the_imports():
+    tree = ast.parse((SRC / "starweyl" / "__init__.py").read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names = [a.asname or a.name for a in node.names]
+            assert names == sorted(names), node.module
+            imported += [n for n in names if not n.startswith("_")]
+    exported = starweyl.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(starweyl, name) for name in exported)
+    assert set(exported) == set(imported)

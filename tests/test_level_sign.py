@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, herglotz, solve_level
 from starweyl.errors import ConvergenceError
-from starweyl.herglotz import _bisect_exact, _level_sign, _locate, _mobius_exact, cos_sin
+from starweyl.herglotz import _bisect_exact, _level_sign, _locate, cos_sin
 
 from conftest import atomic_reps, positive_rationals, rationals
 
@@ -164,7 +164,7 @@ def _reference_rational_parts(h):
 
 
 def _float_level(alpha: float) -> F:
-    """The level -c/s that `mobius` solves for at the angle alpha."""
+    """The level -cot(alpha), exactly from the float cos/sin of alpha."""
     c, s = cos_sin(alpha)
     return -F(c) / F(s)
 
@@ -251,8 +251,8 @@ def test_integer_sign_with_a_slope_and_no_atoms():
 
 def test_a_constant_at_its_own_value_has_no_isolated_solution():
     # h - level vanishes identically: no sign is ever asked for
-    assert solve_level(HerglotzRep.constant(1), 1) == []
-    assert solve_level(HerglotzRep.constant(F(-2, 3)), F(-2, 3), (-1, 1)) == []
+    assert solve_level(HerglotzRep.of(1), 1) == []
+    assert solve_level(HerglotzRep.of(F(-2, 3)), F(-2, 3), (-1, 1)) == []
 
 
 def test_sign_checks_compute_no_slope(monkeypatch):
@@ -298,16 +298,6 @@ def test_solve_level_matches_the_eval_real_bisection_on_large_systems(n, which):
     h = _seeded_rep(n, n)
     level = _levels_for(n)[which]
     assert solve_level(h, level) == _reference_solve_level(h, level)
-
-
-@pytest.mark.parametrize("n", [1, 4, 9, 16])
-def test_mobius_exact_matches_the_reference_atoms(n):
-    h = _seeded_rep(2 * n, n)  # even seed: no slope
-    for alpha in (0.4, 1.3, 2.6):
-        c, s = (F(v) for v in cos_sin(alpha))
-        want = [(u, 1 / (s * s * h.derivative_real(u) * (1 + u * u)))
-                for u in _reference_solve_level(h, -c / s)]
-        assert list(_mobius_exact(h, c, s).omega.atoms) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20])

@@ -1,12 +1,12 @@
-"""Measure layer: exact arithmetic, decomposition, derivatives, JSON."""
+"""Measure layer: exact arithmetic, masses, sums, JSON."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
-from starweyl import DerivativeValue, Piece, Poly, ScalarMeasure, as_fraction
-from starweyl.measure import number_from_json, number_to_json, overlap_count, sum_measures
+from starweyl import Piece, Poly, ScalarMeasure, as_fraction
+from starweyl.measure import number_from_json, number_to_json, sum_measures
 
 from conftest import atomic_measures
 
@@ -37,13 +37,6 @@ def test_poly_evaluation_is_exact_on_fractions():
     assert p(F(1, 2)) == F(3, 4)
     assert p.derivative()(F(1, 2)) == F(1)
     assert p.integrate(F(0), F(1)) == F(1) - F(1) + F(1)
-
-
-def test_poly_taylor_recentering_preserves_values():
-    p = Poly([F(2), F(0), F(1), F(-1)])
-    q = p.taylor_at(F(3, 2))
-    for x in (F(0), F(1), F(-5, 2)):
-        assert q(x - F(3, 2)) == p(x)
 
 
 def test_poly_min_on_finds_interior_dips():
@@ -110,20 +103,6 @@ def test_json_round_trip_is_identity(m):
     assert ScalarMeasure.from_json(m.to_json()) == m
 
 
-def test_restrict_keeps_boundary_atoms():
-    m = ScalarMeasure.of(atoms=[(0, 1), (1, 1), (2, 1)], pieces=[((0, 2), [1])])
-    r = m.restrict((F(0), F(1)))
-    assert r.atom_positions() == (F(0), F(1))
-    assert r.total_mass() == F(3)
-
-
-def test_times_polynomial_scales_atoms_and_densities():
-    m = ScalarMeasure.of(atoms=[(2, F(1, 2))], pieces=[((0, 1), [1])])
-    t = m.times_polynomial(Poly([F(0), F(1)]))  # multiply by x
-    assert t.atom_mass_at(2) == F(1)
-    assert t.pieces[0].poly.coeffs == (F(0), F(1))
-
-
 def test_scaled_rejects_negative_factors():
     m = ScalarMeasure.point(0, 1)
     assert m.scaled(F(2)).atom_mass_at(0) == F(2)
@@ -132,88 +111,8 @@ def test_scaled_rejects_negative_factors():
 
 
 # ---------------------------------------------------------------------------
-# local structure
-# ---------------------------------------------------------------------------
-
-
-def test_locally_positive_at_sees_atoms_and_density_interiors():
-    m = ScalarMeasure.of(atoms=[(5, 1)], pieces=[((0, 1), [F(0), F(1)])])
-    assert m.locally_positive_at(5)
-    assert m.locally_positive_at(F(1, 2))
-    # density x vanishes at the left endpoint but every neighbourhood still
-    # carries mass from the right side
-    assert m.locally_positive_at(0)
-    assert not m.locally_positive_at(3)
-
-
-def test_symmetric_derivative_at_shared_atom():
-    nu = ScalarMeasure.point(0, F(1))
-    sigma = ScalarMeasure.of(atoms=[(0, F(13, 4))])
-    d = nu.symmetric_derivative(sigma, 0)
-    assert d.kind == "finite" and d.value == F(4, 13)
-
-
-def test_symmetric_derivative_atom_against_density_is_infinite():
-    nu = ScalarMeasure.point(0, 1)
-    sigma = ScalarMeasure.of(pieces=[((-1, 1), [1])])
-    assert nu.symmetric_derivative(sigma, 0).is_positive
-    assert nu.symmetric_derivative(sigma, 0).kind == "infinite"
-    # and the reverse ratio collapses to zero
-    back = sigma.symmetric_derivative(nu, 0)
-    assert back.kind == "finite" and back.value == 0
-
-
-def test_symmetric_derivative_density_ratio_uses_local_values():
-    nu = ScalarMeasure.of(pieces=[((0, 1), [F(1, 3)])])
-    sigma = ScalarMeasure.of(pieces=[((0, 1), [F(4, 3)])])
-    d = nu.symmetric_derivative(sigma, F(1, 2))
-    assert d.kind == "finite" and d.value == F(1, 4)
-
-
-def test_symmetric_derivative_undefined_off_both_supports():
-    nu = ScalarMeasure.point(0, 1)
-    sigma = ScalarMeasure.point(1, 1)
-    assert nu.symmetric_derivative(sigma, 7).kind == "undefined"
-
-
-def test_derivative_value_positivity_flags():
-    assert DerivativeValue.finite(F(1, 2)).is_positive
-    assert not DerivativeValue.finite(F(0)).is_positive
-    assert DerivativeValue.infinite().is_positive
-
-
-def test_lebesgue_decompose_reassembles_and_separates():
-    m = ScalarMeasure.of(atoms=[(0, 1), (2, F(1, 2))], pieces=[((3, 4), [F(1, 3)])])
-    ref = ScalarMeasure.of(pieces=[((-10, 10), [1])])
-    ac, sing = m.lebesgue_decompose(ref)
-    assert ac + sing == m
-    assert ac.is_zero or ac.atoms == ()
-    assert sing.atom_positions() == (F(0), F(2))
-    assert ac.mutually_singular(sing)
-
-
-def test_mutual_singularity_detects_shared_structure():
-    a = ScalarMeasure.of(atoms=[(0, 1)], pieces=[((0, 1), [1])])
-    b = ScalarMeasure.of(pieces=[((F(1, 2), 2), [1])])
-    assert not a.mutually_singular(b)
-    c = ScalarMeasure.of(atoms=[(3, 1)], pieces=[((1, 2), [1])])
-    assert a.mutually_singular(c)
-
-
-# ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
-
-
-def test_overlap_count_counts_charging_measures():
-    m1 = ScalarMeasure.of(atoms=[(0, 1), (2, F(1, 2))])
-    m2 = ScalarMeasure.of(atoms=[(0, 2)], pieces=[((3, 4), [1])])
-    m3 = ScalarMeasure.of(atoms=[(0, F(1, 4)), (2, 3)])
-    assert overlap_count([m1, m2, m3], 0) == 3
-    assert overlap_count([m1, m2, m3], 2) == 2
-    assert overlap_count([m1, m2, m3], F(7, 2)) == 1
-    with pytest.raises(ValueError):
-        overlap_count([m1, m2, m3], 10)
 
 
 def test_sum_measures_matches_pairwise_addition():

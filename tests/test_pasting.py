@@ -29,14 +29,11 @@ from starweyl import (
     PureRelationError,
     ScalarMeasure,
     exact_rank,
-    generalized_multiplicity,
     interface_matrix,
     matrix_weyl,
     md_matrix,
     multiplicity_at,
     omega_at,
-    predicted_rank_singular,
-    pure_relation_weyl,
     rank_md,
     rank_one_limit_matrix,
     solve_level,
@@ -64,19 +61,19 @@ def test_system_needs_at_least_two_entries():
 
 
 def test_constant_entries_are_limited_to_one():
-    c = HerglotzRep.constant(F(1))
+    c = HerglotzRep.of(F(1))
     m = ScalarMeasure.point(0, 1)
     PastedSystem.of([c, m])  # fine
     with pytest.raises(PureRelationError):
         PastedSystem.of([c, c, m])
     with pytest.raises(PureRelationError):
-        PastedSystem.of([c, HerglotzRep.constant(F(2))])
+        PastedSystem.of([c, HerglotzRep.of(F(2))])
 
 
 def test_entry_normalization_accepts_mixed_inputs():
     sys_ = PastedSystem.of([
         ScalarMeasure.point(0, 1),
-        HerglotzRep.constant(F(2)),
+        HerglotzRep.of(F(2)),
         lambda z: 1j,
         Edge.of(1),
     ])
@@ -130,8 +127,8 @@ def test_system_json_round_trip():
 
 
 def test_interface_angles_are_rejected_when_parsed():
-    # No computation reads rotated vertex conditions, so they are rejected
-    # rather than computed as the standard interface.
+    # Rotated vertex conditions are rejected by design rather than computed
+    # as the standard interface.
     edges = [ScalarMeasure.point(-1, 1).to_json(), ScalarMeasure.point(1, 1).to_json()]
     with pytest.raises(ValueError, match="interface angles are not supported"):
         PastedSystem.from_json(
@@ -415,63 +412,12 @@ def test_rank_md_always_matches_elimination(b, d):
     assert exact_rank(md_matrix(b, d)) == want
 
 
-def test_predicted_rank_singular_counts_positive_shares():
-    assert predicted_rank_singular([F(1, 2), F(1, 2)]) == 1
-    assert predicted_rank_singular([F(1, 3)] * 3) == 2
-    assert predicted_rank_singular([F(1, 2), F(1, 2), 0]) == 1
-    with pytest.raises(ValueError):
-        predicted_rank_singular([1, 0])
-    with pytest.raises(ValueError):
-        predicted_rank_singular([F(1, 2), F(1, 3)])
-
-
 def test_rank_one_limit_matrix_is_the_normalized_gram():
     om = rank_one_limit_matrix([F(-1)])
     assert om.rank == 1
     assert om.exact_entries == ((F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2)))
     om3 = rank_one_limit_matrix([F(1), F(1)])
     assert om3.exact_entries[0] == (F(1, 3), F(1, 3), F(1, 3))
-
-
-# ---------------------------------------------------------------------------
-# generalized interface conditions
-# ---------------------------------------------------------------------------
-
-
-def test_pure_relation_values_on_the_quarter_grid():
-    assert pure_relation_weyl(math.pi / 2).a == 0
-    assert pure_relation_weyl(math.pi / 4).a == -1
-    assert pure_relation_weyl(3 * math.pi / 4).a == 1
-    with pytest.raises(PureRelationError):
-        pure_relation_weyl(0.0)
-
-
-def test_generalized_multiplicity_extends_the_standard_one():
-    sys_ = PastedSystem.of([
-        ScalarMeasure.of(atoms=[(1, 2), (3, 1)]),
-        ScalarMeasure.of(atoms=[(1, 1), (-1, 1)]),
-    ])
-    # standard angles reproduce multiplicity_at
-    assert generalized_multiplicity(sys_, (0.0, 0.0), math.pi / 2, 1) == \
-        multiplicity_at(sys_, 1)
-    # rotating one entry destroys its pole at 1, leaving a single carrier
-    assert generalized_multiplicity(sys_, (0.9, 0.0), math.pi / 2, 1) == 0
-
-
-def test_generalized_multiplicity_rotates_edges():
-    sys_ = PastedSystem.of([Edge.of(math.pi)] * 3)
-    assert generalized_multiplicity(sys_, (0.0, 0.0, 0.0), math.pi / 2, 1.0) == \
-        multiplicity_at(sys_, 1.0) == 2
-    # a rotated edge loses its pole at 1, leaving two carriers
-    assert generalized_multiplicity(sys_, (0.0, 0.0, 0.7), math.pi / 2, 1.0) == 1
-
-
-def test_generalized_multiplicity_validates_angles():
-    sys_ = kac_pair()
-    with pytest.raises(ValueError):
-        generalized_multiplicity(sys_, (0.0,), math.pi / 2, 0)
-    with pytest.raises(ValueError):
-        generalized_multiplicity(sys_, (0.0, 0.0), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

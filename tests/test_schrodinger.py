@@ -2,8 +2,7 @@
 
 Closed forms used as oracles (free potential, outer condition at x = L):
 Dirichlet m(z) = -sqrt(z) cot(sqrt(z) L), Neumann m(z) = sqrt(z) tan(sqrt(z) L),
-half line m(z) = i sqrt(z).  The residue of the Dirichlet m at z = k^2 (L = pi)
-is 2k^2/pi, giving measure mass (2k^2/pi)/(1 + k^4) after the 1 + x^2 rescale.
+half line m(z) = i sqrt(z).
 
 weyl_m evaluates free finite edges in closed form and edges with a potential
 by cell transfer matrices (solve_edge).  The slow reference for both is
@@ -28,8 +27,6 @@ from starweyl import (
     Edge,
     cos_sin,
     dirichlet_eigenvalues,
-    edge_to_herglotz,
-    mobius,
     solve_edge,
     weyl_m,
 )
@@ -446,25 +443,3 @@ def test_obtuse_outer_angle_gives_one_negative_pole():
 def test_dirichlet_eigenvalues_need_a_finite_edge():
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(Edge.of("inf"), (0, 1))
-
-
-def test_edge_to_herglotz_extracts_the_known_masses():
-    rep = edge_to_herglotz(Edge.of(math.pi), (0.1, 10))
-    assert rep.a == 0 and rep.b == 0
-    positions = rep.omega.atom_positions()
-    assert len(positions) == 3
-    for pos, k in zip(positions, (1, 2, 3)):
-        assert float(pos) == pytest.approx(k * k, abs=1e-9)
-        mass = float(rep.omega.atom_mass_at(pos))
-        want = (2 * k * k / math.pi) / (1 + k**4)
-        assert mass == pytest.approx(want, rel=1e-6)
-
-
-def test_mobius_applies_the_angle_map_to_an_edge():
-    e = Edge.of(math.pi)
-    alpha = 0.6
-    g = mobius(lambda z: weyl_m(e, z), alpha)
-    z = 1.7 + 0.4j
-    c, s = cos_sin(alpha)
-    m = weyl_m(e, z)
-    assert g.eval(z) == pytest.approx((c * m - s) / (s * m + c))
