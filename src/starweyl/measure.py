@@ -2,8 +2,9 @@
 
 A measure here is a finite list of weighted points plus finitely many
 density pieces, each piece a polynomial that is nonnegative on a bounded
-interval.  Every operation (mass of a window, sum, scaling) is closed-form
-over rationals, so tests can demand equality instead of tolerances.
+interval.  Every operation (mass of a window, sum, scaling, restriction,
+polynomial reweighting) is closed-form over rationals, so tests can demand
+equality instead of tolerances.
 
 Positions, masses and coefficients are stored as `fractions.Fraction`.
 Floats passed in are converted to their exact binary value; two atoms merge
@@ -128,6 +129,20 @@ class Poly:
         a, b = as_fraction(a), as_fraction(b)
         anti = self.antiderivative()
         return anti(b) - anti(a)
+
+    def taylor_at(self, c: NumberLike) -> "Poly":
+        """Coefficients of p(c + h) as a polynomial in h, exactly."""
+        c = as_fraction(c)
+        work = list(self.coeffs)
+        n = len(work)
+        out = []
+        # Repeated synthetic division by (x - c); remainders are the shifted
+        # coefficients in ascending order.
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                work[j] += c * work[j + 1]
+            out.append(work[i])
+        return Poly(out)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -367,6 +382,28 @@ class ScalarMeasure:
             atoms=[(x, c * w) for x, w in self.atoms],
             pieces=[Piece(p.lo, p.hi, p.poly.scaled(c)) for p in self.pieces],
         )
+
+    def times_polynomial(self, poly: Poly) -> "ScalarMeasure":
+        """Reweight by a polynomial that is positive on the support."""
+        atoms = []
+        for x, w in self.atoms:
+            fac = poly(x)
+            if fac < 0:
+                raise ValueError(f"weight polynomial negative at atom {x}")
+            atoms.append((x, w * fac))
+        pieces = [Piece(p.lo, p.hi, p.poly * poly) for p in self.pieces]
+        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
+
+    def restrict(self, X) -> "ScalarMeasure":
+        ivs = _interval_set(X)
+        atoms = [(x, w) for x, w in self.atoms if _in_set(x, ivs)]
+        pieces = []
+        for piece in self.pieces:
+            for a, b in ivs:
+                lo, hi = max(piece.lo, a), min(piece.hi, b)
+                if lo < hi:
+                    pieces.append(Piece(lo, hi, piece.poly))
+        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
 
     # -- serialization ------------------------------------------------------
 
