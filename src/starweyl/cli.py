@@ -6,15 +6,15 @@ A problem file is a single JSON object:
       "task": "eigs" | "weyl" | "classify" | "verify" | "oracle",
       "system": {"edges": [...], "interface": {"type": "standard"}},
       "window": [a, b],
-      "eps0": 0.1,         # optional eps-ladder start (weyl: the offset)
-      "eps_steps": 40,     # optional ladder length
       "grid": 1000,        # optional sampling/oracle resolution
-      "exact": false       # force the rational route
+      "exact": false       # optional: require a purely atomic system
     }
 
-A task rejects an optional key that it never reads (`UNREAD_KEYS`):
-`eps0` and `eps_steps` are read only by `eigs` on a system with a numeric
-entry (and `eps0` by `weyl`), `grid` only by `eigs`, `weyl` and `oracle`.
+The entries choose how the boundary values are read: purely atomic
+systems always take the rational route, and the eps ladder of every
+other system is the one `PastedSystem.default_schedule` picks.  `exact`
+forces nothing; it turns a system with a non-atomic entry into a schema
+error.  `classify` and `verify` reject `grid`, which they never read.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -36,7 +36,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConvergenceError, InternalInvariantError, SchemaError
-from .herglotz import HerglotzRep, geometric_schedule
+from .herglotz import HerglotzRep
 from .measure import ScalarMeasure, as_fraction
 from .pasting import (
     PastedSystem,
@@ -60,15 +60,6 @@ from .spectra import (
 
 TASKS = ("eigs", "weyl", "classify", "verify", "oracle")
 BUILTINS = ("k74", "equilateral3", "kac2")
-# Optional keys that no computation of a task reads (weyl samples at the
-# single offset eps0); `eigs` on a purely atomic system runs no eps ladder.
-UNREAD_KEYS = {
-    "eigs": (),
-    "weyl": ("eps_steps",),
-    "classify": ("eps0", "eps_steps", "grid"),
-    "verify": ("eps0", "eps_steps", "grid"),
-    "oracle": ("eps0", "eps_steps"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +77,6 @@ class ProblemFile:
     task: str
     system: Union[PastedSystem, None]
     window: Tuple[Fraction, Fraction]
-    eps0: Union[float, None] = None
-    eps_steps: Union[int, None] = None
     grid: Union[int, None] = None
     exact: bool = False
 
@@ -95,7 +84,7 @@ class ProblemFile:
     def parse(cls, obj) -> "ProblemFile":
         if not isinstance(obj, dict):
             raise SchemaError("problem file must be a JSON object")
-        allowed = {"task", "system", "window", "eps0", "eps_steps", "grid", "exact"}
+        allowed = {"task", "system", "window", "grid", "exact"}
         extra = set(obj) - allowed
         if extra:
             raise SchemaError(f"unknown problem keys: {sorted(extra)}")
@@ -113,6 +102,9 @@ class ProblemFile:
             lo, hi = as_fraction(window[0]), as_fraction(window[1])
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad window value: {exc}") from exc
+        # The tasks read the window as floats too: 1e400 must not overflow there.
+        if not all(abs(v) <= _sys.float_info.max for v in (lo, hi)):
+            raise SchemaError("window ends must lie within the float range")
         if not lo < hi:
             raise SchemaError("window needs lo < hi")
         system = None
@@ -127,36 +119,17 @@ class ProblemFile:
                 isinstance(e, Edge) and e.is_infinite for e in system.entries):
             raise SchemaError(f"task {task!r} needs finite edges: an infinite edge "
                               "has no discrete decoupled spectrum")
-        eps0 = obj.get("eps0")
-        # The upper bound rejects inf, and ints too large to become a float.
-        if eps0 is not None and not ((_is_int(eps0) or isinstance(eps0, float))
-                                     and 0 < eps0 <= _sys.float_info.max):
-            raise SchemaError("eps0 must be a finite positive number")
-        eps_steps = obj.get("eps_steps")
-        if eps_steps is not None and not (_is_int(eps_steps) and eps_steps >= 2):
-            raise SchemaError("eps_steps must be an integer >= 2")
         grid = obj.get("grid")
         if grid is not None and not (_is_int(grid) and grid >= 1):
             raise SchemaError("grid must be a positive integer")
+        if grid is not None and task in ("classify", "verify"):
+            raise SchemaError(f"task {task!r} reads no grid")
         if task == "oracle" and grid is not None and grid < ORACLE_MIN_GRID:
             raise SchemaError(f"the oracle needs grid >= {ORACLE_MIN_GRID} points per edge")
         exact = obj.get("exact", False)
         if not isinstance(exact, bool):
             raise SchemaError("exact must be a boolean")
-        unread = UNREAD_KEYS[task]
-        if task == "eigs" and system.is_exact_atomic:
-            unread = ("eps0", "eps_steps")
-        ignored = [k for k in unread if obj.get(k) is not None]
-        if ignored:
-            where = " on a purely atomic system" if task == "eigs" else ""
-            raise SchemaError(f"task {task!r} reads no {', '.join(ignored)}{where}")
-        return cls(task, system, (lo, hi),
-                   None if eps0 is None else float(eps0), eps_steps, grid, exact)
-
-    def schedule(self):
-        if self.eps0 is None and self.eps_steps is None:
-            return None
-        return geometric_schedule(self.eps0 or 0.1, self.eps_steps or 40)
+        return cls(task, system, (lo, hi), grid, exact)
 
 
 def builtin_problem(name: str) -> dict:
@@ -212,7 +185,8 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# The offset of the plotted samples Im tr M(x + i eps) above the real axis.
+# The offset above the real axis of the plotted samples Im tr M(x + i eps)
+# and of the `weyl` table.
 PLOT_EPS = 1e-3
 
 
@@ -373,8 +347,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
             raise SchemaError("exact route requested but the system is not purely atomic")
 
         if problem.task == "eigs":
-            eigs = find_point_spectrum(problem.system, problem.window,
-                                       eps_schedule=problem.schedule())
+            eigs = find_point_spectrum(problem.system, problem.window)
             report = SpectralReport(window=problem.window, eigenvalues=tuple(eigs))
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
@@ -393,13 +366,12 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
         elif problem.task == "weyl":
             lo, hi = (float(v) for v in problem.window)
             grid = problem.grid or 50
-            eps = problem.eps0 or 1e-3
             n = problem.system.n
             xs = np.linspace(lo, hi, grid)
 
             def sample(x: float):
-                M = matrix_weyl(problem.system, complex(x, eps))
-                row = [x, eps]
+                M = matrix_weyl(problem.system, complex(x, PLOT_EPS))
+                row = [x, PLOT_EPS]
                 for i in range(n):
                     for j in range(n):
                         row.extend((float(M[i, j].real), float(M[i, j].imag)))
@@ -470,8 +442,6 @@ def main(argv=None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("problem", help=f"problem JSON path or one of {BUILTINS}")
     parser.add_argument("--window", nargs=2, metavar=("LO", "HI"))
-    parser.add_argument("--eps0", type=float)
-    parser.add_argument("--eps-steps", type=int, dest="eps_steps")
     parser.add_argument("--grid", type=int)
     parser.add_argument("--exact", action="store_true", default=None)
     parser.add_argument("--out", default="out")
@@ -483,8 +453,6 @@ def main(argv=None) -> int:
     overrides = {
         "task": args.task,
         "window": list(args.window) if args.window else None,
-        "eps0": args.eps0,
-        "eps_steps": args.eps_steps,
         "grid": args.grid,
         "exact": args.exact,
     }

@@ -27,6 +27,7 @@ from .measure import (
     Poly,
     ScalarMeasure,
     as_fraction,
+    check_keys,
     number_from_json,
     number_to_json,
 )
@@ -262,6 +263,7 @@ class HerglotzRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HerglotzRep":
+        check_keys(obj, "a representation", ("a", "b", "omega"))
         return cls.of(
             number_from_json(obj["a"]),
             number_from_json(obj["b"]),
@@ -289,17 +291,6 @@ class HerglotzFunction:
 
     def density_intervals(self) -> tuple:
         raise ValueError("the density support of a black-box callable entry is unknown")
-
-
-WeylLike = Union[HerglotzRep, HerglotzFunction, Callable[[complex], complex]]
-
-
-def as_callable(h: WeylLike) -> Callable[[complex], complex]:
-    if isinstance(h, ScalarMeasure):
-        return HerglotzRep.from_measure(h)
-    if callable(h):
-        return h
-    raise TypeError(f"cannot evaluate {type(h).__name__} as a Herglotz function")
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +374,23 @@ def point_mass(schedule: Sequence[float], weights: Sequence[float]):
     return (weight if weight > floor else 0.0), settled
 
 
-def atom_weight(h: WeylLike, x0: NumberLike, schedule=None) -> Union[Fraction, float]:
+def atom_weight(h: Union[HerglotzRep, ScalarMeasure, Callable[[complex], complex]],
+                x0: NumberLike, schedule=None) -> Union[Fraction, float]:
     """Mass the representing measure puts on the single point x0.
 
-    For a stored representation this is read off exactly.  For black-box
-    functions (a representation's own ``eval`` included) it is the
-    `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2): 0.0 below its
-    floor, and ConvergenceError when the floor verdict is not settled.
+    For a stored representation or a bare measure this is read off
+    exactly.  For black-box functions (a representation's own ``eval``
+    included) it is the `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2):
+    0.0 below its floor, and ConvergenceError when the floor verdict is not
+    settled.
     """
+    if isinstance(h, ScalarMeasure):
+        h = HerglotzRep.from_measure(h)
     if isinstance(h, HerglotzRep):
         return h.omega.atom_mass_at(x0)
-    f = as_callable(h)
     x = float(x0)
     schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    vals = [eps * f(x + 1j * eps).imag / (1.0 + x * x) for eps in schedule]
+    vals = [eps * h(x + 1j * eps).imag / (1.0 + x * x) for eps in schedule]
     weight, settled = point_mass(schedule, vals)
     if not settled:
         raise ConvergenceError(f"point mass at x={x} did not settle against its floor")

@@ -67,6 +67,20 @@ def number_from_json(v: Union[int, float, str]) -> Fraction:
     raise TypeError(f"expected a JSON number or 'p/q' string, got {type(v).__name__}")
 
 
+def check_keys(obj, what: str, required: Tuple[str, ...],
+               optional: Tuple[str, ...] = ()) -> dict:
+    """``obj`` when it is a JSON object with every ``required`` key and no
+    key outside ``required`` and ``optional``; ValueError otherwise, so a
+    misspelt key is an error rather than a default silently taken."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    missing = [k for k in required if k not in obj]
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if missing or unknown:
+        raise ValueError(f"{what} has missing keys {missing} and unknown keys {unknown}")
+    return obj
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -218,6 +232,7 @@ class Piece:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Piece":
+        check_keys(obj, "a density piece", ("interval", "coeffs"))
         lo, hi = (number_from_json(v) for v in obj["interval"])
         return cls(lo, hi, Poly([number_from_json(c) for c in obj["coeffs"]]))
 
@@ -415,8 +430,7 @@ class ScalarMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScalarMeasure":
-        if not isinstance(obj, dict) or "atoms" not in obj or "pieces" not in obj:
-            raise ValueError("measure JSON needs 'atoms' and 'pieces'")
+        check_keys(obj, "a measure", ("atoms", "pieces"))
         atoms = [(number_from_json(x), number_from_json(w)) for x, w in obj["atoms"]]
         pieces = [Piece.from_json(p) for p in obj["pieces"]]
         return cls.of(atoms=atoms, pieces=pieces)

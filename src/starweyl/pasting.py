@@ -32,7 +32,7 @@ from .herglotz import (
     point_mass,
     richardson,
 )
-from .measure import NumberLike, ScalarMeasure, as_fraction, sum_measures
+from .measure import NumberLike, ScalarMeasure, as_fraction, check_keys, sum_measures
 from .schrodinger import EDGE_SCHEDULE, Edge
 
 RANK_RTOL = 1e-8
@@ -124,6 +124,7 @@ class PastedSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PastedSystem":
+        check_keys(obj, "the system", ("edges",), ("interface",))
         items = []
         for spec in obj["edges"]:
             if "length" in spec:
@@ -135,12 +136,10 @@ class PastedSystem:
             else:
                 raise ValueError(f"unrecognized edge spec with keys {sorted(spec)}")
         iface = obj.get("interface", {"type": "standard"})
-        if not isinstance(iface, dict):
-            raise ValueError(f"the interface must be an object, got {iface!r}")
-        kind = iface.get("type")
-        if kind == "angles":
+        if isinstance(iface, dict) and iface.get("type") == "angles":
             # By design: the pasting is the standard interface condition.
             raise ValueError('interface angles are not supported; use {"type": "standard"}')
+        kind = check_keys(iface, "the interface", ("type",))["type"]
         if kind != "standard":
             raise ValueError(f"unknown interface type {kind!r}")
         return cls.of(items)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .herglotz import cos_sin, geometric_schedule
-from .measure import Poly, as_fraction, number_from_json, number_to_json
+from .measure import Poly, as_fraction, check_keys, number_from_json, number_to_json
 
 # The eps ladder for limits onto the real axis through edges.  The transfer
 # matrices leave a relative error up to ~1e-12 in (u, u') (`_TRANSFER_RTOL`),
@@ -70,6 +70,7 @@ class PotentialPiece:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PotentialPiece":
+        check_keys(obj, "a potential piece", ("interval", "coeffs"))
         lo, hi = (number_from_json(v) for v in obj["interval"])
         return cls(lo, hi, Poly([number_from_json(c) for c in obj["coeffs"]]))
 
@@ -193,13 +194,17 @@ class Edge:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Edge":
+        check_keys(obj, "an edge", ("length",), ("potential", "outer_angle"))
         length = obj["length"]
-        if length == "inf":
-            return cls(None, None, None)
         pot = obj.get("potential", "free")
+        if length == "inf":
+            if pot not in ("free", None) or "outer_angle" in obj:
+                raise ValueError("an infinite edge takes no potential and no outer_angle")
+            return cls(None, None, None)
         if pot == "free" or pot is None:
             pieces = "free"
         else:
+            check_keys(pot, "a potential", ("pieces",))
             pieces = [PotentialPiece.from_json(p) for p in pot["pieces"]]
             pieces = [((p.lo, p.hi), p.poly.coeffs) for p in pieces]
         return cls.of(number_from_json(length), pieces, float(obj.get("outer_angle", 0.0)))

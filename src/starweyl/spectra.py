@@ -224,7 +224,7 @@ def _exact_points(measures: Sequence[ScalarMeasure], window, sum_rep):
     return overlaps, vanished, zeros
 
 
-def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None) -> list:
+def find_point_spectrum(sys: PastedSystem, window) -> list:
     """All eigenvalues of the pasted problem in the window.
 
     Exact route (purely atomic representations): shared atom positions give
@@ -280,7 +280,7 @@ def find_point_spectrum(sys: PastedSystem, window, eps_schedule=None) -> list:
                 results.append(Eigenvalue(float(u), 1, KIRCHHOFF))
 
     for e in results:
-        got = multiplicity_at(sys, e.x, eps_schedule)
+        got = multiplicity_at(sys, e.x)
         if got != e.multiplicity:
             raise InternalInvariantError(
                 f"layer count at {e.x}: counted {e.multiplicity}, rank gave {got}"

@@ -44,20 +44,11 @@ def parse(**kw):
 
 
 def test_parse_happy_path():
-    p = parse(eps0=0.05, eps_steps=10, grid=30, exact=True)
+    p = parse(grid=30, exact=True)
     assert p.task == "eigs"
     assert p.window == (Fraction(-1), Fraction(1))
-    assert p.eps0 == 0.05 and p.eps_steps == 10 and p.grid == 30
+    assert p.grid == 30
     assert p.exact
-    sched = p.schedule()
-    assert len(sched) == 10 and sched[0] == 0.05
-
-
-def test_parse_schedule_defaults():
-    assert parse().schedule() is None
-    sched = parse(eps0=0.2).schedule()
-    assert len(sched) == 40 and sched[0] == 0.2
-    assert len(parse(eps_steps=7).schedule()) == 7
 
 
 @pytest.mark.parametrize(
@@ -72,13 +63,13 @@ def test_parse_schedule_defaults():
         {"window": ["nonsense", 1]},
         {"window": [[0], 1]},
         {"surprise": True},
-        {"eps0": -0.1},
-        {"eps0": "0.1"},
-        {"eps_steps": 1},
-        {"eps_steps": 2.5},
         {"grid": 0},
         {"exact": "yes"},
         {"system": {"edges": "not-a-list"}},
+        {"window": ["-1e400", 1]},
+        {"window": [0, 10**400]},
+        {"task": "classify", "grid": 10},
+        {"exact": 1},
     ],
 )
 def test_parse_rejections(mutation):
@@ -88,8 +79,8 @@ def test_parse_rejections(mutation):
 
 @pytest.mark.parametrize(
     "mutation",
-    [{"eps0": math.inf}, {"eps0": math.nan}, {"eps0": 10**400},
-     {"eps0": True}, {"grid": True}, {"eps_steps": True}],
+    [{"window": [0, math.inf]}, {"window": [math.nan, 1]}, {"window": [0, "1e400"]},
+     {"window": [True, 1]}, {"grid": True}, {"exact": 1}],
 )
 def test_parse_rejects_non_finite_and_boolean_numbers(mutation):
     # JSON `true` is an int to Python and used to pass as 1.
@@ -106,20 +97,30 @@ def test_parse_rejects_non_finite_and_boolean_numbers(mutation):
      ["verify", "kac2", "--eps0", "0.1"], ["verify", "kac2", "--eps-steps", "5"],
      ["verify", "kac2", "--grid", "10"],
      ["eigs", "kac2", "--eps0", "0.1"], ["eigs", "kac2", "--eps-steps", "5"],
+     ["eigs", "equilateral3", "--eps0", "0.1"],
+     ["eigs", "equilateral3", "--eps-steps", "5"],
      ["weyl", "equilateral3", "--eps-steps", "5"]],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_main_rejects_keys_the_task_never_reads(argv, tmp_path, capsys):
     # No computation of the task reads the key: it is rejected, not ignored.
+    # The entries choose the eps ladder, so argparse exits 2 on its flags.
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
-    key = argv[2].lstrip("-").replace("-", "_")
-    assert f"reads no {key}" in capsys.readouterr().err
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    if argv[2] == "--grid":
+        assert "reads no grid" in err
+    else:
+        assert f"unrecognized arguments: {argv[2]} {argv[3]}" in err
     assert not out.exists()
 
 
 def test_parse_keeps_the_keys_a_task_reads():
-    assert parse(eps0=0.2, eps_steps=5, grid=9).grid == 9
-    assert parse(task="weyl", eps0=0.2, grid=9).eps0 == 0.2
+    assert parse(grid=9).grid == 9
+    assert parse(task="weyl", grid=9).grid == 9
     assert parse(task="oracle", grid=200).grid == 200
     kac2 = builtin_problem("kac2")
     assert ProblemFile.parse({**kac2, "grid": 9}).grid == 9
@@ -127,18 +128,60 @@ def test_parse_keeps_the_keys_a_task_reads():
     assert ProblemFile.parse({**kac2, "task": "verify"}).exact
 
 
+@pytest.mark.parametrize("key", ["eps0", "eps_steps"])
+def test_main_reports_eps_ladder_keys_as_unknown(key, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**builtin_problem("equilateral3"), key: 5}))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown problem keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
-    "argv", [["weyl", "kac2", "--grid", "2"], ["eigs", "equilateral3", "--grid", "4"]])
-def test_main_rejects_an_infinite_eps0(argv, tmp_path, capsys):
-    # weyl used to write a table of nan and eigs to exit 4.
-    out = tmp_path / "flag"
-    assert main(argv + ["--eps0", "inf", "--out", str(out)]) == 2
-    assert "eps0 must be a finite positive number" in capsys.readouterr().err
-    assert not out.exists()
-    problem = {**builtin_problem(argv[1]), "task": argv[0], "eps0": math.inf}
-    path = tmp_path / "infinity.json"
-    path.write_text(json.dumps(problem))  # written as the JSON token Infinity
-    assert main([argv[0], str(path), "--out", str(tmp_path / "file")]) == 2
+    "argv", [["eigs", "equilateral3"], ["eigs", "kac2"], ["weyl", "equilateral3"],
+             ["oracle", "equilateral3"]],
+    ids=lambda argv: "-".join(argv))
+@pytest.mark.parametrize("spelling", ['"1e400"', "1e400"], ids=["string", "number"])
+def test_main_rejects_window_ends_beyond_the_float_range(argv, spelling, tmp_path, capsys):
+    # The string spelling used to pass parse and exit 1 with an OverflowError.
+    problem = {**builtin_problem(argv[1]), "task": argv[0]}
+    problem["window"] = [problem["window"][0], "HI"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(problem).replace('"HI"', spelling))
+    assert main([argv[0], str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "schema error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+MEASURE = {"atoms": [[1, 1]], "pieces": []}
+# (misspelt key, system): each used to run with the key silently ignored.
+MISSPELT_SYSTEMS = {
+    "edge": ("outer_angel", {"edges": [{"length": 1, "outer_angel": 1.2}, {"length": 1}]}),
+    "interface": ("angels", {"edges": [MEASURE, MEASURE],
+                             "interface": {"type": "standard", "angels": [0.1, 0.2]}}),
+    "measure": ("mass", {"edges": [{**MEASURE, "mass": 2}, MEASURE]}),
+    "rep": ("slope", {"edges": [{"a": 0, "b": 0, "omega": MEASURE, "slope": 1}, MEASURE]}),
+    "density-piece": ("weight", {"edges": [MEASURE, {"atoms": [], "pieces": [
+        {"interval": [0, 1], "coeffs": [1], "weight": 2}]}]}),
+    "potential": ("pices", {"edges": [{"length": 1, "potential": {"pices": []}},
+                                      {"length": 1}]}),
+    "potential-piece": ("degree", {"edges": [{"length": 1, "potential": {"pieces": [
+        {"interval": [0, 1], "coeffs": [1], "degree": 0}]}}, {"length": 1}]}),
+    "half-line": ("outer_angle", {"edges": [{"length": 1},
+                                            {"length": "inf", "outer_angle": 0.5}]}),
+    "system": ("interfaces", {"edges": [MEASURE, MEASURE],
+                              "interfaces": {"type": "standard"}}),
+}
+
+
+@pytest.mark.parametrize("key, system", MISSPELT_SYSTEMS.values(), ids=MISSPELT_SYSTEMS)
+def test_main_rejects_misspelt_system_keys(key, system, tmp_path, capsys):
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps({"task": "weyl", "window": [0.5, 2], "system": system}))
+    assert main(["weyl", str(path), "--grid", "3", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad system spec" in err and key in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["2", "0"])

@@ -29,7 +29,6 @@ from starweyl import (
     richardson,
     solve_level,
 )
-from starweyl.herglotz import as_callable
 
 from conftest import atomic_reps, upper_half_points
 
@@ -259,8 +258,11 @@ def test_poly_gcd_degree_detects_common_roots():
     assert poly_gcd_degree(p, r) == 0
 
 
-def test_as_callable_accepts_reps_functions_and_lambdas():
+def test_atom_weight_accepts_reps_measures_functions_and_lambdas():
     h = _rep_with_pole_at_third()
-    assert as_callable(h)(1j) == h.eval(1j)
-    assert as_callable(HerglotzFunction(h.eval))(1j) == h.eval(1j)
-    assert as_callable(lambda z: 5j)(1j) == 5j
+    assert atom_weight(h, F(1, 3)) == F(2)
+    # a bare measure is read exactly, not along the eps ladder
+    third = ScalarMeasure.point(F(1, 3), F(1, 3))
+    assert atom_weight(third, F(1, 3)) == third.atom_mass_at(F(1, 3)) == F(1, 3)
+    assert atom_weight(HerglotzFunction(h.eval), F(1, 3)) == pytest.approx(2.0, rel=1e-8)
+    assert atom_weight(lambda z: -5 / z, 0.0) == pytest.approx(5.0, rel=1e-8)

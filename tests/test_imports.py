@@ -1,12 +1,16 @@
 """Cold start: scipy is imported only inside the calls that need it.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests do
-not hide an import.  One test pins the module-level names `brentq` and
-`eigsh` that the benchmark tracer counts calls through; the static checks
-read the sources and pin the scipy surface and the package's export list.
+not hide an import.  Two tests pin what the benchmark tracer
+(`perfbench/spans.py`) patches: the module-level names `brentq` and `eigsh`
+it counts calls through, and every name it lists; the static checks read
+the sources and pin the scipy surface and the package's export list.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -21,6 +25,7 @@ import starweyl.cli as cli
 from starweyl import schrodinger, spectra
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SPANS = SRC.parent / "perfbench" / "spans.py"
 
 SCIPY_LOADED = 'print(any(m.split(".")[0] == "scipy" for m in sys.modules))'
 
@@ -106,6 +111,22 @@ def test_scipy_entry_points_are_called_through_module_globals(tmp_path, monkeypa
                      "--out", str(tmp_path / "oracle")]) == 0
     assert set(calls) == {"starweyl.spectra.brentq", "starweyl.spectra.eigsh",
                           "starweyl.schrodinger.brentq"}
+
+
+def test_every_name_the_tracer_patches_resolves():
+    # The traced benchmark pass patches these by name; tier-1 never runs it.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, attr in spans.FUNCTIONS + spans.FOREIGN:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for _, module, cls_name, attr in spans.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        assert callable(cls.__dict__.get(attr)), (cls_name, attr)
+    module, attr = spans.OMEGA_AT
+    params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+    # the tracer routes on `sys`, and on `exact` as the 4th positional argument
+    assert params[0] == "sys" and params[3] == "exact"
 
 
 # Everything src/starweyl/ may take from scipy.
