@@ -195,14 +195,16 @@ def emit_plot_data(system: PastedSystem, report: SpectralReport,
     """Rows (x, Im tr M(x + i PLOT_EPS), marker) over the report window.
 
     Grid samples carry an empty marker; one extra row per eigenvalue holds
-    its layer count.  Rows are sorted by x, ready to plot.
+    its layer count.  Rows are sorted by x, ready to plot.  All rows come
+    from one `trace_weyl` call on the array of their z, each with the bits
+    of a call at that z alone.
     """
     lo, hi = float(report.window[0]), float(report.window[1])
     xs = [float(v) for v in np.linspace(lo, hi, grid)] if grid > 0 else []
     marks = {float(e.x): e.multiplicity for e in report.eigenvalues}
     xs_all = sorted(set(xs) | set(marks))
-    return [(x, float(trace_weyl(system, x + 1j * PLOT_EPS).imag), marks.get(x, ""))
-            for x in xs_all]
+    traces = trace_weyl(system, np.array(xs_all) + 1j * PLOT_EPS).tolist()
+    return [(x, float(t.imag), marks.get(x, "")) for x, t in zip(xs_all, traces)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +370,13 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
             grid = problem.grid or 50
             n = problem.system.n
             xs = np.linspace(lo, hi, grid)
-
-            def sample(x: float):
-                M = matrix_weyl(problem.system, complex(x, PLOT_EPS))
+            rows = []
+            for x, M in zip(xs.tolist(), matrix_weyl(problem.system, xs + 1j * PLOT_EPS)):
                 row = [x, PLOT_EPS]
                 for i in range(n):
                     for j in range(n):
                         row.extend((float(M[i, j].real), float(M[i, j].imag)))
-                return tuple(row)
-
-            rows = [sample(float(x)) for x in xs]
+                rows.append(tuple(row))
             header = ["x", "eps"]
             for i in range(n):
                 for j in range(n):

@@ -142,6 +142,10 @@ class HerglotzRep:
 
     __call__ = eval
 
+    def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """`eval` at each z of a 1-D array, one call per z."""
+        return np.array([self.eval(z) for z in zs.tolist()], dtype=complex)
+
     # -- real-axis calculus -------------------------------------------------
 
     def eval_real(self, x: NumberLike) -> Union[Fraction, float]:
@@ -281,6 +285,10 @@ class HerglotzFunction:
         return self.fn(z)
 
     __call__ = eval
+
+    def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """`eval` at each z of a 1-D array, one call per z."""
+        return np.array([self.eval(z) for z in zs.tolist()], dtype=complex)
 
     def eval_real(self, x: float) -> float:
         return float(self.fn(float(x)).real)

@@ -86,8 +86,13 @@ class PastedSystem:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry_values(self, z: complex) -> np.ndarray:
-        return np.array([e.eval(z) for e in self.entries], dtype=complex)
+    def entry_values(self, z) -> np.ndarray:
+        """m_l(z) for every entry: shape (n,) at one z, and (len(z), n) for
+        a 1-D numpy array of z, whose row k has the bits of the call at z[k]."""
+        if not isinstance(z, np.ndarray):
+            return np.array([e.eval(z) for e in self.entries], dtype=complex)
+        zs = np.asarray(z, dtype=complex)
+        return np.column_stack([e.eval_many(zs) for e in self.entries])
 
     @property
     def reps(self) -> Union[Tuple[HerglotzRep, ...], None]:
@@ -193,9 +198,19 @@ def _others(ms: list) -> list:
     return [p + s for p, s in zip(before, after)]
 
 
-def matrix_weyl(sys: PastedSystem, z: complex) -> np.ndarray:
-    """The n x n matrix M(z) of the joined problem, entrywise from m_l(z)."""
-    return matrix_from_values(sys.entry_values(z))
+def matrix_weyl(sys: PastedSystem, z) -> np.ndarray:
+    """The n x n matrix M(z) of the joined problem, entrywise from m_l(z).
+
+    z may be a 1-D numpy array: the result then has shape (len(z), n, n), and
+    M[k] has the bits of the call at z[k].  The entries are evaluated once
+    for the whole array (`PastedSystem.entry_values`), so an edge with a
+    potential takes one integration pass.
+    """
+    ms = sys.entry_values(z)
+    if ms.ndim == 1:
+        return matrix_from_values(ms)
+    return np.array([matrix_from_values(row) for row in ms],
+                    dtype=complex).reshape(-1, sys.n, sys.n)
 
 
 def matrix_from_values(ms: np.ndarray) -> np.ndarray:
@@ -221,11 +236,23 @@ def matrix_from_values(ms: np.ndarray) -> np.ndarray:
     return M
 
 
-def trace_weyl(sys: PastedSystem, z: complex) -> complex:
+def trace_weyl(sys: PastedSystem, z):
+    """tr M(z), summed from the entry values like `matrix_weyl`.
+
+    z may be a 1-D numpy array: the result is then a complex array whose entry k
+    has the bits of the call at z[k].
+    """
     ms = sys.entry_values(z)
+    if ms.ndim == 1:
+        return trace_from_values(ms)
+    return np.array([trace_from_values(row) for row in ms], dtype=complex)
+
+
+def trace_from_values(ms: np.ndarray) -> complex:
+    """tr M from the entry values m_1..m_n at one z."""
     m = ms.sum()
     if m == 0:
-        raise ZeroDivisionError(f"sum of interface values vanishes at z={z}")
+        raise ZeroDivisionError("sum of interface values vanishes")
     v = ms.tolist()
     return complex(sum(a * o for a, o in zip(v, _others(v))) / m - 1.0 / m)
 
@@ -354,7 +381,9 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     atomic representation (unless ``exact=False``), the extrapolated
     eps-limit otherwise.  Points the trace measure does not charge come
     back flagged ``trace_vanishing`` with a zero matrix; numerically that
-    is the `point_mass` verdict on eps * Im tr M.
+    is the `point_mass` verdict on eps * Im tr M.  The numeric ladder is one
+    `matrix_weyl` call on the array x + i eps of the whole schedule, with
+    the bits of one call per eps.
     """
     n = sys.n
     if _exact_route(sys, exact):
@@ -382,8 +411,7 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     xf = float(x)
     ratios = []
     weights = []
-    for eps in schedule:
-        M = matrix_weyl(sys, xf + 1j * eps)
+    for eps, M in zip(schedule, matrix_weyl(sys, xf + 1j * np.array(schedule))):
         T = float(np.trace(M).imag)
         if T <= 0:
             raise ConvergenceError(

@@ -14,7 +14,8 @@ integrated from the outer endpoint by products of cell transfer matrices
 (`solve_edge`): the constant-perturbation idea of Ixaru and of MATSLISE in
 the fourth-order Magnus form of Iserles and Norsett, exact on segments
 where q is constant, with one Richardson step between n and 2n cells.  It
-takes an array of z in one pass, which the pole scan uses.
+takes an array of z in one pass, which the pole scan and `weyl_m` on an
+array of z use.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ class Edge:
 
     __call__ = eval
 
+    def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """`weyl_m` on a 1-D array of z: one integration pass with a potential."""
+        return weyl_m(self, zs)
+
     def eval_real(self, x: float) -> float:
         return float(weyl_m(self, x).real)
 
@@ -207,7 +212,12 @@ class Edge:
             check_keys(pot, "a potential", ("pieces",))
             pieces = [PotentialPiece.from_json(p) for p in pot["pieces"]]
             pieces = [((p.lo, p.hi), p.poly.coeffs) for p in pieces]
-        return cls.of(number_from_json(length), pieces, float(obj.get("outer_angle", 0.0)))
+        angle = obj.get("outer_angle", 0.0)
+        # `true` and "0.5" are not angles; the range test is exact for any int
+        is_number = isinstance(angle, (int, float)) and not isinstance(angle, bool)
+        if not (is_number and 0 <= angle < math.pi):
+            raise ValueError(f"outer_angle must be a JSON number in [0, pi), got {angle!r}")
+        return cls.of(number_from_json(length), pieces, float(angle))
 
 
 @dataclass(frozen=True)
@@ -544,7 +554,7 @@ def _boundary_values(edge: Edge, z):
     return solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0).scaled
 
 
-def weyl_m(edge: Edge, z: complex) -> complex:
+def weyl_m(edge: Edge, z):
     """Interface value m(z) = u'(0)/u(0) of the outer-condition solution.
 
     Free finite edges use the closed form of `_free_values`; edges with a
@@ -552,7 +562,29 @@ def weyl_m(edge: Edge, z: complex) -> complex:
     return i sqrt(z) on the branch with positive imaginary part.  Real z is
     allowed for finite edges (the value is then real) except at the
     isolated points where u(0) vanishes.
+
+    z may also be a 1-D numpy array; the result is then a complex array
+    with the bits of the scalar call at each z.  An edge with a potential
+    integrates the whole array in one `solve_edge` pass and finishes each z
+    in Python scalars; any other edge is evaluated one z at a time.
     """
+    if not isinstance(z, np.ndarray):
+        return _weyl_value(edge, z)
+    zs = np.asarray(z, dtype=complex)
+    if edge.potential is None or not zs.size:
+        return np.array([_weyl_value(edge, zv) for zv in zs.tolist()], dtype=complex)
+    su, sdu = _boundary_values(edge, zs)
+    values = []
+    for zv, u, du in zip(zs.tolist(), su.tolist(), sdu.tolist()):
+        # `solve_edge` gives a real z alone a real pair; in a complex batch
+        # the pair carries zero imaginary parts, which complex division
+        # would not treat like the real pair
+        values.append(_ratio(zv, u.real, du.real) if zv.imag == 0 else _ratio(zv, u, du))
+    return np.array(values, dtype=complex)
+
+
+def _weyl_value(edge: Edge, z):
+    """`weyl_m` at one z."""
     zc = complex(z)
     if edge.is_infinite:
         s = cmath.sqrt(zc)
@@ -560,6 +592,10 @@ def weyl_m(edge: Edge, z: complex) -> complex:
             s = -s
         return 1j * s
     u, du = _boundary_values(edge, zc)
+    return _ratio(z, u, du)
+
+
+def _ratio(z: complex, u, du):
     if u == 0:
         raise ZeroDivisionError(f"u(0; z={z}) = 0: z is an outer-decoupled eigenvalue")
     return du / u

@@ -184,6 +184,20 @@ def test_main_rejects_misspelt_system_keys(key, system, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("angle", [True, "0.5", "1/2", 10**400],
+                         ids=["true", "decimal-string", "p/q-string", "huge-int"])
+def test_main_rejects_an_outer_angle_that_is_not_a_number(angle, tmp_path, capsys):
+    # `true` used to run as 1.0 and "0.5" as 0.5, through float(), which
+    # raised OverflowError on the 400-digit integer
+    path = tmp_path / "angle.json"
+    path.write_text(json.dumps({"task": "weyl", "window": [0.5, 2], "system": {
+        "edges": [{"length": 1, "outer_angle": angle}, {"length": 1}]}}))
+    assert main(["weyl", str(path), "--grid", "3", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad system spec" in err and "outer_angle must be a JSON number in [0, pi)" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["2", "0"])
 def test_main_accepts_only_one_job(jobs, tmp_path, capsys):
     out = tmp_path / "out"

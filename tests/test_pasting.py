@@ -41,6 +41,7 @@ from starweyl import (
     trace_weyl,
 )
 from starweyl import pasting
+from starweyl.herglotz import cos_sin
 from starweyl.schrodinger import dirichlet_eigenvalues, weyl_m
 
 from conftest import atomic_reps, upper_half_points
@@ -108,6 +109,10 @@ def test_entries_answer_one_protocol():
     fn = HerglotzFunction(rep.eval)
     assert fn.eval(z) == fn(z) == rep.eval(z)
     assert HerglotzFunction(edge).eval_real(2.5) == edge.eval_real(2.5)
+
+    zs = np.array([z, 2.0 + 1.0j])
+    for entry in (edge, rep, fn):
+        assert entry.eval_many(zs).tolist() == [entry.eval(v) for v in zs.tolist()]
     with pytest.raises(ValueError, match="poles of a black-box"):
         fn.poles((0, 1))
     with pytest.raises(ValueError, match="density support"):
@@ -210,6 +215,91 @@ def test_trace_weyl_equals_the_matrix_trace():
                             ScalarMeasure.point(5, 1)])
     z = 0.3 + 0.9j
     assert trace_weyl(sys_, z) == pytest.approx(complex(np.trace(matrix_weyl(sys_, z))))
+
+
+# One entry of each kind: a potential with a jump at x = 1, free Dirichlet,
+# Neumann and angle-1.1 edges, a free half-line and an atomic representation.
+_MIXED_ENTRIES = (
+    Edge.of(2, [((0, 1), (1, 2)), ((1, 2), (5,))], 0.7),
+    Edge.of(1),
+    Edge.of(F(3, 2), "free", math.pi / 2),
+    Edge.of(2, "free", 1.1),
+    Edge.of("inf"),
+    HerglotzRep.of(0, 1, ScalarMeasure.of(atoms=[(1, 1), (4, F(1, 2))])),
+)
+# The poles of those entries in (-1, 30), to 4 places, for points drawn
+# next to them.
+_MIXED_POLES = (5.4055, 10.2209, 20.2588, 9.8696, 1.0966, 27.4156, 1.035, 6.0431,
+                15.9235, 1.0, 4.0)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.uint64).tolist()
+
+
+def _assert_batch_has_scalar_bits(sys_, zs):
+    M, tr = matrix_weyl(sys_, np.array(zs)), trace_weyl(sys_, np.array(zs))
+    assert M.shape == (len(zs), sys_.n, sys_.n) and tr.shape == (len(zs),)
+    edges = [e for e in sys_.entries if isinstance(e, Edge)]
+    columns = [weyl_m(e, np.array(zs)) for e in edges]
+    for k, z in enumerate(zs):
+        assert _bits(M[k]) == _bits(matrix_weyl(sys_, z))
+        assert _bits(tr[k]) == _bits(trace_weyl(sys_, z))
+        for e, column in zip(edges, columns):
+            assert _bits(column[k]) == _bits(weyl_m(e, z))
+
+
+@st.composite
+def _mixed_batches(draw):
+    picks = draw(st.lists(st.sampled_from(range(len(_MIXED_ENTRIES))),
+                          min_size=2, max_size=4, unique=True))
+    near = st.builds(lambda p, dx: p + dx, st.sampled_from(_MIXED_POLES),
+                     st.floats(-1e-3, 1e-3))
+    x = st.one_of(near, st.floats(-5, 30))
+    z = st.builds(complex, x, st.floats(1e-7, 3.0))
+    zs = draw(st.lists(z, min_size=1, max_size=6))
+    return PastedSystem.of([_MIXED_ENTRIES[i] for i in sorted(picks)]), zs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_batches())
+def test_batched_values_have_the_bits_of_single_calls(batch):
+    _assert_batch_has_scalar_bits(*batch)
+
+
+def test_a_refined_z_keeps_its_bits_next_to_an_easy_one():
+    # at 600 + 20i the steep well takes more than the first 128 cells
+    steep = Edge.of(3, [((0, 3), (0, 0, 60))])
+    _assert_batch_has_scalar_bits(PastedSystem.of([steep, _MIXED_ENTRIES[0]]),
+                                  [1.0 + 1.0j, 600.0 + 20.0j])
+
+
+def test_batched_real_values_have_the_bits_of_single_calls():
+    # real z alone gives real floats; in a batch with complex z it must too
+    for zs in ([0.5, 3.0, 9.9], [0.5, 3.0 + 0.1j, 9.9, -2.0]):
+        for e in _MIXED_ENTRIES[:5]:
+            column = weyl_m(e, np.array(zs))
+            assert [_bits(v) for v in column] == [_bits(weyl_m(e, z)) for z in zs]
+
+
+def test_a_batch_raises_where_u_vanishes_at_a_real_z():
+    # on q = 2 the cell at z = 2 is exactly [[1, -1], [0, 1]], so u(0) = s + c
+    # with (c, s) = cos_sin(beta), which gives the pi/4 family equal magnitudes
+    beta = 3 * math.pi / 4
+    c, s = cos_sin(beta)
+    assert s + c == 0.0
+    edge = Edge.of(1, [((0, 1), (2,))], beta)
+    with pytest.raises(ZeroDivisionError):
+        weyl_m(edge, 2.0)
+    for zs in ([2.0, 3.0], [1.0 + 1.0j, 2.0]):
+        with pytest.raises(ZeroDivisionError):
+            weyl_m(edge, np.array(zs))
+
+
+def test_empty_batches_give_empty_arrays():
+    sys_ = PastedSystem.of(_MIXED_ENTRIES[:2])
+    assert matrix_weyl(sys_, np.array([])).shape == (0, 2, 2)
+    assert trace_weyl(sys_, np.array([])).shape == (0,)
 
 
 def test_symmetric_system_trace_reduction():

@@ -46,8 +46,8 @@ from starweyl import (
     multiplicity_at,
     verify_kac,
 )
-from starweyl import pasting, spectra
-from starweyl.cli import ProblemFile, builtin_problem
+from starweyl import pasting, schrodinger, spectra
+from starweyl.cli import ProblemFile, builtin_problem, emit_plot_data, main
 from starweyl.spectra import _nodal_potential
 
 OVERLAP = "overlap"
@@ -195,24 +195,58 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_numeric_cross_check_runs_one_omega_ladder_per_eigenvalue(monkeypatch):
+    # each ladder evaluates M at all its eps in one `matrix_weyl` call
     problem = ProblemFile.parse(builtin_problem("equilateral3"))
-    steps = len(problem.system.default_schedule())
     calls = _count_calls(monkeypatch, "trace_weyl", "matrix_weyl")
     eigs = find_point_spectrum(problem.system, problem.window)
     assert len(eigs) == 6
-    assert calls == {"trace_weyl": 0, "matrix_weyl": steps * len(eigs)}
+    assert calls == {"trace_weyl": 0, "matrix_weyl": len(eigs)}
 
 
 def test_numeric_cross_check_rejects_a_point_without_mass(monkeypatch):
     # A bracket midpoint stands in for the zero: a regular point, off the spectrum.
     problem = ProblemFile.parse(builtin_problem("equilateral3"))
-    steps = len(problem.system.default_schedule())
     monkeypatch.setattr(spectra, "brentq", lambda f, a, b, **kwargs: 0.5 * (a + b))
     calls = _count_calls(monkeypatch, "trace_weyl", "matrix_weyl")
     with pytest.raises(InternalInvariantError, match="counted 1, rank gave 0"):
         find_point_spectrum(problem.system, problem.window)
     # Three overlaps pass, then the first spurious zero fails on its own ladder.
-    assert calls == {"trace_weyl": 0, "matrix_weyl": 4 * steps}
+    assert calls == {"trace_weyl": 0, "matrix_weyl": 4}
+
+
+def test_every_z_grid_integrates_each_potential_edge_once(monkeypatch, tmp_path):
+    # the omega ladder, the plot rows and the `weyl` table each pass their
+    # whole grid to every edge with a potential in one `solve_edge` call;
+    # the free edge takes its closed form
+    star = PastedSystem.of([
+        Edge.of(2, [((0, 1), (1, 2)), ((1, 2), (5,))], 0.7),
+        Edge.of(2, [((0, 1), (0, 0, 3))]),
+        Edge.of(Fraction(3, 2)),
+    ])
+    calls = []
+    original = schrodinger.solve_edge
+
+    def counted(edge, z, *args, **kwargs):
+        calls.append((edge, len(z)))
+        return original(edge, z, *args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "solve_edge", counted)
+    steps = len(star.default_schedule())
+    pasting.omega_at(star, 3.0, exact=False)
+    assert calls == [(star.entries[0], steps), (star.entries[1], steps)]
+
+    calls.clear()
+    report = SpectralReport(window=(Fraction(1), Fraction(10)),
+                            eigenvalues=(Eigenvalue(3.0, 1, "kirchhoff-zero"),))
+    assert len(emit_plot_data(star, report, grid=20)) == 21
+    assert calls == [(star.entries[0], 21), (star.entries[1], 21)]
+
+    calls.clear()
+    problem = tmp_path / "star.json"
+    problem.write_text(json.dumps({"task": "weyl", "system": star.to_json(),
+                                   "window": [1, 10], "grid": 12}))
+    assert main(["weyl", str(problem), "--out", str(tmp_path / "out")]) == 0
+    assert [len_z for _edge, len_z in calls] == [12, 12]
 
 
 def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
