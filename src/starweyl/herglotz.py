@@ -6,7 +6,7 @@ as the triple (a, b, omega): a real offset, a nonnegative slope, and a finite
 atomic representations support an exact real-axis calculus (poles, zeros,
 residues, level sets) with rational arithmetic; density pieces evaluate
 through closed-form logarithms.  Black-box functions are read on the real
-axis along a decreasing schedule of imaginary offsets: `richardson`
+axis along a geometric ladder of imaginary offsets: `richardson`
 extrapolates the samples and `point_mass` decides whether an atom sits at x.
 """
 
@@ -316,9 +316,7 @@ def geometric_schedule(eps0: float = 0.1, steps: int = 40, ratio: float = 0.5):
 DEFAULT_SCHEDULE = geometric_schedule()
 
 
-# Relative error assumed of each sample handed to `richardson`, and the
-# number of trailing samples it extrapolates from.
-_SAMPLE_RTOL = 1e-8
+# The number of trailing samples `richardson` extrapolates from.
 _TAIL = 8
 
 
@@ -327,19 +325,16 @@ def _size(v) -> float:
 
 
 def richardson(eps: Sequence[float], vals: Sequence):
-    """Accelerated limit of vals as eps -> 0.
+    """Accelerated limit of vals as eps -> 0 along a geometric schedule.
 
     The samples are scalars or equally shaped arrays.  Neville's recursion
     evaluates at eps = 0 the polynomials in eps through ever more of the
-    last ``_TAIL`` samples, eliminating one power of eps per stage; on a
-    geometric schedule its stage-m factor is r**m.  Real samples stay real.
-    Returns the accelerated value together with a crude error estimate:
-    on a geometric schedule the change produced by the last stage.  On any
-    other schedule one stage across a wide gap can agree by accident and
-    clustered offsets amplify sample errors without bound, so the estimate
-    is the largest of the last two changes and of a relative sample error
-    ``_SAMPLE_RTOL`` carried through the stages.  Raises ConvergenceError
-    when two offsets are too close for their ratio to differ from 1.
+    last ``_TAIL`` samples, eliminating one power of eps per stage; with
+    the schedule's ratio r > 1 between neighbouring offsets the stage-m
+    factor is r**m.  Real samples stay real.  Returns the accelerated value
+    together with a crude error estimate: the change produced by the last
+    stage.  Raises ValueError unless the offsets decrease geometrically,
+    as `geometric_schedule` makes them.
     """
     k = min(_TAIL, len(vals))
     if k == 0:
@@ -349,21 +344,13 @@ def richardson(eps: Sequence[float], vals: Sequence):
     e = [float(v) for v in eps[-k:]]
     v = list(vals[-k:])
     r = e[0] / e[1]
-    geometric = all(abs(e[i] / e[i + 1] - r) <= 1e-9 * r for i in range(len(e) - 1))
-    changes = []
-    bound = None if geometric else [abs(x) for x in v]
+    if not (r > 1.0 and all(abs(e[i] / e[i + 1] - r) <= 1e-9 * r for i in range(k - 1))):
+        raise ValueError(f"eps offsets {e} do not decrease geometrically")
     for m in range(1, k):
-        qs = [r**m] * (k - m) if geometric else [e[i] / e[i + m] for i in range(k - m)]
-        if 1.0 in qs:
-            raise ConvergenceError(f"eps offsets {e} are too close to extrapolate")
+        q = r**m
         diag = v[-1]
-        v = [(q * v[i + 1] - v[i]) / (q - 1.0) for i, q in enumerate(qs)]
-        changes.append(_size(v[-1] - diag))
-        if bound is not None:
-            bound = [(q * bound[i + 1] + bound[i]) / (q - 1.0) for i, q in enumerate(qs)]
-    if geometric:
-        return v[-1], changes[-1]
-    return v[-1], max(changes[-2:] + [_SAMPLE_RTOL * _size(bound[-1])])
+        v = [(q * v[i + 1] - v[i]) / (q - 1.0) for i in range(k - m)]
+    return v[-1], _size(v[-1] - diag)
 
 
 def point_mass(schedule: Sequence[float], weights: Sequence[float]):
@@ -383,23 +370,22 @@ def point_mass(schedule: Sequence[float], weights: Sequence[float]):
 
 
 def atom_weight(h: Union[HerglotzRep, ScalarMeasure, Callable[[complex], complex]],
-                x0: NumberLike, schedule=None) -> Union[Fraction, float]:
+                x0: NumberLike) -> Union[Fraction, float]:
     """Mass the representing measure puts on the single point x0.
 
     For a stored representation or a bare measure this is read off
     exactly.  For black-box functions (a representation's own ``eval``
-    included) it is the `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2):
-    0.0 below its floor, and ConvergenceError when the floor verdict is not
-    settled.
+    included) it is the `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2)
+    on `DEFAULT_SCHEDULE`: 0.0 below its floor, and ConvergenceError when
+    the floor verdict is not settled.
     """
     if isinstance(h, ScalarMeasure):
         h = HerglotzRep.from_measure(h)
     if isinstance(h, HerglotzRep):
         return h.omega.atom_mass_at(x0)
     x = float(x0)
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    vals = [eps * h(x + 1j * eps).imag / (1.0 + x * x) for eps in schedule]
-    weight, settled = point_mass(schedule, vals)
+    vals = [eps * h(x + 1j * eps).imag / (1.0 + x * x) for eps in DEFAULT_SCHEDULE]
+    weight, settled = point_mass(DEFAULT_SCHEDULE, vals)
     if not settled:
         raise ConvergenceError(f"point mass at x={x} did not settle against its floor")
     return float(weight)

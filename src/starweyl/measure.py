@@ -2,9 +2,8 @@
 
 A measure here is a finite list of weighted points plus finitely many
 density pieces, each piece a polynomial that is nonnegative on a bounded
-interval.  Every operation (mass of a window, sum, scaling, restriction,
-polynomial reweighting) is closed-form over rationals, so tests can demand
-equality instead of tolerances.
+interval.  Every operation (mass of a window, sum, scaling) is closed-form
+over rationals, so tests can demand equality instead of tolerances.
 
 Positions, masses and coefficients are stored as `fractions.Fraction`.
 Floats passed in are converted to their exact binary value; two atoms merge
@@ -14,6 +13,7 @@ only when their positions compare equal as rationals.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,10 +61,19 @@ def number_to_json(x: Fraction) -> Union[int, float, str]:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Every number read from JSON is also used as a float, so it must not
+# overflow one.  Compared as integers: `number_from_json` runs once per atom.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 def number_from_json(v: Union[int, float, str]) -> Fraction:
-    if isinstance(v, (int, float, str)):
-        return as_fraction(v)
-    raise TypeError(f"expected a JSON number or 'p/q' string, got {type(v).__name__}")
+    """The exact value of a JSON number or numeric string, within the float range."""
+    if not isinstance(v, (int, float, str)):
+        raise TypeError(f"expected a JSON number or 'p/q' string, got {type(v).__name__}")
+    x = as_fraction(v)
+    if abs(x.numerator) > _FLOAT_MAX * x.denominator:
+        raise ValueError(f"{v!r} lies beyond the float range")
+    return x
 
 
 def check_keys(obj, what: str, required: Tuple[str, ...],
@@ -143,20 +152,6 @@ class Poly:
         a, b = as_fraction(a), as_fraction(b)
         anti = self.antiderivative()
         return anti(b) - anti(a)
-
-    def taylor_at(self, c: NumberLike) -> "Poly":
-        """Coefficients of p(c + h) as a polynomial in h, exactly."""
-        c = as_fraction(c)
-        work = list(self.coeffs)
-        n = len(work)
-        out = []
-        # Repeated synthetic division by (x - c); remainders are the shifted
-        # coefficients in ascending order.
-        for i in range(n):
-            for j in range(n - 2, i - 1, -1):
-                work[j] += c * work[j + 1]
-            out.append(work[i])
-        return Poly(out)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -397,28 +392,6 @@ class ScalarMeasure:
             atoms=[(x, c * w) for x, w in self.atoms],
             pieces=[Piece(p.lo, p.hi, p.poly.scaled(c)) for p in self.pieces],
         )
-
-    def times_polynomial(self, poly: Poly) -> "ScalarMeasure":
-        """Reweight by a polynomial that is positive on the support."""
-        atoms = []
-        for x, w in self.atoms:
-            fac = poly(x)
-            if fac < 0:
-                raise ValueError(f"weight polynomial negative at atom {x}")
-            atoms.append((x, w * fac))
-        pieces = [Piece(p.lo, p.hi, p.poly * poly) for p in self.pieces]
-        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
-
-    def restrict(self, X) -> "ScalarMeasure":
-        ivs = _interval_set(X)
-        atoms = [(x, w) for x, w in self.atoms if _in_set(x, ivs)]
-        pieces = []
-        for piece in self.pieces:
-            for a, b in ivs:
-                lo, hi = max(piece.lo, a), min(piece.hi, b)
-                if lo < hi:
-                    pieces.append(Piece(lo, hi, piece.poly))
-        return ScalarMeasure.of(atoms=atoms, pieces=pieces)
 
     # -- serialization ------------------------------------------------------
 

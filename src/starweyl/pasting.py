@@ -10,8 +10,9 @@ counts spectral layers at a point.
 Two computation routes coexist on purpose.  For purely atomic rational
 data, residue matrices of M at a point come out in exact Fraction
 arithmetic.  For black-box inputs the same objects are extrapolated from
-Im M(x + i eps) / Im tr M(x + i eps) along a shrinking schedule.  The tests
-play the routes against each other.
+Im M(x + i eps) / Im tr M(x + i eps) along the system's geometric eps
+ladder (`PastedSystem.default_schedule`).  The tests play the routes
+against each other.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class PastedSystem:
         return HerglotzRep(a, b, sum_measures(r.omega for r in reps))
 
     def default_schedule(self):
+        """The eps ladder of the numeric route: `EDGE_SCHEDULE` when an entry
+        is an edge, `DEFAULT_SCHEDULE` otherwise.  Both halve at each step."""
         return EDGE_SCHEDULE if self.has_edges else DEFAULT_SCHEDULE
 
     def to_json(self) -> dict:
@@ -373,7 +376,7 @@ def _exact_route(sys: PastedSystem, exact: Union[bool, None]) -> bool:
     return exact
 
 
-def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
+def omega_at(sys: PastedSystem, x: NumberLike, *,
              exact: Union[bool, None] = None) -> OmegaMatrix:
     """Sample of Im M / Im tr M in the limit onto the real point x.
 
@@ -381,9 +384,9 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     atomic representation (unless ``exact=False``), the extrapolated
     eps-limit otherwise.  Points the trace measure does not charge come
     back flagged ``trace_vanishing`` with a zero matrix; numerically that
-    is the `point_mass` verdict on eps * Im tr M.  The numeric ladder is one
-    `matrix_weyl` call on the array x + i eps of the whole schedule, with
-    the bits of one call per eps.
+    is the `point_mass` verdict on eps * Im tr M.  The numeric ladder is the
+    system's `default_schedule`, read in one `matrix_weyl` call on the array
+    x + i eps, with the bits of one call per eps.
     """
     n = sys.n
     if _exact_route(sys, exact):
@@ -407,7 +410,7 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
             return rank_one_limit_matrix([r.eval_real(xf) for r in reps[:-1]])
         return _finalize_omega(np.zeros((n, n)), True, True, True, exact_rank=0)
 
-    schedule = tuple(eps_schedule or sys.default_schedule())
+    schedule = sys.default_schedule()
     xf = float(x)
     ratios = []
     weights = []
@@ -429,7 +432,7 @@ def omega_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
     return _finalize_omega(limit, False, converged, False, err=err)
 
 
-def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
+def multiplicity_at(sys: PastedSystem, x: NumberLike, *,
                     exact: Union[bool, None] = None) -> int:
     """Number of spectral layers at x: the rank of the omega sample there.
 
@@ -445,7 +448,7 @@ def multiplicity_at(sys: PastedSystem, x: NumberLike, eps_schedule=None,
         if hit is not None:
             return exact_rank(hit[1])
         return int(_kirchhoff_zero(sys.reps, xf))
-    om = omega_at(sys, x, eps_schedule=eps_schedule, exact=False)
+    om = omega_at(sys, x, exact=False)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")
     return om.rank

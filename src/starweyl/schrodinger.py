@@ -104,6 +104,8 @@ class Edge:
             raise TypeError("length must be a Fraction or None; use Edge.of")
         if self.length <= 0:
             raise ValueError(f"edge length must be positive, got {self.length}")
+        if float(self.length) == 0.0:
+            raise ValueError("edge length is positive but rounds to 0.0 as a float")
         if self.outer_angle is None:
             raise ValueError("finite edges need an outer angle in [0, pi)")
         if not (0.0 <= self.outer_angle < math.pi):
@@ -211,7 +213,6 @@ class Edge:
         else:
             check_keys(pot, "a potential", ("pieces",))
             pieces = [PotentialPiece.from_json(p) for p in pot["pieces"]]
-            pieces = [((p.lo, p.hi), p.poly.coeffs) for p in pieces]
         angle = obj.get("outer_angle", 0.0)
         # `true` and "0.5" are not angles; the range test is exact for any int
         is_number = isinstance(angle, (int, float)) and not isinstance(angle, bool)
@@ -637,6 +638,19 @@ def _free_poles(edge: Edge, lo: float, hi: float) -> Union[list, None]:
     return poles
 
 
+# The most scan points one edge's pole search takes, about ten per pole.  The
+# scan holds every point and its secular value: 10^5 points take about 1.4 s
+# and 85 MB on a free edge with a general outer angle, and an edge with a
+# potential integrates each.  The windows of the tests and the benchmark take
+# fewer than 100.  A wider window is refused instead of running away.
+_MAX_SCAN_POINTS = 10**5
+
+
+def _s_of(zv: float) -> float:
+    """s = sign(z) sqrt|z|, the scan variable of `dirichlet_eigenvalues`."""
+    return math.copysign(math.sqrt(abs(zv)), zv)
+
+
 def dirichlet_eigenvalues(edge: Edge, window) -> list:
     """All real z in the window where the outer-condition solution vanishes
     at the interface (the poles of m, i.e. the decoupled eigenvalues).
@@ -647,26 +661,30 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     every sign change; for z < 0 the function is monotone in practice and
     the same step is more than enough.  The scan grid goes through the
     edge in one array call; `brentq` refines each sign change one z at a
-    time, on the same bits.
+    time, on the same bits.  A window that needs more than
+    `_MAX_SCAN_POINTS` scan points raises ConvergenceError on either route.
     """
     if edge.is_infinite:
         raise ValueError("infinite edges have no discrete decoupled spectrum")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must have positive length")
+    L = float(edge.length)
+    # the scan's point count, before either route enumerates anything; it
+    # may overflow to inf, so it is not divided by the step
+    points = (_s_of(hi) - _s_of(lo)) * (10.0 * L / math.pi)
+    if not points <= _MAX_SCAN_POINTS:
+        raise ConvergenceError(
+            f"the window ({lo}, {hi}) needs {points:.3g} scan points on an edge of "
+            f"length {L}, more than the {_MAX_SCAN_POINTS} that are enumerated")
     poles = _free_poles(edge, lo, hi)
     if poles is not None:
         return poles
-    L = float(edge.length)
-
-    def s_of(zv: float) -> float:
-        return math.copysign(math.sqrt(abs(zv)), zv)
-
     step = math.pi / (10.0 * L)
     # Window endpoints sitting exactly on an eigenvalue would break the
     # sign-change logic; nudge them inward (they are boundary cases anyway).
     for _ in range(8):
-        s_lo, s_hi = s_of(lo), s_of(hi)
+        s_lo, s_hi = _s_of(lo), _s_of(hi)
         count = max(2, int(math.ceil((s_hi - s_lo) / step)) + 1)
         zs = [s * abs(s) for s in np.linspace(s_lo, s_hi, count)]
         at_lo, at_hi, *vals = _interface_values(edge, [lo, hi, *zs])

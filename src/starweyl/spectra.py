@@ -625,44 +625,34 @@ def _shifted(atoms, shifts) -> ScalarMeasure:
     return ScalarMeasure.of(atoms=out)
 
 
-def build_example_k74(window=(0, 8), atoms_per_unit: int = 6):
-    """Four measures whose joined spectrum shows every multiplicity jump.
+def build_example_k74():
+    """Four measures on [0, 8] whose joined spectrum shows every multiplicity jump.
 
-    Two mutually singular families of unit atom grids stand in for the
-    singular parts; integer shifts place copies on the intervals encoded
-    in each measure.  All four share one smooth density supported from
-    4.5 up to the window top, so the absolutely continuous layer count is
-    the full 4 there.  Expected singular layer counts by region:
+    Two mutually singular families of unit atom grids, six atoms per unit,
+    stand in for the singular parts; integer shifts place copies on the
+    intervals encoded in each measure.  All four share one smooth density
+    supported on [4.5, 8], so the absolutely continuous layer count is the
+    full 4 there.  Expected singular layer counts by region:
     (2,3) -> 1, (3,4) -> 2, (4,5) -> 1, (5,6) -> 1, (6,7) -> 3.
     """
-    wlo, whi = as_fraction(window[0]), as_fraction(window[1])
-    if wlo > 0 or whi < 8:
-        raise ValueError("the example needs a window containing [0, 8]")
-    k = int(atoms_per_unit)
-    if k < 1:
-        raise ValueError("need at least one atom per unit interval")
+    k = 6
     lam1 = _unit_grid(Fraction(0), k)
     lam2 = _unit_grid(Fraction(1, 4 * k), k)
-
-    def shifts(n, m):
-        return range(n, m)
-
-    density_lo = Fraction(9, 2)
-    density = _power_density(density_lo, whi)
+    density = _power_density(Fraction(9, 2), Fraction(8))
 
     mu1 = (
-        _shifted(lam1, shifts(2, 3))
-        + _shifted(lam1, shifts(4, 5))
-        + _shifted(lam2, shifts(3, 4))
-        + _shifted(lam2, shifts(6, 7))
+        _shifted(lam1, range(2, 3))
+        + _shifted(lam1, range(4, 5))
+        + _shifted(lam2, range(3, 4))
+        + _shifted(lam2, range(6, 7))
         + density
     )
-    mu2 = _shifted(lam1, shifts(2, 6)) + _shifted(lam2, shifts(6, 7)) + density
-    mu3 = _shifted(lam2, shifts(0, 7)) + density
+    mu2 = _shifted(lam1, range(2, 6)) + _shifted(lam2, range(6, 7)) + density
+    mu3 = _shifted(lam2, range(0, 7)) + density
     mu4 = (
-        _shifted(lam1, shifts(0, 1))
-        + _shifted(lam1, shifts(7, 8))
-        + _shifted(lam2, shifts(3, 8))
+        _shifted(lam1, range(0, 1))
+        + _shifted(lam1, range(7, 8))
+        + _shifted(lam2, range(3, 8))
         + density
     )
     return mu1, mu2, mu3, mu4

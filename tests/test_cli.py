@@ -29,6 +29,7 @@ from starweyl.cli import (
 
 
 DATA = Path(__file__).parent / "data"
+MEASURE = {"atoms": [[1, 1]], "pieces": []}
 
 
 def parse(**kw):
@@ -70,6 +71,14 @@ def test_parse_happy_path():
         {"window": [0, 10**400]},
         {"task": "classify", "grid": 10},
         {"exact": 1},
+        # numbers whose float is 0 where a length must be positive, or that
+        # overflow a float
+        {"system": {"edges": [{"length": "1e-400"}, {"length": 1}]}},
+        {"system": {"edges": [{"length": "1e400"}, {"length": 1}]}},
+        {"system": {"edges": [{"length": 1, "potential": {"pieces": [
+            {"interval": [0, 1], "coeffs": ["1e400"]}]}}, {"length": 1}]}},
+        {"system": {"edges": [{"atoms": [["1e400", 1]], "pieces": []}, MEASURE]}},
+        {"system": {"edges": [{"atoms": [[0, "1e400"]], "pieces": []}, MEASURE]}},
     ],
 )
 def test_parse_rejections(mutation):
@@ -153,7 +162,6 @@ def test_main_rejects_window_ends_beyond_the_float_range(argv, spelling, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-MEASURE = {"atoms": [[1, 1]], "pieces": []}
 # (misspelt key, system): each used to run with the key silently ignored.
 MISSPELT_SYSTEMS = {
     "edge": ("outer_angel", {"edges": [{"length": 1, "outer_angel": 1.2}, {"length": 1}]}),
@@ -523,6 +531,16 @@ def test_main_rejects_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["eigs", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_main_refuses_a_window_too_wide_to_scan(tmp_path):
+    # The closed-form pole list of each edge used to grow without bound.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "task": "eigs", "window": ["-1e300", "1e300"],
+        "system": {"edges": [{"length": 1}, {"length": 2}, {"length": 3}]}}))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "scan points" in (tmp_path / "out" / "error.json").read_text()
 
 
 def test_main_maps_nonconvergence_to_exit_3(tmp_path, monkeypatch):

@@ -153,8 +153,14 @@ def test_richardson_on_arrays_repeats_the_scalar_elimination_bit_for_bit():
     assert err < 1e-10
 
 
-def test_richardson_fit_keeps_real_samples_real():
+def test_richardson_rejects_a_schedule_that_is_not_geometric():
     eps = [0.1, 0.05, 0.02, 0.01, 0.004, 0.001]
+    with pytest.raises(ValueError, match="geometrically"):
+        richardson(eps, [2.0 - e for e in eps])
+
+
+def test_richardson_fit_keeps_real_samples_real():
+    eps = geometric_schedule(0.1, 6)
     limit, err = richardson(eps, [2.0 - e + 3.0 * e * e for e in eps])
     assert isinstance(limit, float) and isinstance(err, float)
     assert limit == pytest.approx(2.0, abs=1e-12)

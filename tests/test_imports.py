@@ -124,9 +124,10 @@ def test_every_name_the_tracer_patches_resolves():
         cls = getattr(importlib.import_module(module), cls_name)
         assert callable(cls.__dict__.get(attr)), (cls_name, attr)
     module, attr = spans.OMEGA_AT
-    params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
-    # the tracer routes on `sys`, and on `exact` as the 4th positional argument
-    assert params[0] == "sys" and params[3] == "exact"
+    params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+    # the tracer routes on `sys`, and on `exact`, which can only come as a keyword
+    assert list(params)[0] == "sys"
+    assert params["exact"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 # Everything src/starweyl/ may take from scipy.

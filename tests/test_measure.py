@@ -1,4 +1,4 @@
-"""Measure layer: exact arithmetic, masses, sums, restriction, JSON."""
+"""Measure layer: exact arithmetic, masses, sums, scaling, JSON."""
 
 from fractions import Fraction as F
 
@@ -37,13 +37,6 @@ def test_poly_evaluation_is_exact_on_fractions():
     assert p(F(1, 2)) == F(3, 4)
     assert p.derivative()(F(1, 2)) == F(1)
     assert p.integrate(F(0), F(1)) == F(1) - F(1) + F(1)
-
-
-def test_poly_taylor_recentering_preserves_values():
-    p = Poly([F(2), F(0), F(1), F(-1)])
-    q = p.taylor_at(F(3, 2))
-    for x in (F(0), F(1), F(-5, 2)):
-        assert q(x - F(3, 2)) == p(x)
 
 
 def test_poly_min_on_finds_interior_dips():
@@ -108,20 +101,6 @@ def test_addition_is_mass_additive(a, b):
 @given(atomic_measures())
 def test_json_round_trip_is_identity(m):
     assert ScalarMeasure.from_json(m.to_json()) == m
-
-
-def test_restrict_keeps_boundary_atoms():
-    m = ScalarMeasure.of(atoms=[(0, 1), (1, 1), (2, 1)], pieces=[((0, 2), [1])])
-    r = m.restrict((F(0), F(1)))
-    assert r.atom_positions() == (F(0), F(1))
-    assert r.total_mass() == F(3)
-
-
-def test_times_polynomial_scales_atoms_and_densities():
-    m = ScalarMeasure.of(atoms=[(2, F(1, 2))], pieces=[((0, 1), [1])])
-    t = m.times_polynomial(Poly([F(0), F(1)]))  # multiply by x
-    assert t.atom_mass_at(2) == F(1)
-    assert t.pieces[0].poly.coeffs == (F(0), F(1))
 
 
 def test_scaled_rejects_negative_factors():

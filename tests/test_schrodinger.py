@@ -116,6 +116,8 @@ def test_edge_validation_rules():
         Edge.of(1, [((0, F(2, 3)), [1]), ((F(1, 3), 1), [1])])  # overlap
     with pytest.raises(ValueError):
         Edge(None, None, 0.0)  # infinite edges carry no outer condition
+    with pytest.raises(ValueError):
+        Edge.of(F(1, 10**400))  # positive, but 0.0 as a float
 
 
 def test_potential_lookup_is_zero_where_uncovered():
@@ -443,3 +445,28 @@ def test_obtuse_outer_angle_gives_one_negative_pole():
 def test_dirichlet_eigenvalues_need_a_finite_edge():
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(Edge.of("inf"), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "edge, window",
+    [(Edge.of(1), (-1e300, 1e300)),
+     (Edge.of(1, "free", 1.0), (-1e300, 1e300)),
+     (Edge.of(1, [((0, 1), [0, 5])]), (-1e300, 1e300)),
+     (Edge.of(1.7e308), (0.5, 1.0))],  # 10 L overflows a float
+    ids=["dirichlet", "angle", "potential", "longest-edge"])
+def test_pole_search_refuses_a_window_it_cannot_enumerate(edge, window, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("the refusal comes before any enumeration")
+
+    monkeypatch.setattr(schrodinger, "_free_poles", enumerate_nothing)
+    monkeypatch.setattr(schrodinger, "_interface_values", enumerate_nothing)
+    with pytest.raises(ConvergenceError, match="scan points"):
+        dirichlet_eigenvalues(edge, window)
+
+
+def test_pole_search_takes_a_window_just_below_the_scan_bound():
+    # s = sqrt(z) runs over (MAX - 1) steps of pi/10 on a unit Dirichlet
+    # edge: one pole (j pi)^2 for each tenth of them.
+    hi = ((schrodinger._MAX_SCAN_POINTS - 1) * math.pi / 10) ** 2
+    poles = dirichlet_eigenvalues(Edge.of(1), (0.0, hi))
+    assert len(poles) == (schrodinger._MAX_SCAN_POINTS - 1) // 10

@@ -269,7 +269,7 @@ def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
 
 
 def test_classify_spectrum_showcase_counts():
-    mus = build_example_k74((0, 8))
+    mus = build_example_k74()
     rep = classify_spectrum(mus, (0, 8))
     assert len(rep.eigenvalues) == 36
     assert len(rep.sac_items) == 36
@@ -292,7 +292,7 @@ def test_classify_spectrum_showcase_counts():
 
 
 def test_classify_spectrum_showcase_positions_are_exact():
-    mus = build_example_k74((0, 8))
+    mus = build_example_k74()
     rep = classify_spectrum(mus, (0, 8))
     top = [e.x for e in rep.eigenvalues if 6 < e.x < 7]
     assert top == [
@@ -307,7 +307,7 @@ def test_classify_spectrum_showcase_positions_are_exact():
 
 
 def test_classify_vanished_atoms_are_single_carrier():
-    mus = build_example_k74((0, 8))
+    mus = build_example_k74()
     rep = classify_spectrum(mus, (0, 8))
     for x in rep.vanished:
         carriers = sum(1 for m in mus if m.atom_mass_at(x) > 0)
@@ -586,17 +586,8 @@ def test_aronszajn_donoghue_input_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_showcase_builder_validates_window():
-    with pytest.raises(ValueError):
-        build_example_k74((1, 8))
-    with pytest.raises(ValueError):
-        build_example_k74((0, 7))
-    with pytest.raises(ValueError):
-        build_example_k74((0, 8), atoms_per_unit=0)
-
-
 def test_showcase_builder_atom_counts_and_masses():
-    mus = build_example_k74((0, 8))
+    mus = build_example_k74()
     assert [len(m.atoms) for m in mus] == [24, 30, 42, 42]
     for m in mus:
         assert all(w == Fraction(1, 6) for _, w in m.atoms)
