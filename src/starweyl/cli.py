@@ -205,6 +205,17 @@ def emit_plot_data(system: PastedSystem, report: SpectralReport,
 # ---------------------------------------------------------------------------
 
 
+# The exact values the suites draw, looked up by the drawn integer so that
+# no gcd runs per atom:
+#   POSITIONS[k + 40] = k/8, MASSES[j] = j/16, OFFSETS[k + 8] = k/4,
+#   HALVES[k + 6] = k/2, QUARTERS[j] = j/4.
+POSITIONS = tuple(Fraction(k, 8) for k in range(-40, 41))
+MASSES = tuple(Fraction(j, 16) for j in range(33))
+OFFSETS = tuple(Fraction(k, 4) for k in range(-8, 9))
+HALVES = tuple(Fraction(k, 2) for k in range(-6, 7))
+QUARTERS = tuple(Fraction(j, 4) for j in range(9))
+
+
 def random_atomic_rep(rng: np.random.Generator, max_atoms: int = 6,
                       allow_slope: bool = True) -> HerglotzRep:
     """Small random purely atomic representation with rational data."""
@@ -212,10 +223,10 @@ def random_atomic_rep(rng: np.random.Generator, max_atoms: int = 6,
     numerators = set()  # of the positions k/8, which sort as the k do
     while len(numerators) < n:
         numerators.add(int(rng.integers(-40, 41)))
-    atoms = tuple((Fraction(k, 8), Fraction(int(rng.integers(1, 33)), 16))
+    atoms = tuple((POSITIONS[k + 40], MASSES[int(rng.integers(1, 33))])
                   for k in sorted(numerators))
-    a = Fraction(int(rng.integers(-8, 9)), 4)
-    b = Fraction(int(rng.integers(0, 3)), 2) if allow_slope else Fraction(0)
+    a = OFFSETS[int(rng.integers(-8, 9)) + 8]
+    b = HALVES[int(rng.integers(0, 3)) + 6] if allow_slope else Fraction(0)
     return HerglotzRep(a, b, ScalarMeasure(atoms))
 
 
@@ -232,12 +243,12 @@ def suite_rank_lemma(rng: np.random.Generator, trials: int = 1000) -> dict:
     failures = 0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
-        b = [Fraction(int(v)) for v in rng.integers(1, 20, size=n)]
+        b = rng.integers(1, 20, size=n).tolist()
         if rng.integers(0, 2):
             d = sum(b)
             expect = n - 1
         else:
-            d = Fraction(int(rng.integers(1, 200)))
+            d = int(rng.integers(1, 200))
             expect = n - 1 if d == sum(b) else n
         got = rank_md(b, d)
         if got != expect:
@@ -250,6 +261,7 @@ def suite_herglotz_psd(rng: np.random.Generator, trials: int = 1000) -> dict:
     worst_eig = 0.0
     worst_identity = 0.0
     worst_symmetry = 0.0
+    blocks = {}  # the four n x n blocks of interface_matrix(n), per n
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         sys_ = PastedSystem.of([random_atomic_rep(rng) for _ in range(n)])
@@ -258,9 +270,10 @@ def suite_herglotz_psd(rng: np.random.Generator, trials: int = 1000) -> dict:
         M = matrix_from_values(ms)
         im = (M - M.conj().T) / 2j
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(im).min()))
-        w = interface_matrix(n)
-        w11, w12 = w[:n, :n], w[:n, n:]
-        w21, w22 = w[n:, :n], w[n:, n:]
+        if n not in blocks:
+            w = interface_matrix(n)
+            blocks[n] = w[:n, :n], w[:n, n:], w[n:, :n], w[n:, n:]
+        w11, w12, w21, w22 = blocks[n]
         mt = np.diag(ms)
         resid = M @ (w11 + w12 @ mt) - (w21 + w22 @ mt)
         worst_identity = max(worst_identity, float(np.linalg.norm(resid)))
@@ -286,9 +299,9 @@ def suite_kac(rng: np.random.Generator, trials: int = 100) -> dict:
             k = int(rng.integers(1, 6))
             pos = set()
             while len(pos) < k:
-                pos.add(Fraction(int(rng.integers(-6, 7)), 2))
+                pos.add(HALVES[int(rng.integers(-6, 7)) + 6])
             return ScalarMeasure.of(
-                atoms=[(p, Fraction(int(rng.integers(1, 9)), 4)) for p in pos]
+                atoms=[(p, QUARTERS[int(rng.integers(1, 9))]) for p in pos]
             )
 
         sys_ = PastedSystem.of([measure(), measure()])

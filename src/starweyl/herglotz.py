@@ -117,7 +117,7 @@ class HerglotzRep:
     def __post_init__(self):
         if not isinstance(self.a, Fraction) or not isinstance(self.b, Fraction):
             raise TypeError("a and b must be Fractions; use HerglotzRep.of")
-        if self.b < 0:
+        if self.b.numerator < 0:
             raise ValueError(f"slope b must be >= 0, got {self.b}")
 
     @classmethod
@@ -397,6 +397,7 @@ def atom_weight(h: Union[HerglotzRep, ScalarMeasure, Callable[[complex], complex
 
 _BISECT_BITS = 64
 _MAX_SHRINK = 200
+_SNAP_BOUNDS = (10, 10**3, 10**6, 10**9, 10**12)  # increasing
 
 
 def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int], int]:
@@ -523,12 +524,45 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
             break
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
-    lo, hi, mid = Fraction(a, den), Fraction(b, den), Fraction(a + b, 2 * den)
-    for bound in (10, 10**3, 10**6, 10**9, 10**12):
-        cand = mid.limit_denominator(bound)
-        if lo < cand < hi and sign(cand.numerator, cand.denominator) == 0:
-            return cand
-    return mid
+    # A candidate equal to the one before it has already failed.
+    mid, last = a + b, None
+    for p, q in _snap_candidates(mid, 2 * den):
+        if (p, q) != last and a * q < p * den < b * q and sign(p, q) == 0:
+            return Fraction(p, q)
+        last = (p, q)
+    return Fraction(mid, 2 * den)
+
+
+def _snap_candidates(n: int, d: int) -> list:
+    """(p, q) in lowest terms, q > 0, of `Fraction(n, d).limit_denominator(B)`
+    for each B of `_SNAP_BOUNDS`, from one continued-fraction pass.
+
+    n/d (d > 0) need not be in lowest terms: the partial quotients, and the
+    comparisons below, are the same for any common factor.  A bound
+    reached by no convergent before the expansion ends gets n/d itself.
+    """
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    out = []
+    for bound in _SNAP_BOUNDS:
+        while d:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        if not d:  # the last convergent p1/q1 is n/d in lowest terms
+            out.append((p1, q1))
+            continue
+        # The candidates are p1/q1, at distance d / (q1 den) from n/d, and
+        # the semiconvergent of largest denominator qk within the bound, on
+        # the other side and 1 / (q1 qk) from p1/q1.  `limit_denominator`
+        # keeps p1/q1 on a tie.
+        k = (bound - q0) // q1
+        qk = q0 + k * q1
+        out.append((p1, q1) if 2 * d * qk <= den else (p0 + k * p1, qk))
+    return out
 
 
 def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):

@@ -13,6 +13,7 @@ only when their positions compare equal as rationals.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -26,8 +27,20 @@ import numpy as np
 NumberLike = Union[int, float, str, Fraction]
 
 
+# `Fraction` builds 10**|e| for a decimal exponent e before anything can
+# check the range, at a cost that grows faster than linearly ("1e-3000000"
+# alone takes seconds).  Strings whose exponent lies beyond this bound are
+# refused unread; every finite float lies within 10**(+-324).
+MAX_DECIMAL_EXPONENT = 10**4
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
 def as_fraction(x: NumberLike) -> Fraction:
-    """Convert ``x`` to an exact Fraction; floats keep their binary value."""
+    """Convert ``x`` to an exact Fraction; floats keep their binary value.
+
+    Strings take the forms `Fraction` reads, with a decimal exponent of at
+    most `MAX_DECIMAL_EXPONENT` in size (ValueError otherwise).
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -39,6 +52,10 @@ def as_fraction(x: NumberLike) -> Fraction:
             raise ValueError(f"non-finite value {x!r} has no exact rational form")
         return Fraction(x)
     if isinstance(x, str):
+        exp = _EXPONENT.search(x)
+        if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"{x[:40]!r} has a decimal exponent beyond "
+                             f"+-{MAX_DECIMAL_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
 
@@ -271,14 +288,19 @@ class ScalarMeasure:
     pieces: Tuple[Piece, ...] = ()
 
     def __post_init__(self):
+        # Checked on numerators and denominators (a Fraction's denominator
+        # is positive), without Fraction comparisons: many small measures
+        # are built per query.
+        prev = None
         for (x, w) in self.atoms:
             if not (isinstance(x, Fraction) and isinstance(w, Fraction)):
                 raise TypeError("atoms must hold Fractions; use ScalarMeasure.of")
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ValueError(f"atom at {x} has nonpositive mass {w}")
-        for i in range(len(self.atoms) - 1):
-            if not self.atoms[i][0] < self.atoms[i + 1][0]:
+            if prev is not None and not (prev.numerator * x.denominator
+                                         < x.numerator * prev.denominator):
                 raise ValueError("atom positions must be strictly increasing")
+            prev = x
         for i in range(len(self.pieces) - 1):
             if not self.pieces[i].hi <= self.pieces[i + 1].lo:
                 raise ValueError("density pieces overlap")
@@ -293,7 +315,7 @@ class ScalarMeasure:
                 raise ValueError(f"negative atom mass {w} at {x}")
             if w == 0:
                 continue
-            acc[x] = acc.get(x, Fraction(0)) + w
+            acc[x] = acc[x] + w if x in acc else w
         norm_pieces = []
         for item in pieces:
             if isinstance(item, Piece):
@@ -326,8 +348,12 @@ class ScalarMeasure:
 
     @cached_property
     def float_atoms(self) -> Tuple[Tuple[float, float], ...]:
-        """The atoms as (position, mass) floats, converted once."""
-        return tuple((float(x), float(w)) for x, w in self.atoms)
+        """The atoms as (position, mass) floats, converted once.
+
+        numerator / denominator is the correctly rounded quotient that
+        `float` of a Fraction computes, without its dispatch."""
+        return tuple((x.numerator / x.denominator, w.numerator / w.denominator)
+                     for x, w in self.atoms)
 
     def atom_mass_at(self, x: NumberLike) -> Fraction:
         """Mass of the atom at x (zero if there is none), by binary search."""

@@ -459,10 +459,18 @@ def multiplicity_at(sys: PastedSystem, x: NumberLike, *,
 # ---------------------------------------------------------------------------
 
 
+def _exact_pair(b: Sequence[NumberLike], d: NumberLike):
+    """b and d as they are when all are ints, else all as Fractions."""
+    bs = list(b)
+    if type(d) is int and all(type(v) is int for v in bs):
+        return bs, d
+    return [as_fraction(v) for v in bs], as_fraction(d)
+
+
 def md_matrix(b: Sequence[NumberLike], d: NumberLike):
-    """The matrix d * diag(b) - b b^T as exact Fractions."""
-    bs = [as_fraction(v) for v in b]
-    df = as_fraction(d)
+    """The matrix d * diag(b) - b b^T, in ints when b and d are all ints and
+    as exact Fractions otherwise."""
+    bs, df = _exact_pair(b, d)
     n = len(bs)
     out = [[-bs[i] * bs[j] for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -473,15 +481,19 @@ def md_matrix(b: Sequence[NumberLike], d: NumberLike):
 def exact_rank(rows) -> int:
     """Rank by fraction-free (Bareiss) elimination, without thresholds.
 
-    Each row is scaled to integers by the common denominator of its
-    entries.  Every entry below the pivots is then a minor of the scaled
-    matrix, so the division by the previous pivot is exact and no gcd runs.
+    A row of ints is taken as it is; any other row is scaled to integers by
+    the common denominator of its entries.  Every entry below the pivots is
+    then a minor of the scaled matrix, so the division by the previous
+    pivot is exact and no gcd runs.
     """
     m = []
     for row in rows:
-        row = [as_fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+        row = list(row)
+        if not all(type(v) is int for v in row):
+            row = [as_fraction(v) for v in row]
+            scale = math.lcm(*(v.denominator for v in row))
+            row = [v.numerator * (scale // v.denominator) for v in row]
+        m.append(row)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank, prev = 0, 1
@@ -506,10 +518,10 @@ def rank_md(b: Sequence[NumberLike], d: NumberLike) -> int:
     """Exact rank of d*diag(b) - b b^T: n-1 when d equals sum(b), else n.
 
     Both the closed-form branch and plain elimination are computed; they
-    must agree, which guards the formula against editing accidents.
+    must agree, which guards the formula against editing accidents.  Ints
+    stay ints throughout; any other input is read as Fractions.
     """
-    bs = [as_fraction(v) for v in b]
-    df = as_fraction(d)
+    bs, df = _exact_pair(b, d)
     if any(v == 0 for v in bs):
         raise ValueError("all b entries must be nonzero")
     if df == 0:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from starweyl.cli import (
     run,
     run_verify_suites,
 )
+from starweyl.measure import number_from_json
 
 
 DATA = Path(__file__).parent / "data"
@@ -79,11 +81,35 @@ def test_parse_happy_path():
             {"interval": [0, 1], "coeffs": ["1e400"]}]}}, {"length": 1}]}},
         {"system": {"edges": [{"atoms": [["1e400", 1]], "pieces": []}, MEASURE]}},
         {"system": {"edges": [{"atoms": [[0, "1e400"]], "pieces": []}, MEASURE]}},
+        # decimal exponents beyond measure.MAX_DECIMAL_EXPONENT, refused unread
+        {"system": {"edges": [{"atoms": [["1e-999999999", 1]], "pieces": []}, MEASURE]}},
+        {"system": {"edges": [{"atoms": [[0, "1e-999999999"]], "pieces": []}, MEASURE]}},
+        {"window": [0, "1e-999999999"]},
     ],
 )
 def test_parse_rejections(mutation):
     with pytest.raises(SchemaError):
         parse(**mutation)
+
+
+@pytest.mark.parametrize("where", ["position", "mass", "window"])
+def test_huge_decimal_exponents_exit_2_at_once(tmp_path, where):
+    # Fraction would build 10**999999999 before any range check.
+    big = "1e-999999999"
+    atom = {"position": [big, 1], "mass": [0, big], "window": [0, 1]}[where]
+    problem = {"task": "eigs", "window": [-1, big if where == "window" else 1],
+               "system": {"edges": [{"atoms": [atom], "pieces": []}, MEASURE],
+                          "interface": {"type": "standard"}}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    start = time.perf_counter()
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["1e-10000", "1E+300", "-2.5e-1_000", "3e0", "1e-400"])
+def test_decimal_exponents_within_the_bound_are_read(text):
+    assert number_from_json(text) == Fraction(text)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +363,13 @@ def test_verify_suites_are_seeded():
     a = run_verify_suites(seed=3, scale=0.01)
     b = run_verify_suites(seed=3, scale=0.01)
     assert a == b
+
+
+def test_verify_seed0_writes_the_pinned_bytes(tmp_path):
+    # The same draws in the same order and every check computed: the file
+    # must not change by a byte, residuals included.
+    assert main(["verify", "kac2", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "verify.json").read_bytes() == (DATA / "verify.seed0.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

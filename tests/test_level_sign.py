@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, herglotz, solve_level
 from starweyl.errors import ConvergenceError
-from starweyl.herglotz import _bisect_exact, _level_sign, _locate, cos_sin
+from starweyl.herglotz import (
+    _bisect_exact,
+    _level_sign,
+    _locate,
+    _snap_candidates,
+    cos_sin,
+)
 
 from conftest import atomic_reps, positive_rationals, rationals
 
@@ -394,6 +400,38 @@ def test_roots_at_snap_candidates_come_back_exact(root):
     level = h.eval_real(root)
     assert _bisect_both_ways(h, level, F(-1), F(1)) == root
     assert solve_level(h, level) == _reference_solve_level(h, level)
+
+
+# The snap candidates of one continued-fraction pass must be exactly the
+# Fractions `limit_denominator` gives bound by bound, for any common factor.
+SNAP_BOUNDS = (10, 10**3, 10**6, 10**9, 10**12)
+snap_values = st.one_of(
+    st.fractions(max_denominator=10**15),  # either sign
+    st.integers(-10**20, 10**20).map(F),
+    st.builds(F, st.integers(-10**13, 10**13), st.sampled_from(SNAP_BOUNDS)),
+    st.builds(F, st.integers(-10**13, 10**13), st.integers(1, 10**12)),
+    st.builds(F, st.integers(-2**80, 2**80), st.integers(60, 70).map(lambda k: 2**k)),
+    st.builds(F, st.integers(-2**80, 2**80), st.integers(-4, 4).map(lambda k: 2**64 + k)),
+)
+
+
+def _limited(x):
+    return [(c.numerator, c.denominator) for c in (x.limit_denominator(b) for b in SNAP_BOUNDS)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(snap_values, st.integers(1, 2**40))
+def test_snap_candidates_are_limit_denominator(x, factor):
+    want = _limited(x)
+    assert _snap_candidates(x.numerator, x.denominator) == want
+    assert _snap_candidates(x.numerator * factor, x.denominator * factor) == want
+
+
+@pytest.mark.parametrize("x", [F(0), F(-7), F(1, 10), F(-999999, 10**6), F(1, 10**12 + 1),
+                               F(2**64 - 1, 2**64), F(-1, 2**64), F(355, 113),
+                               F(19, 180), F(-19, 180)])  # ties: 1/9 and 1/10 are equally near
+def test_snap_candidates_at_the_edges(x):
+    assert _snap_candidates(x.numerator, x.denominator) == _limited(x)
 
 
 @pytest.mark.parametrize("shift", [F(0), F(1, 2), F(-3, 4), F(1, 3)])

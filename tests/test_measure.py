@@ -74,6 +74,25 @@ def test_zero_mass_atoms_are_dropped_and_negative_rejected():
         ScalarMeasure.of(atoms=[(0, -1)])
 
 
+@pytest.mark.parametrize("atoms, error", [
+    (((F(0), F(0)),), ValueError),                      # zero mass
+    (((F(0), F(-1, 3)),), ValueError),                  # negative mass
+    (((F(1, 3), F(1)), (F(2, 6), F(1))), ValueError),   # a repeated position
+    (((F(1, 2), F(1)), (F(1, 3), F(1))), ValueError),   # decreasing positions
+    (((F(-1, 2), F(1)), (F(-2, 3), F(1))), ValueError),
+    (((0, F(1)),), TypeError),                          # not a Fraction
+    (((F(0), 1.0),), TypeError),
+])
+def test_the_constructor_checks_every_atom(atoms, error):
+    with pytest.raises(error):
+        ScalarMeasure(atoms)
+
+
+def test_float_atoms_have_the_bits_of_float():
+    m = ScalarMeasure.of(atoms=[(F(-1, 3), F(2, 7)), (F(10**30 + 1, 3 * 10**29), F(1, 10**400))])
+    assert m.float_atoms == tuple((float(x), float(w)) for x, w in m.atoms)
+
+
 def test_total_mass_splits_between_atoms_and_pieces():
     m = ScalarMeasure.of(atoms=[(0, F(1, 2))], pieces=[((0, 1), [F(1, 3)])])
     assert m.total_mass() == F(1, 2) + F(1, 3)

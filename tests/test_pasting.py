@@ -468,6 +468,39 @@ def test_rank_md_always_matches_elimination(b, d):
     assert exact_rank(md_matrix(b, d)) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=30), min_size=2, max_size=6),
+    st.integers(min_value=1, max_value=120),
+    st.data(),
+)
+def test_rank_md_agrees_on_ints_fractions_and_mixed_input(b, d, data):
+    # ints run in ints, anything else in Fractions; the rank is the same
+    mixed = [F(v) if data.draw(st.booleans()) else v for v in b]
+    want = rank_md(b, d)
+    assert rank_md([F(v) for v in b], F(d)) == want
+    assert rank_md(mixed, d) == want
+    assert rank_md(b, F(d)) == want
+    assert md_matrix(b, d) == md_matrix([F(v) for v in b], F(d))
+    assert all(type(v) is int for row in md_matrix(b, d) for v in row)
+
+
+@pytest.mark.parametrize("b, d", [([1, 0], 1), ([F(1), 0], 1), ([1, F(0)], F(2)),
+                                  ([1, 1], 0), ([F(1), 1], F(0)), ([1, 1], F(0))])
+def test_rank_md_rejects_a_zero_in_any_number_type(b, d):
+    with pytest.raises(ValueError):
+        rank_md(b, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3), min_size=1, max_size=6))
+def test_exact_rank_of_int_rows_matches_the_fraction_rows(rows):
+    as_fractions = [[F(v) for v in r] for r in rows]
+    assert exact_rank(rows) == exact_rank(as_fractions) == _fraction_rank(rows)
+    halves = [[F(v, 2) for v in r] for r in rows]  # rescaled per row
+    assert exact_rank(halves) == exact_rank(rows)
+
+
 def test_rank_one_limit_matrix_is_the_normalized_gram():
     om = rank_one_limit_matrix([F(-1)])
     assert om.rank == 1
