@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence, Tuple, Union
 
@@ -87,13 +88,39 @@ class PastedSystem:
     def n(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def distinct_entries(self) -> Tuple[Tuple[object, ...], Tuple[int, ...]]:
+        """(the distinct entries, the position among them of each entry).
+
+        Equal edges (same length, pieces and outer angle) have the same m,
+        so each is evaluated once.  Any other entry is keyed by identity:
+        comparing measures would cost more than the tiny systems of
+        `verify` could save.
+        """
+        slots: dict = {}
+        distinct, index = [], []
+        for e in self.entries:
+            key = e if isinstance(e, Edge) else id(e)
+            if key not in slots:
+                slots[key] = len(distinct)
+                distinct.append(e)
+            index.append(slots[key])
+        return tuple(distinct), tuple(index)
+
+    def per_entry(self, fn) -> list:
+        """[fn(e) for e in entries], calling fn once per distinct entry."""
+        distinct, index = self.distinct_entries
+        values = [fn(e) for e in distinct]
+        return [values[k] for k in index]
+
     def entry_values(self, z) -> np.ndarray:
         """m_l(z) for every entry: shape (n,) at one z, and (len(z), n) for
-        a 1-D numpy array of z, whose row k has the bits of the call at z[k]."""
+        a 1-D numpy array of z, whose row k has the bits of the call at z[k].
+        Each distinct entry is evaluated once."""
         if not isinstance(z, np.ndarray):
-            return np.array([e.eval(z) for e in self.entries], dtype=complex)
+            return np.array(self.per_entry(lambda e: e.eval(z)), dtype=complex)
         zs = np.asarray(z, dtype=complex)
-        return np.column_stack([e.eval_many(zs) for e in self.entries])
+        return np.column_stack(self.per_entry(lambda e: e.eval_many(zs)))
 
     @property
     def reps(self) -> Union[Tuple[HerglotzRep, ...], None]:

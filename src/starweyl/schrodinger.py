@@ -41,14 +41,72 @@ from .measure import Poly, as_fraction, check_keys, number_from_json, number_to_
 EDGE_SCHEDULE = geometric_schedule(1e-2, 13)
 
 
-def brentq(f, a, b, **kwargs):
-    """`scipy.optimize.brentq`, loaded at the first call.
+# The stopping tolerances of `brentq`, and its iteration cap (scipy's default).
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 100
 
-    scipy is imported inside the functions that use it, so that the exact
-    and closed-form tasks never load it."""
-    from scipy.optimize import brentq as scipy_brentq
 
-    return scipy_brentq(f, a, b, **kwargs)
+def brentq(f, a, b, *, fa: float, fb: float) -> float:
+    """A zero of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) as scipy's `brentq.c` runs it: the same
+    iteration, the same stop once half the bracket is below
+    (xtol + rtol |x|)/2, and the same cap of 100 iterations, so the root
+    has the bits of `scipy.optimize.brentq(f, a, b, xtol=_BRENT_XTOL,
+    rtol=_BRENT_RTOL)`.  The ends are not evaluated again.  Same-sign ends
+    raise ValueError; a NaN value or a run that reaches the cap raises
+    ConvergenceError.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fa, fb
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ConvergenceError(f"the bracketed function is NaN at an end of [{a}, {b}]")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({a}) and f({b}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflowed slope: C gets inf or NaN and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(f"the bracketed function is NaN at x = {xcur!r}")
+    raise ConvergenceError(
+        f"Brent's method did not settle in {_BRENT_MAXITER} iterations on [{a}, {b}]")
 
 
 @dataclass(frozen=True)
@@ -661,7 +719,8 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     every sign change; for z < 0 the function is monotone in practice and
     the same step is more than enough.  The scan grid goes through the
     edge in one array call; `brentq` refines each sign change one z at a
-    time, on the same bits.  A window that needs more than
+    time, starting from the scan's values at its ends, which have the bits
+    of single-z calls.  A window that needs more than
     `_MAX_SCAN_POINTS` scan points raises ConvergenceError on either route.
     """
     if edge.is_infinite:
@@ -705,8 +764,7 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
                 roots.append(zs[i])
             continue
         if v0 * v1 < 0:
-            r = brentq(lambda t: _interface_value(edge, t), zs[i], zs[i + 1],
-                       xtol=1e-13, rtol=8.9e-16)
+            r = brentq(lambda t: _interface_value(edge, t), zs[i], zs[i + 1], fa=v0, fb=v1)
             roots.append(float(r))
     if vals[-1] == 0.0:
         roots.append(zs[-1])

@@ -51,8 +51,8 @@ ORACLE_MIN_GRID = 100
 
 
 def eigsh(A, **kwargs):
-    """`scipy.sparse.linalg.eigsh`, loaded at the first call (see
-    `schrodinger.brentq`)."""
+    """`scipy.sparse.linalg.eigsh`, loaded at the first call, so that no
+    other task loads scipy."""
     from scipy.sparse.linalg import eigsh as scipy_eigsh
 
     return scipy_eigsh(A, **kwargs)
@@ -164,8 +164,10 @@ class SpectralReport:
 
 
 def _pole_positions_numeric(sys: PastedSystem, window) -> list:
-    """(position, entry index) pairs of all poles in the window."""
-    return sorted((float(x), l) for l, e in enumerate(sys.entries) for x in e.poles(window))
+    """(position, entry index) pairs of all poles in the window, enumerated
+    once per distinct entry."""
+    poles = sys.per_entry(lambda e: e.poles(window))
+    return sorted((float(x), l) for l, xs in enumerate(poles) for x in xs)
 
 
 def _cluster_positions(pairs):
@@ -181,9 +183,12 @@ def _cluster_positions(pairs):
 
 
 def _real_sum_value(sys: PastedSystem, x: float) -> float:
+    """The sum of the entries' real values at x, each distinct entry
+    evaluated once.  The terms are added one by one in entry order (`sum`
+    compensates from Python 3.12 on, which would change the bits)."""
     total = 0.0
-    for e in sys.entries:
-        total += float(e.eval_real(x))
+    for v in sys.per_entry(lambda e: float(e.eval_real(x))):
+        total += v
     return total
 
 
@@ -275,8 +280,7 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
                 results.append(Eigenvalue(aa, 1, KIRCHHOFF))
                 continue
             if va < 0 < vb:
-                u = brentq(lambda t: _real_sum_value(sys, t), aa, bb,
-                           xtol=1e-13, rtol=8.9e-16)
+                u = brentq(lambda t: _real_sum_value(sys, t), aa, bb, fa=va, fb=vb)
                 results.append(Eigenvalue(float(u), 1, KIRCHHOFF))
 
     for e in results:

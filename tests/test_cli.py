@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import starweyl.cli as cli
-from starweyl import pasting
+from starweyl import pasting, schrodinger
 from starweyl import (
     ConvergenceError,
     Edge,
@@ -502,6 +502,21 @@ def test_run_nonconvergence_is_exit_3(tmp_path, monkeypatch):
     assert run(p, tmp_path) == 3
     err = json.loads((tmp_path / "error.json").read_text())
     assert err == {"error": "non-convergence", "detail": "ladder exhausted"}
+
+
+def test_a_nan_inside_a_bracket_is_exit_3_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # the scan brackets the potential edge's pole near 3.13 in one array
+    # call; only the refinement's single-z values come out NaN
+    monkeypatch.setattr(schrodinger, "_interface_value", lambda edge, z: math.nan)
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"task": "eigs", "window": [1, 5], "system": {"edges": [
+        {"length": 2, "outer_angle": 0.7, "potential": {"pieces": [
+            {"interval": [0, 1], "coeffs": [1, "1/4"]}, {"interval": [1, 2], "coeffs": [2]}]}},
+        {"length": 1}]}}))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"] == "non-convergence" and "NaN" in err["detail"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_invariant_breach_is_exit_4(tmp_path, monkeypatch):

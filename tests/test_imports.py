@@ -1,4 +1,4 @@
-"""Cold start: scipy is imported only inside the calls that need it.
+"""Cold start: scipy is imported only inside the `oracle`'s `eigsh` call.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests do
 not hide an import.  Two tests pin what the benchmark tracer
@@ -81,9 +81,22 @@ def test_exact_and_closed_form_tasks_never_load_scipy(body, tmp_path):
     "body",
     [
         'assert cli.main(["eigs", "equilateral3", "--out", "out"]) == 0',
-        'assert cli.main(["oracle", "equilateral3", "--grid", "200", "--out", "out"]) == 0',
+        # brackets a pole of a potential edge and two zeros of the summed function
+        "import json\n"
+        f"open('pot.json', 'w').write(json.dumps({dict(POTENTIAL_STAR, task='eigs')!r}))\n"
+        'assert cli.main(["eigs", "pot.json", "--out", "out"]) == 0\n'
+        "assert len(json.load(open('out/report.json'))['eigenvalues']) == 2",
     ],
-    ids=["eigs-equilateral3", "oracle-equilateral3"],
+    ids=["eigs-equilateral3", "eigs-potential-star"],
+)
+def test_numeric_eigs_never_loads_scipy(body, tmp_path):
+    assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ['assert cli.main(["oracle", "equilateral3", "--grid", "200", "--out", "out"]) == 0'],
+    ids=["oracle-equilateral3"],
 )
 def test_numeric_tasks_load_scipy_from_cold(body, tmp_path):
     assert fresh(f"{body}\n{SCIPY_LOADED}", tmp_path) == "True\n"
@@ -131,7 +144,7 @@ def test_every_name_the_tracer_patches_resolves():
 
 
 # Everything src/starweyl/ may take from scipy.
-SCIPY_SURFACE = {"scipy.optimize.brentq", "scipy.sparse", "scipy.sparse.linalg.eigsh"}
+SCIPY_SURFACE = {"scipy.sparse", "scipy.sparse.linalg.eigsh"}
 
 
 def test_src_references_only_the_pinned_scipy_names():

@@ -282,6 +282,28 @@ def test_batched_real_values_have_the_bits_of_single_calls():
             assert [_bits(v) for v in column] == [_bits(weyl_m(e, z)) for z in zs]
 
 
+def test_equal_edges_share_their_values_bit_for_bit():
+    pieces = [((0, 1), (1, 2)), ((1, 2), (5,))]
+    star = PastedSystem.of([Edge.of(2, pieces, 0.7), Edge.of(2, pieces, 0.7),
+                            Edge.of(F(3, 2), [((0, F(3, 2)), (3,))])])
+    assert star.entries[0] is not star.entries[1]
+    assert star.distinct_entries == ((star.entries[0], star.entries[2]), (0, 0, 1))
+    for zs in ([0.5, 3.0, 9.9], [0.5 + 1e-3j, 3.0 + 0.1j, -2.0 + 1.0j]):
+        alone = np.column_stack([e.eval_many(np.array(zs)) for e in star.entries])
+        assert _bits(star.entry_values(np.array(zs))) == _bits(alone)
+        for z, row in zip(zs, alone):
+            assert _bits(star.entry_values(z)) == _bits(row)
+
+
+def test_only_equal_edges_and_the_same_representation_are_merged():
+    pieces = [((0, 1), (1, 2))]
+    rep = HerglotzRep.of(0, 1, ScalarMeasure.of(atoms=[(1, 1)]))
+    sys_ = PastedSystem.of([Edge.of(2, pieces, 0.7), Edge.of(2, pieces, 0.8), rep, rep,
+                            HerglotzRep.of(0, 1, ScalarMeasure.of(atoms=[(1, 1)]))])
+    # the outer angle tells the edges apart; representations go by identity
+    assert sys_.distinct_entries[1] == (0, 1, 2, 2, 3)
+
+
 def test_a_batch_raises_where_u_vanishes_at_a_real_z():
     # on q = 2 the cell at z = 2 is exactly [[1, -1], [0, 1]], so u(0) = s + c
     # with (c, s) = cos_sin(beta), which gives the pi/4 family equal magnitudes

@@ -8,7 +8,8 @@ weyl_m evaluates free finite edges in closed form and edges with a potential
 by cell transfer matrices (solve_edge).  The slow reference for both is
 scipy's DOP853 integrator, which lives here in the tests only;
 piecewise-constant potentials are also checked against products of
-closed-form transfer matrices.
+closed-form transfer matrices.  scipy's `brentq` is the reference of the
+in-house one, bit for bit.
 """
 
 import cmath
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 from starweyl import (
     ConvergenceError,
@@ -31,7 +33,7 @@ from starweyl import (
     weyl_m,
 )
 from starweyl import schrodinger
-from starweyl.schrodinger import _boundary_values
+from starweyl.schrodinger import _boundary_values, brentq
 
 ODE_TOL = 1e-9
 
@@ -161,8 +163,9 @@ def test_complex_energy_on_a_free_edge_is_the_closed_form():
 
 
 def test_a_batch_of_z_gives_each_z_its_bits_alone():
-    # the scan evaluates its grid in one call and brentq re-evaluates the
-    # brackets one z at a time; -1e5 gives the batch its largest scale factors
+    # the scan evaluates its grid in one call and hands brentq its values at
+    # the bracket ends for single-z ones; -1e5 gives the batch its largest
+    # scale factors
     e = Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [2])], 0.7)
     zs = np.array([-1e5, -3.0, 0.0, 1.3, 2.5, 4.75, 17.0])
     c, s = cos_sin(0.7)
@@ -470,3 +473,79 @@ def test_pole_search_takes_a_window_just_below_the_scan_bound():
     hi = ((schrodinger._MAX_SCAN_POINTS - 1) * math.pi / 10) ** 2
     poles = dirichlet_eigenvalues(Edge.of(1), (0.0, hi))
     assert len(poles) == (schrodinger._MAX_SCAN_POINTS - 1) // 10
+
+
+# ---------------------------------------------------------------------------
+# brentq: scipy's iteration, bit for bit
+# ---------------------------------------------------------------------------
+
+# The tolerances the port stops on, passed to scipy's reference.
+BRENT_TOL = {"xtol": schrodinger._BRENT_XTOL, "rtol": schrodinger._BRENT_RTOL}
+
+
+def _bracketed(kind: str, c: float, k: float):
+    """A function with its zero at c: monotone, monotone near the underflow
+    (where the interpolation's slopes multiply to 0), steep, an odd power (a
+    multiple zero for powers above 1), or piecewise linear."""
+    if kind == "monotone":
+        return lambda x: math.expm1(k * (x - c))
+    if kind == "tiny":
+        return lambda x: 1e-300 * math.expm1(k * (x - c))
+    if kind == "steep":
+        return lambda x: math.tanh(1e3 * k * (x - c))
+    if kind == "odd power":
+        power = 2 * int(k) + 1
+        return lambda x: (x - c) ** power
+    return lambda x: (x - c) * (k if x < c else 1.0 / k)
+
+
+def _outcome(solve):
+    """The root's bits, or the failure: the iteration cap raises RuntimeError
+    in scipy and ConvergenceError, a RuntimeError, here."""
+    try:
+        return solve().hex()
+    except RuntimeError:
+        return "cap"
+    except ValueError:
+        return "same signs"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["monotone", "tiny", "steep", "odd power", "piecewise linear"]),
+       st.floats(-50, 50), st.floats(1e-6, 20), st.floats(0, 1), st.floats(0.1, 3))
+def test_brentq_has_the_bits_of_scipy(kind, a, width, t, k):
+    b = a + width
+    f = _bracketed(kind, a + t * width, k)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    got = _outcome(lambda: brentq(counted, a, b, fa=f(a), fb=f(b)))
+    assert got == _outcome(lambda: scipy_brentq(f, a, b, **BRENT_TOL))
+    assert a not in seen and b not in seen
+    if got != "same signs":
+        _, info = scipy_brentq(f, a, b, **BRENT_TOL, full_output=True, disp=False)
+        assert len(seen) == info.function_calls - 2
+
+
+def test_brentq_returns_a_root_at_either_end():
+    for a, b in ((1.0, 2.0), (0.0, 1.0)):
+        assert brentq(lambda x: x - 1.0, a, b, fa=a - 1.0, fb=b - 1.0) == 1.0
+        assert scipy_brentq(lambda x: x - 1.0, a, b, **BRENT_TOL) == 1.0
+
+
+def test_brentq_refuses_ends_of_one_sign():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x, 1.0, 2.0, fa=1.0, fb=4.0)
+
+
+def test_brentq_stops_at_a_nan():
+    def nan_inside(x):
+        return math.nan if 0.0 < x < 1.0 else x - 0.3
+
+    with pytest.raises(ConvergenceError, match="NaN at x"):
+        brentq(nan_inside, 0.0, 1.0, fa=-0.3, fb=0.7)
+    with pytest.raises(ConvergenceError, match="NaN at an end"):
+        brentq(lambda x: x - 0.3, 0.0, 1.0, fa=math.nan, fb=0.7)

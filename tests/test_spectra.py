@@ -22,6 +22,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +248,59 @@ def test_every_z_grid_integrates_each_potential_edge_once(monkeypatch, tmp_path)
                                    "window": [1, 10], "grid": 12}))
     assert main(["weyl", str(problem), "--out", str(tmp_path / "out")]) == 0
     assert [len_z for _edge, len_z in calls] == [12, 12]
+
+
+def _twin_star() -> PastedSystem:
+    """Two equal potential edges, built apart, and a third edge."""
+    def twin():
+        return Edge.of(2, [((0, 1), (1, 2)), ((1, 2), (5,))], 0.7)
+
+    return PastedSystem.of([twin(), twin(),
+                            Edge.of(Fraction(3, 2), [((0, Fraction(3, 4)), (1,)),
+                                                     ((Fraction(3, 4), Fraction(3, 2)), (3,))])])
+
+
+@pytest.mark.parametrize("name", ["twin", "equilateral3"])
+def test_every_z_grid_evaluates_each_distinct_edge_once(name, monkeypatch, tmp_path):
+    # equal edges have the same m: the omega ladder, the plot rows, the
+    # `weyl` table and the pole enumeration take each distinct edge once
+    if name == "twin":
+        star, window = _twin_star(), (1.0, 10.0)
+    else:
+        problem = ProblemFile.parse(builtin_problem("equilateral3"))
+        star, window = problem.system, problem.window
+    distinct = star.distinct_entries[0]
+    assert len(distinct) == {"twin": 2, "equilateral3": 1}[name]
+    calls = []
+    for fn in ("weyl_m", "dirichlet_eigenvalues"):
+        original = getattr(schrodinger, fn)
+
+        def counted(edge, z, _fn=fn, _original=original):
+            calls.append((_fn, edge, len(z) if isinstance(z, np.ndarray) else z))
+            return _original(edge, z)
+
+        monkeypatch.setattr(schrodinger, fn, counted)
+    steps = len(star.default_schedule())
+    pasting.omega_at(star, 3.0, exact=False)
+    assert calls == [("weyl_m", e, steps) for e in distinct]
+
+    calls.clear()
+    report = SpectralReport(window=(Fraction(1), Fraction(10)),
+                            eigenvalues=(Eigenvalue(3.0, 1, "kirchhoff-zero"),))
+    assert len(emit_plot_data(star, report, grid=20)) == 21
+    assert calls == [("weyl_m", e, 21) for e in distinct]
+
+    calls.clear()
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"task": "weyl", "system": star.to_json(),
+                                "window": [1, 10], "grid": 12}))
+    assert main(["weyl", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [("weyl_m", e, 12) for e in distinct]
+
+    calls.clear()
+    assert find_point_spectrum(star, window)
+    assert [c[1:] for c in calls if c[0] == "dirichlet_eigenvalues"] == [
+        (e, window) for e in distinct]
 
 
 def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
