@@ -392,8 +392,9 @@ def _nodal_potential(edge: Edge, grid: int) -> np.ndarray:
 
 
 def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
-    """The oracle's pencil (A, B) and its tree form for `_count_below`, from
-    the edges and their `_nodal_potential` arrays.
+    """The oracle's pencil (A, B) in symmetric form, C = B^{-1/2} A B^{-1/2},
+    and its tree form for `_count_below`, from the edges and their
+    `_nodal_potential` arrays.
 
     Unknown 0 is the vertex.  Edge l, with step h = L_l / grid, owns the
     contiguous block of m_l unknowns after the previous edge's, its nodes
@@ -402,8 +403,10 @@ def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
     at the outer node), -1/h off it, lumped mass h (h/2 at the outer node),
     the nodal potential times the mass on the diagonal, and c/s at the
     outer node for the outer angle with cos c and sin s.  The vertex sums
-    1/h, mass h/2 and its potential term over the edges.  Both matrices are
-    built in one sparse construction without duplicate entries.
+    1/h, mass h/2 and its potential term over the edges.  The lumped mass B
+    is diagonal, so C has A's sparsity: each entry A_ij is scaled by
+    1/sqrt(w_i w_j) in the one sparse construction, without duplicate
+    entries, and C has the pencil's eigenvalues.
 
     The tree form is ((a_0, b_0), chains): the vertex's diagonals of A and
     B, and per edge the diagonals of A and B and the squared coupling of
@@ -416,11 +419,12 @@ def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
 
     # Unknown 0 is the vertex, which takes a half element from every edge,
     # summed in edge order; each edge owns the next block of unknowns.
-    vertex_k = vertex_w = 0.0
-    vals, rows, cols, mass, chains = [], [], [], [], []
+    steps = [float(e.length) / grid for e in edges]
+    vertex_w = sum(h / 2.0 for h in steps)
+    vertex_k = 0.0
+    vals, rows, cols, chains = [], [], [], []
     start = 1
-    for e, qs in zip(edges, potentials):
-        h = float(e.length) / grid
+    for e, qs, h in zip(edges, potentials, steps):
         c, s = cos_sin(float(e.outer_angle))
         outer = s != 0.0  # Dirichlet eliminates the outer node j = grid
         m = grid if outer else grid - 1
@@ -433,20 +437,17 @@ def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
         if outer:
             d[-1] += c / s
         off = np.full(m, -1.0 / h)
-        vals += [d, off, off]
+        sym_off = off / np.sqrt(w * np.concatenate(([vertex_w], w[:-1])))
+        vals += [d / w, sym_off, sym_off]
         rows += [nodes, left, nodes]
         cols += [nodes, nodes, left]
-        mass.append(w)
         chains.append((d[::-1].copy(), w[::-1].copy(), (off * off)[::-1].tolist()))
         vertex_k = vertex_k + 1.0 / h + qs[0] * (h / 2.0)
-        vertex_w += h / 2.0
         start += m
-    size = start
-    A = sp.csc_matrix((np.concatenate([[vertex_k], *vals]),
+    C = sp.csc_matrix((np.concatenate([[vertex_k / vertex_w], *vals]),
                        (np.concatenate([[0], *rows]), np.concatenate([[0], *cols]))),
-                      shape=(size, size))
-    B = sp.diags(np.concatenate([[vertex_w], *mass]), format="csc")
-    return A, B, ((float(vertex_k), vertex_w), chains)
+                      shape=(start, start))
+    return C, ((float(vertex_k), vertex_w), chains)
 
 
 def _count_below(tree, lam: float) -> int:
@@ -482,20 +483,22 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     outer condition enters as elimination (Dirichlet) or a boundary term.
 
     Sylvester inertia counts of A - lam B (`_count_below`) size and certify
-    the eigensolve.  count(hi) - count(lo) is the number of eigenvalues in
-    the window; none means no eigensolve.  Shift-invert Lanczos runs at
-    sigma = min(lo, 0) - 1 - max |q|, or one window width below lo when
-    that is higher, moved down while an eigenvalue lies next to it.  It
-    asks for every eigenvalue in [2 sigma - hi, hi], which count(hi) -
-    count(2 sigma - hi) gives exactly, plus two.  The eigenvalues inside
-    the window are clustered into multiplicity groups; clusters closer than
+    the eigensolve.  need = count(hi) - count(lo) is the number of
+    eigenvalues in the window; none means no eigensolve.  Shift-invert
+    Lanczos (Ericsson & Ruhe's spectral transformation) runs on the
+    symmetric form C of the pencil at the window's midpoint sigma =
+    (lo + hi) / 2, where the need eigenvalues closest to sigma are exactly
+    the window's; it asks for those plus two.  The eigenvalues inside the
+    window are clustered into multiplicity groups; clusters closer than
     ten times the discretization error raise the ``coarse`` flag.
 
     Every return is certified: the in-window count equals count(hi) -
     count(lo), and each cluster's multiplicity equals the count difference
     across it, taken at the midpoints of the gaps around it.
-    `ConvergenceError` is raised when a check fails, or when the window
-    needs more eigenvalues than the grid's size allows (grid too small).
+    `ConvergenceError` is raised when a check fails, when the eigensolve
+    fails (no convergence, or sigma is an eigenvalue of the factored
+    matrix), or when the window needs more eigenvalues than the grid's size
+    allows (grid too small).
     """
     if grid < ORACLE_MIN_GRID:
         raise ValueError(f"the oracle needs at least {ORACLE_MIN_GRID} points per edge")
@@ -504,26 +507,14 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
 
     lo, hi = float(window[0]), float(window[1])
     potentials = [_nodal_potential(e, grid) for e in edges]
-    A, B, tree = _fd_pencil(edges, potentials)
-    size = A.shape[0]
+    C, tree = _fd_pencil(edges, potentials)
+    size = C.shape[0]
     h_max = max(float(e.length) / grid for e in edges)
     below_lo, below_hi = _count_below(tree, lo), _count_below(tree, hi)
-    if below_hi == below_lo:
+    need = below_hi - below_lo
+    if need == 0:
         return FdOracleResult(items=(), coarse=False, h_max=h_max,
                               count_below_lo=below_lo, count_below_hi=below_hi)
-
-    # sigma starts below the spectrum (Robin terms aside) unless that is
-    # more than one window width below lo, where Lanczos would separate the
-    # window's eigenvalues poorly.  Counts only grow with lam: none below
-    # sigma + delta means none below sigma - delta or 2 sigma - hi either.
-    qmax = max(float(np.abs(qs).max()) for qs in potentials)
-    sigma = max(min(lo, 0.0) - 1.0 - qmax, lo - (hi - lo))
-    delta = 1e-6 * (1.0 + abs(sigma))
-    below_sigma = _count_below(tree, sigma + delta)
-    while below_sigma and _count_below(tree, sigma - delta) != below_sigma:
-        sigma -= 2.0 * delta
-        below_sigma = _count_below(tree, sigma + delta)
-    need = below_hi - (_count_below(tree, 2.0 * sigma - hi) if below_sigma else 0)
     if need > size - 2:
         raise ConvergenceError(
             f"the window needs {need} eigenvalues of a pencil of size {size}; grid too small")
@@ -533,14 +524,19 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     # equal edges, so Lanczos would never see the antisymmetric modes that
     # carry the higher layer counts.
     v0 = np.random.default_rng(0).standard_normal(size)
-    eigvals = np.sort(eigsh(A, k=min(need + 2, size - 2), M=B, sigma=sigma, which="LM",
-                            v0=v0, return_eigenvectors=False))
+    sigma, k = (lo + hi) / 2.0, min(need + 2, size - 2)
+    try:
+        eigvals = np.sort(eigsh(C, k=k, sigma=sigma, which="LM", v0=v0,
+                                return_eigenvectors=False))
+    except RuntimeError as exc:  # ARPACK's errors and SuperLU's singular factor
+        raise ConvergenceError(
+            f"the eigensolve at sigma={sigma!r} with k={k} failed: {exc}") from exc
 
     inside = [float(v) for v in eigvals if lo <= v <= hi]
-    if len(inside) != below_hi - below_lo:
+    if len(inside) != need:
         raise ConvergenceError(
             f"the eigensolve found {len(inside)} eigenvalues in the window, "
-            f"the inertia count {below_hi - below_lo}")
+            f"the inertia count {need}")
     clusters: list[list[float]] = []
     for v in inside:
         if clusters and v - clusters[-1][-1] < 1e-6 * (1 + abs(v)):

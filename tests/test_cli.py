@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import starweyl.cli as cli
-from starweyl import pasting, schrodinger
+from starweyl import pasting, schrodinger, spectra
 from starweyl import (
     ConvergenceError,
     Edge,
@@ -470,6 +470,25 @@ def test_run_oracle_too_small_a_grid_is_exit_3(tmp_path):
     }))
     assert main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "grid too small" in (tmp_path / "out" / "error.json").read_text()
+
+
+@pytest.mark.parametrize("failure", ["no-convergence", "arpack-error", "singular-factor"])
+def test_run_oracle_eigensolve_failure_is_exit_3(tmp_path, monkeypatch, failure):
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+
+    raised = {"no-convergence": ArpackNoConvergence("ARPACK error -1: No convergence", [], []),
+              "arpack-error": ArpackError(-9999),
+              "singular-factor": RuntimeError("Factor is exactly singular")}[failure]
+
+    def fail(A, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(spectra, "eigsh", fail)
+    assert main(["oracle", "equilateral3", "--grid", "200", "--out", str(tmp_path / "out")]) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    # the window (0.1, 10) holds 9 eigenvalues; the shift is its midpoint
+    assert err["error"] == "non-convergence"
+    assert "sigma=5.05 with k=11" in err["detail"] and str(raised) in err["detail"]
 
 
 def test_run_oracle_needs_edges(tmp_path):
