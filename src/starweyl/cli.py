@@ -14,7 +14,8 @@ The entries choose how the boundary values are read: purely atomic
 systems always take the rational route, and the eps ladder of every
 other system is the one `PastedSystem.default_schedule` picks.  `exact`
 forces nothing; it turns a system with a non-atomic entry into a schema
-error.  `classify` and `verify` reject `grid`, which they never read.
+error.  `classify` rejects `grid`, which it never reads; `verify` reads
+only `--seed`, which no other task takes, and a builtin gives it no keys.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -76,7 +77,7 @@ def _is_int(v) -> bool:
 class ProblemFile:
     task: str
     system: Union[PastedSystem, None]
-    window: Tuple[Fraction, Fraction]
+    window: Union[Tuple[Fraction, Fraction], None]
     grid: Union[int, None] = None
     exact: bool = False
 
@@ -91,22 +92,28 @@ class ProblemFile:
         task = obj.get("task")
         if task not in TASKS:
             raise SchemaError(f"task must be one of {TASKS}, got {task!r}")
-        window = obj.get("window")
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise SchemaError("window must be a [lo, hi] pair of numbers")
-        try:
-            lo, hi = number_from_json(window[0]), number_from_json(window[1])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad window value: {exc}") from exc
-        if not lo < hi:
-            raise SchemaError("window needs lo < hi")
+        # parsed first, so that every task names a malformed system as such
         system = None
         if "system" in obj and obj["system"] is not None:
             try:
                 system = PastedSystem.from_json(obj["system"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad system spec: {exc}") from exc
-        if system is None and task != "verify":
+        if task == "verify":
+            unread = sorted(set(obj) - {"task"})
+            if unread:
+                raise SchemaError(f"task 'verify' reads no {', '.join(unread)}: only --seed")
+            return cls(task, None, None)
+        window = obj.get("window")
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise SchemaError("window must be a [lo, hi] pair of numbers")
+        try:
+            lo, hi = number_from_json(window[0]), number_from_json(window[1])
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"bad window value: {exc}") from exc
+        if not lo < hi:
+            raise SchemaError("window needs lo < hi")
+        if system is None:
             raise SchemaError(f"task {task!r} needs a system")
         if task in ("eigs", "oracle") and any(
                 isinstance(e, Edge) and e.is_infinite for e in system.entries):
@@ -115,7 +122,7 @@ class ProblemFile:
         grid = obj.get("grid")
         if grid is not None and not (_is_int(grid) and grid >= 1):
             raise SchemaError("grid must be a positive integer")
-        if grid is not None and task in ("classify", "verify"):
+        if grid is not None and task == "classify":
             raise SchemaError(f"task {task!r} reads no grid")
         if task == "oracle" and grid is not None and grid < ORACLE_MIN_GRID:
             raise SchemaError(f"the oracle needs grid >= {ORACLE_MIN_GRID} points per edge")
@@ -351,7 +358,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if problem.exact and problem.system is not None and not problem.system.is_exact_atomic:
+        if problem.exact and not problem.system.is_exact_atomic:
             raise SchemaError("exact route requested but the system is not purely atomic")
 
         if problem.task == "eigs":
@@ -408,8 +415,6 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
                 return 4
         else:  # unreachable; parse() has validated
             raise SchemaError(f"unknown task {problem.task!r}")
-    except SchemaError:
-        raise
     except ConvergenceError as exc:
         _write_json(out / "error.json", {"error": "non-convergence", "detail": str(exc)})
         return 3
@@ -426,7 +431,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
 
 def _load_problem(source: str, overrides: dict) -> ProblemFile:
     if source in BUILTINS:
-        obj = builtin_problem(source)
+        obj = {} if overrides["task"] == "verify" else builtin_problem(source)
     else:
         path = Path(source)
         if not path.exists():
@@ -452,7 +457,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--jobs", type=int, default=1,
                         help="must be 1: every task runs in one thread")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="verify only (default 0)")
     args = parser.parse_args(argv)
 
     overrides = {
@@ -464,8 +469,10 @@ def main(argv=None) -> int:
     try:
         if args.jobs != 1:
             raise SchemaError(f"--jobs must be 1, got {args.jobs}")
+        if args.seed is not None and args.task != "verify":
+            raise SchemaError(f"task {args.task!r} reads no --seed")
         problem = _load_problem(args.problem, overrides)
-        code = run(problem, args.out, seed=args.seed)
+        code = run(problem, args.out, seed=args.seed or 0)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return 2

@@ -306,18 +306,18 @@ class HerglotzFunction:
 # ---------------------------------------------------------------------------
 
 
-def geometric_schedule(eps0: float = 0.1, steps: int = 40, ratio: float = 0.5):
-    """The default ladder of imaginary offsets: eps0 * ratio**k."""
-    if not (eps0 > 0 and 0 < ratio < 1 and steps >= 2):
-        raise ValueError("schedule needs eps0 > 0, 0 < ratio < 1, steps >= 2")
-    return tuple(eps0 * ratio**k for k in range(steps))
+# The number of trailing samples `richardson` extrapolates from.
+_TAIL = 8
+
+
+def geometric_schedule(eps0: float = 0.1, steps: int = 40):
+    """The rungs eps0 * 2**-k, k < steps, that a limit reads: k = 0 and the last ``_TAIL``."""
+    if not (eps0 > 0 and steps >= 2):
+        raise ValueError("schedule needs eps0 > 0 and steps >= 2")
+    return tuple(eps0 * 0.5**k for k in (0, *range(max(1, steps - _TAIL), steps)))
 
 
 DEFAULT_SCHEDULE = geometric_schedule()
-
-
-# The number of trailing samples `richardson` extrapolates from.
-_TAIL = 8
 
 
 def _size(v) -> float:
@@ -333,8 +333,8 @@ def richardson(eps: Sequence[float], vals: Sequence):
     the schedule's ratio r > 1 between neighbouring offsets the stage-m
     factor is r**m.  Real samples stay real.  Returns the accelerated value
     together with a crude error estimate: the change produced by the last
-    stage.  Raises ValueError unless the offsets decrease geometrically,
-    as `geometric_schedule` makes them.
+    stage.  Raises ValueError unless those offsets decrease geometrically,
+    as the tail of a `geometric_schedule` does.
     """
     k = min(_TAIL, len(vals))
     if k == 0:
@@ -357,11 +357,12 @@ def point_mass(schedule: Sequence[float], weights: Sequence[float]):
     """(weight, settled): the point mass that samples eps * Im h(x + i eps)
     on ``schedule`` extrapolate to.
 
-    The limit is positive exactly at atoms and zero elsewhere, and a floor
-    of 1e-6 times the first sample tells the two apart: a limit at or below
-    it comes back as 0.0.  The verdict is settled only when the Richardson
-    error keeps the limit clear of the floor; a limit of positive samples
-    below -floor means the extrapolation failed, which is unsettled too.
+    It reads the first sample and the last ``_TAIL`` (a `geometric_schedule`
+    holds no others).  The limit is positive exactly at atoms and zero
+    elsewhere, and a floor of 1e-6 times the first sample tells the two
+    apart: a limit at or below it comes back as 0.0.  The verdict is settled
+    only when the Richardson error keeps the limit clear of the floor, and a
+    limit of positive samples below -floor (a failed extrapolation) is not.
     """
     weight, err = richardson(schedule, weights)
     floor = 1e-6 * max(weights[0], 1e-300)

@@ -38,8 +38,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 def as_fraction(x: NumberLike) -> Fraction:
     """Convert ``x`` to an exact Fraction; floats keep their binary value.
 
-    Strings take the forms `Fraction` reads, with a decimal exponent of at
-    most `MAX_DECIMAL_EXPONENT` in size (ValueError otherwise).
+    Strings take the forms `Fraction` reads, with a nonzero denominator and a
+    decimal exponent of at most `MAX_DECIMAL_EXPONENT` in size (ValueError otherwise).
     """
     if isinstance(x, Fraction):
         return x
@@ -56,7 +56,10 @@ def as_fraction(x: NumberLike) -> Fraction:
         if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"{x[:40]!r} has a decimal exponent beyond "
                              f"+-{MAX_DECIMAL_EXPONENT}")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x[:40]!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
 
 

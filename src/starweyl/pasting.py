@@ -148,7 +148,7 @@ class PastedSystem:
 
     def default_schedule(self):
         """The eps ladder of the numeric route: `EDGE_SCHEDULE` when an entry
-        is an edge, `DEFAULT_SCHEDULE` otherwise.  Both halve at each step."""
+        is an edge, `DEFAULT_SCHEDULE` otherwise (`geometric_schedule`s)."""
         return EDGE_SCHEDULE if self.has_edges else DEFAULT_SCHEDULE
 
     def to_json(self) -> dict:
@@ -412,8 +412,8 @@ def omega_at(sys: PastedSystem, x: NumberLike, *,
     eps-limit otherwise.  Points the trace measure does not charge come
     back flagged ``trace_vanishing`` with a zero matrix; numerically that
     is the `point_mass` verdict on eps * Im tr M.  The numeric ladder is the
-    system's `default_schedule`, read in one `matrix_weyl` call on the array
-    x + i eps, with the bits of one call per eps.
+    system's `default_schedule` (the floor's rung and the eight extrapolated),
+    read in one `matrix_weyl` call on x + i eps with the bits of one per eps.
     """
     n = sys.n
     if _exact_route(sys, exact):

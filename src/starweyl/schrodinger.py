@@ -37,7 +37,7 @@ from .measure import Poly, as_fraction, check_keys, number_from_json, number_to_
 # matrices leave a relative error up to ~1e-12 in (u, u') (`_TRANSFER_RTOL`),
 # and near a pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies that error:
 # start at 1e-2.  Free edges (closed form, accurate to rounding) use the same
-# ladder.
+# ladder: 1e-2 and 1e-2 * 2**-k for k = 5..12.
 EDGE_SCHEDULE = geometric_schedule(1e-2, 13)
 
 
@@ -554,11 +554,6 @@ def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
     return Solution(z, x1, uu, udu, (su, sdu))
 
 
-def _outer_init(edge: Edge) -> Tuple[float, float]:
-    c, s = cos_sin(float(edge.outer_angle))
-    return (s, -c)
-
-
 # Beyond this |Im kL|, cos kL is at least sinh(20) ~ 2.4e8 in modulus, never
 # zero, and cmath.cos overflows a few hundred units further out.
 _SCALE_IM_KL = 20.0
@@ -601,37 +596,43 @@ def _free_values(edge: Edge, z: complex):
 
 def _boundary_values(edge: Edge, z):
     """(u(0), u'(0)) of the outer-condition solution on a finite edge, up to
-    a common factor that is positive for real z: closed form when free,
-    transfer matrices otherwise (for one z or, with a potential, an array).
+    a common factor that is positive for real z, at one z or at each z of a
+    1-D array with the bits it has alone: `_free_values` when free, one
+    transfer-matrix pass with a potential.
 
     With a potential the pair is `solve_edge`'s scaled one: where the
     solution outgrows the float range it is divided by a power of two, which
     keeps the ratio and the sign of u(0).  Elsewhere it is (u(0), u'(0))
     itself, so `brentq` refines a function continuous in z."""
-    if edge.potential is None:
+    if edge.potential is not None:
+        if isinstance(z, np.ndarray) and not z.size:
+            return z, z
+        c, s = cos_sin(float(edge.outer_angle))
+        return solve_edge(edge, z, (s, -c), float(edge.length), 0.0).scaled
+    if not isinstance(z, np.ndarray):
         return _free_values(edge, z)
-    return solve_edge(edge, z, _outer_init(edge), float(edge.length), 0.0).scaled
+    return np.array([_free_values(edge, zv) for zv in z.tolist()]).reshape(-1, 2).T
 
 
 def weyl_m(edge: Edge, z):
     """Interface value m(z) = u'(0)/u(0) of the outer-condition solution.
 
-    Free finite edges use the closed form of `_free_values`; edges with a
-    potential are integrated from the outer endpoint; free infinite edges
-    return i sqrt(z) on the branch with positive imaginary part.  Real z is
-    allowed for finite edges (the value is then real) except at the
-    isolated points where u(0) vanishes.
+    Free infinite edges return i sqrt(z) on the branch with positive
+    imaginary part; finite edges divide the pair of `_boundary_values`.
+    Real z is allowed for finite edges (the value is then real) except at
+    the isolated points where u(0) vanishes, which raise ZeroDivisionError.
 
     z may also be a 1-D numpy array; the result is then a complex array
-    with the bits of the scalar call at each z.  An edge with a potential
-    integrates the whole array in one `solve_edge` pass and finishes each z
-    in Python scalars; any other edge is evaluated one z at a time.
+    with the bits of the scalar call at each z, and an edge with a potential
+    integrates the whole array in one `solve_edge` pass.
     """
+    if edge.is_infinite:
+        roots = [cmath.sqrt(zv) for zv in np.asarray(z, dtype=complex).ravel().tolist()]
+        values = [1j * (-s if s.imag < 0 else s) for s in roots]
+        return np.array(values, dtype=complex) if isinstance(z, np.ndarray) else values[0]
     if not isinstance(z, np.ndarray):
-        return _weyl_value(edge, z)
+        return _ratio(z, *_boundary_values(edge, complex(z)))
     zs = np.asarray(z, dtype=complex)
-    if edge.potential is None or not zs.size:
-        return np.array([_weyl_value(edge, zv) for zv in zs.tolist()], dtype=complex)
     su, sdu = _boundary_values(edge, zs)
     values = []
     for zv, u, du in zip(zs.tolist(), su.tolist(), sdu.tolist()):
@@ -640,18 +641,6 @@ def weyl_m(edge: Edge, z):
         # would not treat like the real pair
         values.append(_ratio(zv, u.real, du.real) if zv.imag == 0 else _ratio(zv, u, du))
     return np.array(values, dtype=complex)
-
-
-def _weyl_value(edge: Edge, z):
-    """`weyl_m` at one z."""
-    zc = complex(z)
-    if edge.is_infinite:
-        s = cmath.sqrt(zc)
-        if s.imag < 0:
-            s = -s
-        return 1j * s
-    u, du = _boundary_values(edge, zc)
-    return _ratio(z, u, du)
 
 
 def _ratio(z: complex, u, du):
@@ -667,9 +656,7 @@ def _interface_value(edge: Edge, z: float) -> float:
 
 
 def _interface_values(edge: Edge, zs: list) -> list:
-    """`_interface_value` at every z of the list; one array pass with a potential."""
-    if edge.potential is None:
-        return [_interface_value(edge, zv) for zv in zs]
+    """`_interface_value` at every z of the list, in one `_boundary_values` call."""
     return _boundary_values(edge, np.array(zs, dtype=float))[0].tolist()
 
 
@@ -717,10 +704,11 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     the scan runs in the variable s with z = s|s|: for z > 0 solutions
     oscillate at rate sqrt(z), so a uniform s-step of pi/(10 L) tracks
     every sign change; for z < 0 the function is monotone in practice and
-    the same step is more than enough.  The scan grid goes through the
-    edge in one array call; `brentq` refines each sign change one z at a
-    time, starting from the scan's values at its ends, which have the bits
-    of single-z calls.  A window that needs more than
+    the same step is more than enough.  The scan points go through the edge
+    in one array call; an exact zero at an inner one is a pole, at an end
+    one it is not (the open window, as in closed form).  `brentq` refines
+    each sign change one z at a time from the scan's values at its ends,
+    which have the bits of single-z calls.  A window that needs more than
     `_MAX_SCAN_POINTS` scan points raises ConvergenceError on either route.
     """
     if edge.is_infinite:
@@ -731,7 +719,8 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     L = float(edge.length)
     # the scan's point count, before either route enumerates anything; it
     # may overflow to inf, so it is not divided by the step
-    points = (_s_of(hi) - _s_of(lo)) * (10.0 * L / math.pi)
+    s_lo, s_hi = _s_of(lo), _s_of(hi)
+    points = (s_hi - s_lo) * (10.0 * L / math.pi)
     if not points <= _MAX_SCAN_POINTS:
         raise ConvergenceError(
             f"the window ({lo}, {hi}) needs {points:.3g} scan points on an edge of "
@@ -740,33 +729,16 @@ def dirichlet_eigenvalues(edge: Edge, window) -> list:
     if poles is not None:
         return poles
     step = math.pi / (10.0 * L)
-    # Window endpoints sitting exactly on an eigenvalue would break the
-    # sign-change logic; nudge them inward (they are boundary cases anyway).
-    for _ in range(8):
-        s_lo, s_hi = _s_of(lo), _s_of(hi)
-        count = max(2, int(math.ceil((s_hi - s_lo) / step)) + 1)
-        zs = [s * abs(s) for s in np.linspace(s_lo, s_hi, count)]
-        at_lo, at_hi, *vals = _interface_values(edge, [lo, hi, *zs])
-        if at_lo != 0.0 and at_hi != 0.0:
-            break
-        if at_lo == 0.0:
-            lo += 1e-9 * (1 + abs(lo))
-        if at_hi == 0.0:
-            hi -= 1e-9 * (1 + abs(hi))
-    else:
-        raise ConvergenceError("a window end sits on an eigenvalue and will not move off it")
-
-    roots: list[float] = []
+    count = max(2, int(math.ceil((s_hi - s_lo) / step)) + 1)
+    zs = [s * abs(s) for s in np.linspace(s_lo, s_hi, count)]
+    vals = _interface_values(edge, zs)
+    roots = []
     for i in range(len(zs) - 1):
         v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            if i > 0:  # interior exact hit
-                roots.append(zs[i])
-            continue
-        if v0 * v1 < 0:
-            r = brentq(lambda t: _interface_value(edge, t), zs[i], zs[i + 1], fa=v0, fb=v1)
-            roots.append(float(r))
-    if vals[-1] == 0.0:
-        roots.append(zs[-1])
-    return sorted(roots)
+        if v0 == 0.0 and i > 0:
+            roots.append(zs[i])
+        elif v0 * v1 < 0:
+            roots.append(brentq(lambda t: _interface_value(edge, t), zs[i], zs[i + 1],
+                                fa=v0, fb=v1))
+    return roots
 

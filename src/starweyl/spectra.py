@@ -276,10 +276,7 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
                 raise ConvergenceError(
                     f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
                 ) from exc
-            if va == 0.0:
-                results.append(Eigenvalue(aa, 1, KIRCHHOFF))
-                continue
-            if va < 0 < vb:
+            if va <= 0 < vb:  # brentq returns aa itself where va is 0
                 u = brentq(lambda t: _real_sum_value(sys, t), aa, bb, fa=va, fb=vb)
                 results.append(Eigenvalue(float(u), 1, KIRCHHOFF))
 

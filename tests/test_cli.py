@@ -107,6 +107,23 @@ def test_huge_decimal_exponents_exit_2_at_once(tmp_path, where):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("where", ["position", "length", "coefficient"])
+def test_a_zero_denominator_anywhere_is_exit_2(tmp_path, capsys, where):
+    # "1/0" in the window always exited 2; in the system it escaped `main`
+    # as a ZeroDivisionError
+    edges = {
+        "position": [{"atoms": [["1/0", 1]], "pieces": []}, MEASURE],
+        "length": [{"length": "1/0"}, {"length": 1}],
+        "coefficient": [{"length": 1, "potential": {"pieces": [
+            {"interval": [0, 1], "coeffs": ["1/0"]}]}}, {"length": 1}],
+    }[where]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"task": "eigs", "window": [-1, 1], "system": {
+        "edges": edges, "interface": {"type": "standard"}}}))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'1/0' has a zero denominator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["1e-10000", "1E+300", "-2.5e-1_000", "3e0", "1e-400"])
 def test_decimal_exponents_within_the_bound_are_read(text):
     assert number_from_json(text) == Fraction(text)
@@ -159,8 +176,25 @@ def test_parse_keeps_the_keys_a_task_reads():
     assert parse(task="oracle", grid=200).grid == 200
     kac2 = builtin_problem("kac2")
     assert ProblemFile.parse({**kac2, "grid": 9}).grid == 9
-    # window and exact ride along in the kac2 builtin that `verify` reads
-    assert ProblemFile.parse({**kac2, "task": "verify"}).exact
+    # `verify` runs suites on data of its own: the builtin's keys are not read
+    with pytest.raises(SchemaError, match="reads no exact, system, window"):
+        ProblemFile.parse({**kac2, "task": "verify"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "kac2", "--window", "0", "1"], ["verify", "kac2", "--exact"],
+     ["verify", "kac2.json"], ["eigs", "kac2", "--seed", "0"],
+     ["classify", "k74", "--seed", "3"]],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_only_verify_reads_the_seed_and_it_reads_nothing_else(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("kac2.json").write_text(json.dumps(builtin_problem("kac2")))
+    assert main(argv + ["--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert ("reads no --seed" in err) if "--seed" in argv else ("only --seed" in err)
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("key", ["eps0", "eps_steps"])
@@ -282,8 +316,8 @@ def test_parse_not_an_object():
 def test_parse_system_required_except_for_verify():
     with pytest.raises(SchemaError):
         ProblemFile.parse({"task": "eigs", "window": [0, 1]})
-    p = ProblemFile.parse({"task": "verify", "window": [0, 1]})
-    assert p.system is None
+    p = ProblemFile.parse({"task": "verify"})
+    assert p.system is None and p.window is None
 
 
 def test_builtin_problems_all_parse():
@@ -507,7 +541,7 @@ def test_run_exact_needs_atomic_system(tmp_path):
 def test_run_verify_failure_is_exit_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_verify_suites",
                         lambda seed: {"passed": False, "rank-lemma": {"passed": False}})
-    p = ProblemFile.parse({"task": "verify", "window": [0, 1]})
+    p = ProblemFile.parse({"task": "verify"})
     assert run(p, tmp_path) == 4
     assert not json.loads((tmp_path / "verify.json").read_text())["passed"]
 

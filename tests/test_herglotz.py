@@ -29,6 +29,8 @@ from starweyl import (
     richardson,
     solve_level,
 )
+from starweyl.herglotz import DEFAULT_SCHEDULE
+from starweyl.schrodinger import EDGE_SCHEDULE
 
 from conftest import atomic_reps, upper_half_points
 
@@ -123,10 +125,21 @@ def test_rep_json_round_trip():
 
 
 def test_geometric_schedule_shape():
-    s = geometric_schedule(0.1, 5, 0.5)
+    s = geometric_schedule(0.1, 5)
     assert s == pytest.approx([0.1, 0.05, 0.025, 0.0125, 0.00625])
     with pytest.raises(ValueError):
         geometric_schedule(-1, 5)
+
+
+@pytest.mark.parametrize("ladder, eps0, steps", [
+    (DEFAULT_SCHEDULE, 0.1, 40), (EDGE_SCHEDULE, 1e-2, 13),
+    (geometric_schedule(0.2, 10), 0.2, 10), (geometric_schedule(0.1, 9), 0.1, 9)],
+    ids=["default", "edge", "ten-steps", "nine-steps"])
+def test_a_ladder_holds_the_rungs_its_limits_read_bit_for_bit(ladder, eps0, steps):
+    # the floor of `point_mass` reads the first rung and `richardson` the
+    # last eight: a ladder keeps those bits and drops the rungs between
+    whole = tuple(eps0 * 0.5**k for k in range(steps))
+    assert ladder == (whole[0],) + whole[-8:]
 
 
 def test_richardson_kills_polynomial_error_terms():

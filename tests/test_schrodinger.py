@@ -445,6 +445,29 @@ def test_obtuse_outer_angle_gives_one_negative_pole():
     assert s + c * math.tanh(k * L) / k == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("where", ["first", "inner", "last"])
+def test_the_scan_reads_an_exact_zero_as_a_pole_at_inner_points_only(where, monkeypatch):
+    # the open window of `_free_poles`: a zero at an end scan point is no pole
+    edge = Edge.of(1, [((0, 1), [0, 5])], 0.7)
+    window = (-5.0, 60.0)
+    clean = dirichlet_eigenvalues(edge, window)
+    scan, hit = schrodinger._interface_values, []
+
+    def with_a_zero(e, zs):
+        vals = scan(e, zs)
+        assert all(zs[1] < x < zs[-2] for x in clean)  # no end bracket holds a pole
+        i = {"first": 0, "last": len(zs) - 1}.get(where)
+        if i is None:  # an inner point with no sign change beside it
+            i = next(j for j in range(1, len(zs) - 1) if vals[j - 1] * vals[j + 1] > 0)
+        vals[i] = 0.0
+        hit.append(zs[i])
+        return vals
+
+    monkeypatch.setattr(schrodinger, "_interface_values", with_a_zero)
+    got = dirichlet_eigenvalues(edge, window)
+    assert got == (sorted(clean + hit) if where == "inner" else clean)
+
+
 def test_dirichlet_eigenvalues_need_a_finite_edge():
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(Edge.of("inf"), (0, 1))

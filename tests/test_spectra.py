@@ -392,6 +392,14 @@ def test_classify_merges_adjacent_regions_with_equal_count():
     assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(2), 1),)
 
 
+def test_classify_merges_adjacent_regions_from_two_measures():
+    # one positive density on either side of 1, carried by different inputs
+    left = ScalarMeasure.of(pieces=[((0, 1), [1])])
+    right = ScalarMeasure.of(pieces=[((1, 2), [1])])
+    rep = classify_spectrum([left, right], (0, 2))
+    assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(2), 1),)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -554,6 +562,29 @@ def test_fd_oracle_empty_window_runs_no_eigensolve(monkeypatch):
     assert r.items == () and not r.coarse
     assert (r.count_below_lo, r.count_below_hi) == (1, 1)
     assert calls == []
+
+
+def _drop_the_nearest(vals, sigma):
+    return np.delete(vals, np.argmin(np.abs(vals - sigma)))
+
+
+def _split_the_first_pair(vals, sigma):
+    vals = np.sort(vals)
+    vals[np.flatnonzero(np.diff(vals) < 1e-6)[0] + 1] += 1e-3
+    return vals
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_the_nearest, "found 5 eigenvalues in the window, the inertia count 6"),
+    (_split_the_first_pair, "holds 1 eigenvalues, the inertia count 2")],
+    ids=["dropped", "split"])
+def test_fd_oracle_refuses_an_eigensolve_its_counts_contradict(corrupt, message, monkeypatch):
+    # 0.25, 1 (double), 2.25, 4 (double): the eigensolve loses the one
+    # nearest its shift, or moves one of the double at 1 apart from the other
+    real = spectra.eigsh
+    monkeypatch.setattr(spectra, "eigsh", lambda A, **kw: corrupt(real(A, **kw), kw["sigma"]))
+    with pytest.raises(ConvergenceError, match=message):
+        fd_oracle([Edge.of(math.pi)] * 3, (0.1, 5), grid=600)
 
 
 def _potential(length):
