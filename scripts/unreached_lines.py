@@ -13,15 +13,23 @@ by two runs in this one process:
   `perfbench/workloads.py` and run through `starweyl.cli.main`.
 
 The executable lines of a module are the line numbers of its compiled code
-objects (`co_lines`), so docstrings and comments are not counted.  Prints,
-per module, the unreached lines as ranges and how many there are, then the
-exit code of each run; problem files and artifacts go to a temporary
-directory.  Tracing makes the test suite about two and a half times slower.
+objects (`co_lines`), so docstrings and comments are not counted.  A line
+that no run can reach carries a trailing comment `# unreached: <reason>`.
+Prints, per module, the unreached lines without that marker as ranges and
+how many there are, then every marked line with its reason, then the exit
+code of each run; problem files and artifacts go to a temporary directory.
+Tracing makes the test suite about two and a half times slower.
+
+Exits 1 when a module has an unreached line without the marker, when a
+marker stands on a line that is not an unreached one (it was reached, or is
+no code: the marker is stale), or when tier-1 or a workload task exits
+nonzero; 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import tempfile
 import types
@@ -29,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starweyl"
+MARKER = re.compile(r"#\s*unreached:\s*(\S.*)$")
 
 
 def executable_lines(path: Path) -> set:
@@ -106,12 +115,22 @@ def main(argv=None) -> int:
             tier1 = run_tier1()
     finally:
         sys.settrace(None)
+    faults = 0
     for path in sorted(PACKAGE.glob("*.py")):
+        marks = {n: m.group(1) for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if (m := MARKER.search(line))}
         missed = executable_lines(path) - reached[str(path)]
-        print(f"{path.name}: {len(missed)} unreached: {ranges(missed) or '-'}")
+        unmarked = missed - set(marks)
+        print(f"{path.name}: {len(unmarked)} unreached: {ranges(unmarked) or '-'}")
+        for n, reason in sorted(marks.items()):
+            stale = n not in missed
+            print(f"  {path.name}:{n} marked{' (stale: no unreached line)' if stale else ''}: "
+                  f"{reason}")
+            faults += stale
+        faults += len(unmarked)
     failed = {label: code for label, code in codes.items() if code != 0}
     print(f"tier-1 exit code {tier1}; workload tasks {len(codes)}, nonzero exits {failed}")
-    return 0
+    return int(bool(faults or tier1 or failed))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ The entries choose how the boundary values are read: purely atomic
 systems always take the rational route, and the eps ladder of every
 other system is the one `PastedSystem.default_schedule` picks.  `exact`
 forces nothing; it turns a system with a non-atomic entry into a schema
-error.  `classify` rejects `grid`, which it never reads; `verify` reads
-only `--seed`, which no other task takes, and a builtin gives it no keys.
+error.  `classify` rejects edges and `grid`, which it never reads, and
+`oracle` every entry but an edge; `verify` reads only `--seed`, which no
+other task takes, and a builtin gives it no keys.  `ProblemFile.parse`
+makes all these checks, so `run` meets no schema violation.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -119,6 +121,10 @@ class ProblemFile:
                 isinstance(e, Edge) and e.is_infinite for e in system.entries):
             raise SchemaError(f"task {task!r} needs finite edges: an infinite edge "
                               "has no discrete decoupled spectrum")
+        if task == "oracle" and not all(isinstance(e, Edge) for e in system.entries):
+            raise SchemaError("the discretization oracle needs edge entries")
+        if task == "classify" and system.reps is None:
+            raise SchemaError("classification needs measure-backed entries")
         grid = obj.get("grid")
         if grid is not None and not (_is_int(grid) and grid >= 1):
             raise SchemaError("grid must be a positive integer")
@@ -129,6 +135,8 @@ class ProblemFile:
         exact = obj.get("exact", False)
         if not isinstance(exact, bool):
             raise SchemaError("exact must be a boolean")
+        if exact and not system.is_exact_atomic:
+            raise SchemaError("exact route requested but the system is not purely atomic")
         return cls(task, system, (lo, hi), grid, exact)
 
 
@@ -358,9 +366,6 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if problem.exact and not problem.system.is_exact_atomic:
-            raise SchemaError("exact route requested but the system is not purely atomic")
-
         if problem.task == "eigs":
             eigs = find_point_spectrum(problem.system, problem.window)
             report = SpectralReport(window=problem.window, eigenvalues=tuple(eigs))
@@ -370,10 +375,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
             rows = emit_plot_data(problem.system, report, grid=problem.grid or 200)
             _write_csv(out / "plot.csv", ("x", "im_trace", "marker"), rows)
         elif problem.task == "classify":
-            reps = problem.system.reps
-            if reps is None:
-                raise SchemaError("classification needs measure-backed entries")
-            report = classify_spectrum([r.omega for r in reps], problem.window,
+            report = classify_spectrum([r.omega for r in problem.system.reps], problem.window,
                                        sys=problem.system)
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
@@ -396,10 +398,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
                     header.extend((f"m{i}{j}_re", f"m{i}{j}_im"))
             _write_csv(out / "weyl.csv", header, rows)
         elif problem.task == "oracle":
-            edges = problem.system.entries
-            if not all(isinstance(e, Edge) for e in edges):
-                raise SchemaError("the discretization oracle needs edge entries")
-            res = fd_oracle(edges, problem.window, grid=problem.grid or 4000)
+            res = fd_oracle(problem.system.entries, problem.window, grid=problem.grid or 4000)
             _write_json(out / "oracle.json", {
                 "items": [[x, k] for x, k in res.items],
                 "coarse": res.coarse,
@@ -408,13 +407,11 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
                 "count_below_hi": res.count_below_hi,
             })
             _write_csv(out / "oracle.csv", ("x", "multiplicity"), res.items)
-        elif problem.task == "verify":
+        else:  # verify: `ProblemFile.parse` admits only the five tasks
             suites = run_verify_suites(seed=seed)
             _write_json(out / "verify.json", suites)
             if not suites["passed"]:
                 return 4
-        else:  # unreachable; parse() has validated
-            raise SchemaError(f"unknown task {problem.task!r}")
     except ConvergenceError as exc:
         _write_json(out / "error.json", {"error": "non-convergence", "detail": str(exc)})
         return 3
@@ -476,14 +473,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=_sys.stderr)
-        return 3
-    except InternalInvariantError as exc:
-        print(f"internal invariant breached: {exc}", file=_sys.stderr)
-        return 4
     return code
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main())  # unreached: runs only as a script; tests call main()

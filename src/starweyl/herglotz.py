@@ -133,10 +133,6 @@ class HerglotzRep:
     def is_constant(self) -> bool:
         return self.b == 0 and self.omega.is_zero
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.omega.is_atomic
-
     def eval(self, z: complex) -> complex:
         return float(self.a) + float(self.b) * complex(z) + cauchy_transform(self.omega, z)
 
@@ -333,14 +329,13 @@ def richardson(eps: Sequence[float], vals: Sequence):
     the schedule's ratio r > 1 between neighbouring offsets the stage-m
     factor is r**m.  Real samples stay real.  Returns the accelerated value
     together with a crude error estimate: the change produced by the last
-    stage.  Raises ValueError unless those offsets decrease geometrically,
-    as the tail of a `geometric_schedule` does.
+    stage.  Raises ValueError on fewer than two samples (every
+    `geometric_schedule` has at least two rungs) and unless those offsets
+    decrease geometrically, as the tail of a `geometric_schedule` does.
     """
     k = min(_TAIL, len(vals))
-    if k == 0:
-        raise ValueError("no samples")
-    if k == 1:
-        return vals[-1], _size(vals[-1])
+    if k < 2:
+        raise ValueError(f"richardson needs at least two samples, got {len(vals)}")
     e = [float(v) for v in eps[-k:]]
     v = list(vals[-k:])
     r = e[0] / e[1]
@@ -725,10 +720,7 @@ def poly_gcd_degree(p: Poly, q: Poly) -> int:
         ra = list(a.coeffs)
         bc = b.coeffs
         while len(ra) >= len(bc) and any(c != 0 for c in ra):
-            if ra[-1] == 0:
-                ra.pop()
-                continue
-            factor = ra[-1] / bc[-1]
+            factor = ra[-1] / bc[-1]  # 0 on a zero leading term, which pop() drops
             shift = len(ra) - len(bc)
             for i, cb in enumerate(bc):
                 ra[shift + i] -= factor * cb

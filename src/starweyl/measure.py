@@ -139,9 +139,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -185,8 +182,6 @@ class Poly:
         return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(())
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

@@ -77,8 +77,6 @@ class PastedSystem:
             raise PureRelationError(
                 f"{n_const} constant entries: at most one degenerate relation is allowed"
             )
-        if n_const == len(self.entries):
-            raise PureRelationError("all entries constant: nothing left to paste")
 
     @classmethod
     def of(cls, items: Sequence) -> "PastedSystem":
@@ -317,10 +315,6 @@ class OmegaMatrix:
     trace_vanishing: bool
     psd_tolerance_report: PsdReport
     exact_entries: Union[Tuple[Tuple[Fraction, ...], ...], None] = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,

@@ -536,8 +536,6 @@ def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
         L = float(edge.length)
         if not (-1e-12 <= min(x0, x1) and max(x0, x1) <= L + 1e-12):
             raise ValueError(f"[{x0}, {x1}] is not inside the edge [0, {L}]")
-    if x0 == x1:
-        return Solution(z, x1, init[0], init[1], tuple(init))
 
     zs = np.asarray(z, dtype=complex)
     u0, du0 = complex(init[0]), complex(init[1])

@@ -47,7 +47,7 @@ def parse(**kw):
 
 
 def test_parse_happy_path():
-    p = parse(grid=30, exact=True)
+    p = parse(system=builtin_problem("kac2")["system"], grid=30, exact=True)
     assert p.task == "eigs"
     assert p.window == (Fraction(-1), Fraction(1))
     assert p.grid == 30
@@ -393,6 +393,39 @@ def test_rank_lemma_eliminates_once_per_trial(monkeypatch):
     assert len(calls) == 20
 
 
+def test_each_suite_counts_the_trials_whose_check_fails(monkeypatch):
+    monkeypatch.setattr(cli, "rank_md", lambda b, d: -1)
+    monkeypatch.setattr(cli, "verify_kac", lambda sys_, window: (False, {"checked": 2}))
+    monkeypatch.setattr(cli, "aronszajn_donoghue_check", lambda m, a1, a2: False)
+    rng = np.random.default_rng(7)
+    assert cli.suite_rank_lemma(rng, trials=3) == {"trials": 3, "failures": 3, "passed": False}
+    assert cli.suite_kac(rng, trials=3) == {"trials": 3, "points_checked": 6,
+                                            "failures": 3, "passed": False}
+    assert cli.suite_aronszajn_donoghue(rng, trials=3) == {"trials": 3, "failures": 3,
+                                                           "passed": False}
+
+
+def test_aronszajn_donoghue_suite_redraws_an_equal_second_angle(monkeypatch):
+    class Draws:
+        """A generator whose angle draws repeat the first once."""
+
+        def __init__(self):
+            self.rng, self.angles = np.random.default_rng(7), iter([0.5, 0.5, 1.5])
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def uniform(self, lo, hi):
+            return next(self.angles)
+
+    seen = []
+    monkeypatch.setattr(cli, "aronszajn_donoghue_check",
+                        lambda m, a1, a2: seen.append((a1, a2)) or True)
+    out = cli.suite_aronszajn_donoghue(Draws(), trials=1)
+    assert out == {"trials": 1, "failures": 0, "passed": True}
+    assert seen == [(0.5, 1.5)]
+
+
 def test_verify_suites_are_seeded():
     a = run_verify_suites(seed=3, scale=0.01)
     b = run_verify_suites(seed=3, scale=0.01)
@@ -525,17 +558,26 @@ def test_run_oracle_eigensolve_failure_is_exit_3(tmp_path, monkeypatch, failure)
     assert "sigma=5.05 with k=11" in err["detail"] and str(raised) in err["detail"]
 
 
-def test_run_oracle_needs_edges(tmp_path):
-    p = ProblemFile.parse({**builtin_problem("kac2"), "task": "oracle",
-                           "exact": False})
-    with pytest.raises(SchemaError):
-        run(p, tmp_path)
+def test_run_oracle_needs_edges():
+    with pytest.raises(SchemaError, match="needs edge entries"):
+        ProblemFile.parse({**builtin_problem("kac2"), "task": "oracle", "exact": False})
 
 
-def test_run_exact_needs_atomic_system(tmp_path):
-    p = ProblemFile.parse({**builtin_problem("equilateral3"), "exact": True})
-    with pytest.raises(SchemaError):
-        run(p, tmp_path)
+def test_run_exact_needs_atomic_system():
+    with pytest.raises(SchemaError, match="not purely atomic"):
+        ProblemFile.parse({**builtin_problem("equilateral3"), "exact": True})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "equilateral3"], "measure-backed entries"),
+    (["oracle", "kac2"], "needs edge entries"),
+    (["eigs", "equilateral3", "--exact"], "not purely atomic"),
+])
+def test_schema_violation_is_exit_2_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_verify_failure_is_exit_4(tmp_path, monkeypatch):

@@ -104,6 +104,24 @@ def test_derivative_real_matches_difference_quotient():
     assert d > 0
 
 
+def test_derivative_real_refuses_densities_and_poles():
+    with pytest.raises(ValueError, match="purely atomic"):
+        HerglotzRep.of(0, 0, ScalarMeasure.of(pieces=[((0, 1), [1])])).derivative_real(2)
+    with pytest.raises(ValueError, match="pole"):
+        HerglotzRep.of(0, 0, ScalarMeasure.point(1)).derivative_real(1)
+
+
+def test_rep_takes_fractions():
+    with pytest.raises(TypeError, match="Fractions"):
+        HerglotzRep(0, F(0), ScalarMeasure())
+
+
+def test_integer_evaluation_needs_a_purely_atomic_measure():
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(3, 1)], pieces=[((0, 1), [1])]))
+    with pytest.raises(ValueError, match="purely atomic"):
+        h.value_parts(2, 1)
+
+
 def test_value_at_infinity_for_bounded_reps():
     h = HerglotzRep.of(F(1, 2), 0, ScalarMeasure.of(atoms=[(1, F(1, 3)), (-2, F(1, 4))]))
     # a - sum(w t) = 1/2 - (1/3 - 1/2)
@@ -170,6 +188,13 @@ def test_richardson_rejects_a_schedule_that_is_not_geometric():
     eps = [0.1, 0.05, 0.02, 0.01, 0.004, 0.001]
     with pytest.raises(ValueError, match="geometrically"):
         richardson(eps, [2.0 - e for e in eps])
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_richardson_needs_at_least_two_samples(count):
+    eps = geometric_schedule(0.1, 2)[:count]
+    with pytest.raises(ValueError, match="at least two samples"):
+        richardson(eps, [1.0] * count)
 
 
 def test_richardson_fit_keeps_real_samples_real():
@@ -245,6 +270,18 @@ def test_solve_level_counts_one_root_per_gap():
     assert roots == [r for r in above if abs(r) <= 10]
 
 
+def test_solve_level_with_a_slope_and_no_atoms():
+    assert solve_level(HerglotzRep.of(F(1, 3), 2), 1) == [F(1, 3)]
+
+
+def test_exact_calculus_refuses_densities():
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(pieces=[((0, 1), [1])]))
+    with pytest.raises(ValueError, match="purely atomic"):
+        solve_level(h, 0)
+    with pytest.raises(ValueError, match="purely atomic"):
+        atomic_rational_parts(h)
+
+
 def test_solve_level_respects_the_window():
     h = HerglotzRep.of(F(1, 3), 0, ScalarMeasure.of(
         atoms=[(F(-2), F(1, 2)), (F(1, 4), F(3)), (F(5, 2), F(1))]))
@@ -275,6 +312,8 @@ def test_poly_gcd_degree_detects_common_roots():
     assert poly_gcd_degree(p, q) == 1
     r = Poly([F(2), F(1)])          # x + 2
     assert poly_gcd_degree(p, r) == 0
+    # x^3 + x by x^2 leaves a remainder whose top coefficient is zero
+    assert poly_gcd_degree(Poly([0, 1, 0, 1]), Poly([0, 0, 1])) == 1
 
 
 def test_atom_weight_accepts_reps_measures_functions_and_lambdas():

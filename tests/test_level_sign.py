@@ -479,3 +479,32 @@ def test_located_guesses_save_most_sign_checks(monkeypatch):
     monkeypatch.setattr(herglotz, "_level_sign", counted)
     assert solve_level(h, level) == roots
     assert len(calls) <= 16 * len(roots)
+
+
+def test_a_root_at_the_upper_bracket_end_comes_back_exact():
+    # The gap (0, 16) is bracketed from 0 + 1 upward and from 16 - 1
+    # downward; the level is h(15), so the first upper candidate is the root.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(0, 1), (16, 1)]))
+    level = h.eval_real(15)
+    roots = solve_level(h, level)
+    assert F(15) in roots and roots == _reference_solve_level(h, level)
+
+
+def test_brackets_closer_to_a_pole_than_float_resolves_get_no_guess():
+    # Atoms at 1 and 1 + 2^-60: in float the second lies on the first, so
+    # neither bracket gets a guess and both roots come from plain stepping.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(1, 1), (1 + F(1, 2**60), 1)]))
+    roots = solve_level(h, 0)
+    assert len(roots) == 2 and roots[0] < 1 < roots[1] < 1 + F(1, 2**60)
+    assert roots == _reference_solve_level(h, 0)
+    ts = h.omega.atom_positions()
+    d = (ts[1] - ts[0]) / 16
+    assert _locate(h, F(0), [(ts[0] + d, ts[1] - d)]) == [[]]
+
+
+def test_a_bracket_that_cannot_be_found_raises():
+    # The root in the gap (0, 1) lies about 2^-1000 above the atom at 0, far
+    # below the 200 candidates 4^-k / 16 for the gap's left bracket end.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(0, F(1, 2**1000)), (1, 1)]))
+    with pytest.raises(ConvergenceError, match="could not bracket below a pole"):
+        solve_level(h, -1)

@@ -23,6 +23,12 @@ def test_as_fraction_accepts_the_usual_forms():
     assert as_fraction(F(5, 3)) == F(5, 3)
 
 
+@pytest.mark.parametrize("value", [None, [1], 1j])
+def test_as_fraction_refuses_what_is_no_exact_number(value):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_fraction(value)
+
+
 def test_number_json_round_trip_covers_all_encodings():
     for v in (F(4), F(1, 4), F(1, 3), F(-7, 10), F(2**60)):
         assert number_from_json(number_to_json(v)) == v
@@ -30,6 +36,8 @@ def test_number_json_round_trip_covers_all_encodings():
     assert number_to_json(F(4)) == 4
     assert number_to_json(F(1, 4)) == 0.25
     assert number_to_json(F(1, 3)) == "1/3"
+    # beyond the float range only the string form is left
+    assert number_to_json(F(10**400, 3)) == f"{10**400}/3"
 
 
 def test_poly_evaluation_is_exact_on_fractions():
@@ -46,9 +54,22 @@ def test_poly_min_on_finds_interior_dips():
     assert p.min_on(F(2), F(3)) == pytest.approx(1.0)
 
 
+def test_poly_is_immutable():
+    with pytest.raises(AttributeError, match="immutable"):
+        Poly([1]).coeffs = ()
+
+
 def test_piece_rejects_negative_densities():
     with pytest.raises(ValueError):
         Piece(F(0), F(1), Poly([F(-1), F(1)]))  # x - 1 < 0 inside
+
+
+@pytest.mark.parametrize("lo, hi, coeffs, match", [
+    (F(1), F(1), [1], "lo < hi"), (F(2), F(1), [1], "lo < hi"),
+    (F(0), F(1), [0], "zero densities")])
+def test_piece_rejects_empty_intervals_and_zero_densities(lo, hi, coeffs, match):
+    with pytest.raises(ValueError, match=match):
+        Piece(lo, hi, Poly(coeffs))
 
 
 def test_piece_mass_is_the_exact_integral():
@@ -93,6 +114,24 @@ def test_float_atoms_have_the_bits_of_float():
     assert m.float_atoms == tuple((float(x), float(w)) for x, w in m.atoms)
 
 
+def test_the_constructor_rejects_overlapping_pieces():
+    pieces = (Piece(F(0), F(2), Poly([1])), Piece(F(1), F(3), Poly([1])))
+    with pytest.raises(ValueError, match="overlap"):
+        ScalarMeasure((), pieces)
+
+
+def test_the_factory_drops_zero_pieces():
+    m = ScalarMeasure.of(pieces=[((0, 1), [0, 0]), ((1, 2), [1])])
+    assert m.piece_intervals() == ((F(1), F(2)),)
+
+
+def test_mass_of_a_union_counts_overlaps_once_and_refuses_reversed_intervals():
+    m = ScalarMeasure.of(atoms=[(F(3, 2), 1)], pieces=[((0, 4), [1])])
+    assert m.mass([(0, 2), (1, 3)]) == F(3) + 1
+    with pytest.raises(ValueError, match="reversed"):
+        m.mass((2, 1))
+
+
 def test_total_mass_splits_between_atoms_and_pieces():
     m = ScalarMeasure.of(atoms=[(0, F(1, 2))], pieces=[((0, 1), [F(1, 3)])])
     assert m.total_mass() == F(1, 2) + F(1, 3)
@@ -108,6 +147,17 @@ def test_addition_refines_overlapping_pieces_exactly():
     # piece boundaries at 0, 1, 2, 3 with the middle cell carrying both
     ivs = s.piece_intervals()
     assert ivs[0][0] == 0 and ivs[-1][1] == 3
+
+
+def test_addition_keeps_the_gap_between_pieces_empty():
+    a = ScalarMeasure.of(pieces=[((0, 1), [1])])
+    b = ScalarMeasure.of(pieces=[((2, 3), [2])])
+    assert (a + b).piece_intervals() == ((F(0), F(1)), (F(2), F(3)))
+
+
+def test_only_measures_add_to_a_measure():
+    with pytest.raises(TypeError):
+        ScalarMeasure.point(0) + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +177,8 @@ def test_scaled_rejects_negative_factors():
     assert m.scaled(F(2)).atom_mass_at(0) == F(2)
     with pytest.raises(ValueError):
         m.scaled(F(-1))
+    with_piece = ScalarMeasure.of(atoms=[(0, 1)], pieces=[((0, 1), [1])])
+    assert with_piece.scaled(0).is_zero
 
 
 # ---------------------------------------------------------------------------

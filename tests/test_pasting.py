@@ -25,6 +25,7 @@ from starweyl import (
     Edge,
     HerglotzFunction,
     HerglotzRep,
+    InternalInvariantError,
     PastedSystem,
     PureRelationError,
     ScalarMeasure,
@@ -71,6 +72,11 @@ def test_constant_entries_are_limited_to_one():
         PastedSystem.of([c, HerglotzRep.of(F(2))])
 
 
+def test_entry_normalization_refuses_what_is_no_interface_data():
+    with pytest.raises(TypeError, match="interface data"):
+        PastedSystem.of([ScalarMeasure.point(0, 1), 3])
+
+
 def test_entry_normalization_accepts_mixed_inputs():
     sys_ = PastedSystem.of([
         ScalarMeasure.point(0, 1),
@@ -90,6 +96,8 @@ def test_sum_rep_adds_the_exact_data():
     s = sys_.sum_rep()
     assert s.a == 0 and s.b == 0
     assert s.omega.atom_positions() == (F(-1), F(1))
+    with pytest.raises(ValueError, match="all entries exact"):
+        PastedSystem.of([ScalarMeasure.point(0, 1), Edge.of(1)]).sum_rep()
 
 
 def test_entries_answer_one_protocol():
@@ -208,6 +216,14 @@ def test_matrix_weyl_satisfies_the_interface_identity(reps, z):
     im = (M - M.conj().T) / 2j
     assert float(np.linalg.eigvalsh(im).min()) >= -1e-12
     assert np.allclose(matrix_weyl(sys_, z.conjugate()), M.conj().T, atol=1e-12)
+
+
+def test_values_that_sum_to_zero_have_no_matrix():
+    ms = np.array([1.0 + 0j, -1.0 + 0j])
+    with pytest.raises(ZeroDivisionError):
+        pasting.matrix_from_values(ms)
+    with pytest.raises(ZeroDivisionError):
+        pasting.trace_from_values(ms)
 
 
 def test_trace_weyl_equals_the_matrix_trace():
@@ -381,6 +397,13 @@ def test_off_support_points_report_vanishing_trace():
     assert om.trace_vanishing and om.rank == 0 and om.converged
 
 
+def test_the_exact_route_needs_a_purely_atomic_system():
+    sys_ = PastedSystem.of([ScalarMeasure.point(0, 1), Edge.of(1)])
+    for read in (omega_at, multiplicity_at):
+        with pytest.raises(ValueError, match="purely atomic"):
+            read(sys_, 0.5, exact=True)
+
+
 def test_multiplicity_at_wraps_the_rank():
     assert multiplicity_at(kac_pair(), 0) == 1
     sys3 = PastedSystem.of([ScalarMeasure.point(0, 1)] * 3)
@@ -470,6 +493,12 @@ def test_rank_md_reference_values():
     assert rank_md([1, 1], 3) == 2
     assert rank_md([2, 3, 5], 10) == 2
     assert rank_md([2, 3, 5], 7) == 3
+
+
+def test_rank_md_raises_when_the_formula_and_elimination_disagree(monkeypatch):
+    monkeypatch.setattr(pasting, "exact_rank", lambda rows: len(rows))
+    with pytest.raises(InternalInvariantError, match="rank mismatch"):
+        rank_md([1, 2], 3)
 
 
 def test_rank_md_rejects_degenerate_inputs():

@@ -27,6 +27,8 @@ from scipy.optimize import brentq as scipy_brentq
 from starweyl import (
     ConvergenceError,
     Edge,
+    Poly,
+    PotentialPiece,
     cos_sin,
     dirichlet_eigenvalues,
     solve_edge,
@@ -122,7 +124,20 @@ def test_edge_validation_rules():
         Edge.of(F(1, 10**400))  # positive, but 0.0 as a float
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Edge(None, (PotentialPiece(F(0), F(1), Poly([1])),), None), ValueError,
+     "only the free potential"),
+    (lambda: Edge(1, None, 0.0), TypeError, "Fraction or None"),
+    (lambda: Edge(F(1), None, None), ValueError, "need an outer angle"),
+    (lambda: PotentialPiece(F(1), F(1), Poly([1])), ValueError, "lo < hi"),
+], ids=["infinite-with-potential", "int-length", "no-angle", "empty-piece"])
+def test_edge_constructor_guards(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_potential_lookup_is_zero_where_uncovered():
+    assert Edge.of(1).q_at(0.5) == 0.0
     e = Edge.of(2, [((F(1, 2), 1), [F(3)]), ((1, F(3, 2)), [0, 1])])
     assert e.q_at(0.25) == 0.0
     assert e.q_at(0.75) == 3.0
@@ -220,6 +235,13 @@ def test_transfer_matrices_give_up_past_the_cell_cap(monkeypatch):
 def test_solver_rejects_points_outside_the_edge():
     with pytest.raises(ValueError):
         solve_edge(Edge.of(1), 1.0, (1.0, 0.0), 0.0, 2.0)
+
+
+@pytest.mark.parametrize("edge", [Edge.of(2), Edge.of(2, [((0, 2), [1, 3])])],
+                         ids=["free", "potential"])
+def test_a_zero_length_solve_returns_the_initial_values(edge):
+    sol = solve_edge(edge, 7.5, (0.3, -1.1), 1.25, 1.25)
+    assert (sol.u, sol.du) == (0.3, -1.1) and sol.scaled == (0.3, -1.1)
 
 
 def test_potential_jump_uses_each_segments_own_piece():
@@ -471,6 +493,12 @@ def test_the_scan_reads_an_exact_zero_as_a_pole_at_inner_points_only(where, monk
 def test_dirichlet_eigenvalues_need_a_finite_edge():
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(Edge.of("inf"), (0, 1))
+
+
+@pytest.mark.parametrize("window", [(1, 0), (2, 2)])
+def test_dirichlet_eigenvalues_need_a_window_of_positive_length(window):
+    with pytest.raises(ValueError, match="positive length"):
+        dirichlet_eigenvalues(Edge.of(1, [((0, 1), [0, 1])]), window)
 
 
 @pytest.mark.parametrize(

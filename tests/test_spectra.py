@@ -171,6 +171,16 @@ def test_numeric_route_scans_the_density_free_parts_of_a_gap():
                    for m in (m1, m2)) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_numeric_route_skips_a_gap_thinner_than_its_resolution():
+    # The density ends 2^-34 below the pole at 1: the part (1 - 2^-34, 1) is
+    # too thin to scan, and its shifted ends would round onto the density.
+    density = ScalarMeasure.of(pieces=[((Fraction(1, 2), 1 - Fraction(1, 2**34)), [1])])
+    sys_ = PastedSystem.of([Edge.of(math.pi), HerglotzRep.from_measure(density)])
+    eigs = find_point_spectrum(sys_, (0.25, 3))
+    assert [(e.multiplicity, e.provenance) for e in eigs] == [(1, KIRCHHOFF)]
+    assert eigs[0].x == pytest.approx(2.69744, abs=1e-5)
+
+
 def test_numeric_route_rejects_black_box_entries():
     wrapped = HerglotzFunction(lambda z: 1j)
     sys_ = PastedSystem.of([wrapped, rep_of([(0, 1)])])
@@ -382,6 +392,21 @@ def test_classify_atomic_inputs_report_gap_zeros():
 def test_classify_window_must_be_ordered():
     with pytest.raises(ValueError):
         classify_spectrum([ScalarMeasure.of(atoms=[(0, 1)])], (2, 2))
+
+
+def test_classify_reads_no_density_outside_the_window():
+    # pieces wholly below and above the window must not cut the region
+    # that the covering piece opens inside it
+    outside = ScalarMeasure.of(pieces=[((-3, -2), [1]), ((2, 3), [1])])
+    covering = ScalarMeasure.of(pieces=[((-4, 5), [1])])
+    rep = classify_spectrum([outside, covering], (0, 1))
+    assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(1), 1),)
+
+
+def test_classify_of_measures_that_cannot_be_pasted_scans_no_zeros():
+    # two zero measures are two constant entries, which no system holds
+    rep = classify_spectrum([ScalarMeasure(), ScalarMeasure()], (0, 1))
+    assert rep.eigenvalues == () and rep.ac_regions == () and rep.notes == ()
 
 
 def test_classify_merges_adjacent_regions_with_equal_count():
@@ -668,6 +693,14 @@ def test_verify_kac_two_entry_overlap():
     assert report == {"checked": 4, "violations": []}
 
 
+def test_verify_kac_lists_every_layer_count_above_one(monkeypatch):
+    sys_ = PastedSystem.of([rep_of([(0, 1)]), rep_of([(0, 1)])])
+    found = [Eigenvalue(Fraction(-1, 2), 1, KIRCHHOFF), Eigenvalue(Fraction(0), 2, OVERLAP)]
+    monkeypatch.setattr(spectra, "find_point_spectrum", lambda sys, window: found)
+    assert verify_kac(sys_, (-1, 1)) == (
+        False, {"checked": 2, "violations": [{"x": 0.0, "multiplicity": 2}]})
+
+
 def test_verify_kac_needs_two_entries():
     sys_ = PastedSystem.of([rep_of([(0, 1)]), rep_of([(1, 1)]), rep_of([(2, 1)])])
     with pytest.raises(ValueError):
@@ -693,6 +726,9 @@ def test_aronszajn_donoghue_input_validation():
     )
     with pytest.raises(ValueError):
         aronszajn_donoghue_check(with_density, 0.3, 0.9)
+    # m = -1 re-anchored at pi/4: sin(pi/4) (-1) + cos(pi/4) 1 vanishes
+    with pytest.raises(ValueError, match="degenerate"):
+        aronszajn_donoghue_check(HerglotzRep.of(-1), math.pi / 4, 0.3)
 
 
 # ---------------------------------------------------------------------------
