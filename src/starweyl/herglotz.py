@@ -392,7 +392,6 @@ def atom_weight(h: Union[HerglotzRep, ScalarMeasure, Callable[[complex], complex
 # ---------------------------------------------------------------------------
 
 _BISECT_BITS = 64
-_MAX_SHRINK = 200
 _SNAP_BOUNDS = (10, 10**3, 10**6, 10**9, 10**12)  # increasing
 
 
@@ -440,7 +439,7 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
     unit = (len(atoms) + 4) * 2.0**-52
     # A float root can land on a pole only when its bracket ends closer to
     # the pole than float resolves; that bracket gets no guess below.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(100):
             diff = t - x[:, None]
             terms = rho / diff
@@ -479,7 +478,7 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
 
 
 def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
-                  guesses=()) -> Fraction:
+                  guesses=(), gap=(None, None)) -> Fraction:
     """Root of an increasing function on [lo, hi] from its signs alone.
 
     ``sign(p, q)`` is -1, 0 or +1 at p/q, with sign < 0 at lo and > 0 at hi;
@@ -498,6 +497,11 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     within a radius of a split point at every depth (a root at a dyadic
     point of [lo, hi]) or a sign does not confirm, the next guess is tried,
     and after the last the search steps from [lo, hi].
+
+    The search stops once the bracket is narrower than 2^-64 max(1, |x|),
+    unless a pole of ``gap`` (its ends L, R; None if infinite) lies closer
+    to it than its width: it then goes on until the bracket is 2^-64 times
+    its distance from the pole.
     """
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
@@ -517,7 +521,12 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
         else:
             b = mid
         if (b - a) * goal.denominator < goal.numerator * den:
-            break
+            L, R = gap
+            near = min(math.inf if L is None else Fraction(a, den) - L,
+                       math.inf if R is None else R - Fraction(b, den))
+            if Fraction(b - a, den) <= near:
+                break
+            goal = near / 2**_BISECT_BITS
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
     # A candidate equal to the one before it has already failed.
@@ -590,22 +599,20 @@ def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):
 
 
 def _bracket_end(sign: Callable[[int, int], int], base: Fraction, step: Fraction,
-                 ratio: Union[int, Fraction], want: int, message: str,
+                 ratio: Union[int, Fraction], want: int,
                  above: Union[Fraction, None] = None) -> Tuple[Fraction, int]:
     """(x, sign at x) at the first candidate x = base + step * ratio^k where
-    the sign is ``want`` or 0, trying at most `_MAX_SHRINK` candidates.
-
-    Candidates not above ``above`` (when given) are skipped but count
-    toward the cap.  Raises ConvergenceError(``message``) when none fits.
-    """
-    for _ in range(_MAX_SHRINK):
+    the sign is ``want`` or 0, skipping candidates not above ``above`` (when
+    given).  There is one: h increases from -infinity above a pole to
+    +infinity below the next, and `solve_level` searches toward -infinity or
+    +infinity only when the limit of h there lies beyond the level."""
+    while True:
         x = base + step
         step *= ratio
         if above is None or x > above:
             v = sign(x.numerator, x.denominator)
             if v == want or v == 0:
                 return x, v
-    raise ConvergenceError(message)
 
 
 def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
@@ -618,12 +625,14 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     sign function serves every gap.  All brackets are first located in
     float at once (`_locate`), and the bisection starts next to that root
     when two sign checks confirm it.  ``window`` (lo, hi) filters the
-    output.
+    output, and a gap whose root lies outside it is not searched.  A root
+    next to a pole is resolved against its distance from the pole.
     """
     if not h.omega.is_atomic:
         raise ValueError("exact level solving needs a purely atomic measure")
     level = as_fraction(level)
     sign = _level_sign(h, level)
+    wlo, whi = (as_fraction(v) for v in window) if window is not None else (None, None)
 
     ts = [t for t, _ in h.omega.atoms]
     roots: list[Fraction] = []
@@ -636,40 +645,43 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         gaps: list[tuple] = [(None, ts[0])]
         gaps += [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)]
         gaps.append((ts[-1], None))
-        brackets = []
+        brackets, bracket_gaps = [], []
         for L, R in gaps:
             if L is None and h.b == 0 and not (hinf < level):
                 continue
             if R is None and h.b == 0 and not (hinf > level):
                 continue
+            # Skip a gap that ends before the window or starts after it, or
+            # whose sign at a window end inside it puts the root beyond it.
+            if window is not None and (
+                    (R is not None and R <= wlo) or (L is not None and whi <= L)
+                    or ((L is None or L < wlo) and sign(wlo.numerator, wlo.denominator) > 0)
+                    or ((R is None or whi < R) and sign(whi.numerator, whi.denominator) < 0)):
+                continue
             d = (R - L) / 16 if L is not None and R is not None else Fraction(1)
             # Left endpoint of the bracket: sign negative; then the right, positive.
             if L is not None:
-                lo, v = _bracket_end(sign, L, d, Fraction(1, 4), -1,
-                                     "could not bracket below a pole")
+                lo, v = _bracket_end(sign, L, d, Fraction(1, 4), -1)
             else:
-                lo, v = _bracket_end(sign, R, Fraction(-1), 2, -1,
-                                     "no sign change toward -infinity")
+                lo, v = _bracket_end(sign, R, Fraction(-1), 2, -1)
             if v == 0:
                 roots.append(lo)
                 continue
             if R is not None:
-                hi, v = _bracket_end(sign, R, -d, Fraction(1, 4), 1,
-                                     "could not bracket above a pole", above=lo)
+                hi, v = _bracket_end(sign, R, -d, Fraction(1, 4), 1, above=lo)
             else:
-                hi, v = _bracket_end(sign, L, Fraction(1), 2, 1,
-                                     "no sign change toward +infinity", above=lo)
+                hi, v = _bracket_end(sign, L, Fraction(1), 2, 1, above=lo)
             if v == 0:
                 roots.append(hi)
                 continue
             brackets.append((lo, hi))
+            bracket_gaps.append((L, R))
         if brackets:
             located = _locate(h, level, brackets)
-            roots += [_bisect_exact(sign, lo, hi, guesses)
-                      for (lo, hi), guesses in zip(brackets, located)]
+            roots += [_bisect_exact(sign, lo, hi, guesses, gap)
+                      for (lo, hi), guesses, gap in zip(brackets, located, bracket_gaps)]
     roots.sort()
     if window is not None:
-        wlo, whi = as_fraction(window[0]), as_fraction(window[1])
         roots = [r for r in roots if wlo <= r <= whi]
     return roots
 

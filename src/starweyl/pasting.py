@@ -388,29 +388,25 @@ def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
     return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * (Dd * q + Dn * max(q, abs(p)))
 
 
-def _exact_route(sys: PastedSystem, exact: Union[bool, None]) -> bool:
-    """Whether `omega_at` and `multiplicity_at` take the exact route."""
-    if exact is None:
-        return sys.is_exact_atomic
-    if exact and not sys.is_exact_atomic:
-        raise ValueError("exact route requires purely atomic representations")
-    return exact
-
-
 def omega_at(sys: PastedSystem, x: NumberLike, *,
              exact: Union[bool, None] = None) -> OmegaMatrix:
     """Sample of Im M / Im tr M in the limit onto the real point x.
 
     Route selection: exact residue arithmetic when every entry is a purely
-    atomic representation (unless ``exact=False``), the extrapolated
-    eps-limit otherwise.  Points the trace measure does not charge come
-    back flagged ``trace_vanishing`` with a zero matrix; numerically that
-    is the `point_mass` verdict on eps * Im tr M.  The numeric ladder is the
+    atomic representation (unless ``exact=False``; ``exact=True`` on any
+    other system raises ValueError), the extrapolated eps-limit otherwise.
+    Points the trace measure does not charge come back flagged
+    ``trace_vanishing`` with a zero matrix; numerically that is the
+    `point_mass` verdict on eps * Im tr M.  The numeric ladder is the
     system's `default_schedule` (the floor's rung and the eight extrapolated),
     read in one `matrix_weyl` call on x + i eps with the bits of one per eps.
     """
     n = sys.n
-    if _exact_route(sys, exact):
+    if exact is None:
+        exact = sys.is_exact_atomic
+    elif exact and not sys.is_exact_atomic:
+        raise ValueError("exact route requires purely atomic representations")
+    if exact:
         xf = as_fraction(x)
         reps = sys.reps
         hit = _residue_at_atom(reps, xf)
@@ -453,23 +449,23 @@ def omega_at(sys: PastedSystem, x: NumberLike, *,
     return _finalize_omega(limit, False, converged, False, err=err)
 
 
-def multiplicity_at(sys: PastedSystem, x: NumberLike, *,
-                    exact: Union[bool, None] = None) -> int:
+def multiplicity_at(sys: PastedSystem, x: NumberLike) -> int:
     """Number of spectral layers at x: the rank of the omega sample there.
 
-    On the exact route, at an atom that is the rank of the residue block
-    of M, found by elimination on integers without forming the normalized
-    sample.  Off the atoms the residue is v v^T / h' with last entry of v
+    The route is `omega_at`'s default: exact when every entry is a purely
+    atomic representation.  On the exact route, at an atom that is the rank
+    of the residue block of M, found by elimination on integers without
+    forming the normalized sample.  Off the atoms the residue is v v^T / h' with last entry of v
     equal to 1, so the rank is 1 by construction where the summed function
     vanishes and 0 elsewhere: the vanishing test decides.
     """
-    if _exact_route(sys, exact):
+    if sys.is_exact_atomic:
         xf = as_fraction(x)
         hit = _residue_at_atom(sys.reps, xf)
         if hit is not None:
             return exact_rank(hit[1])
         return int(_kirchhoff_zero(sys.reps, xf))
-    om = omega_at(sys, x, exact=False)
+    om = omega_at(sys, x)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")
     return om.rank

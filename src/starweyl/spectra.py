@@ -8,7 +8,8 @@ interface function on pole-free gaps (always simple).  Absolutely
 continuous regions carry as many layers as there are inputs with positive
 density.  Singular locations carried by exactly one input disappear from
 the joined spectrum entirely; the report lists them separately so their
-absence is visible rather than silent.
+absence is visible rather than silent.  One grouping of the entries' poles
+counts the carriers for both routes and for the classification.
 
 A finite-difference discretization of the star provides an oracle that
 knows nothing about any of the above and is compared against it in tests.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -163,23 +163,23 @@ class SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _pole_positions_numeric(sys: PastedSystem, window) -> list:
-    """(position, entry index) pairs of all poles in the window, enumerated
-    once per distinct entry."""
-    poles = sys.per_entry(lambda e: e.poles(window))
-    return sorted((float(x), l) for l, xs in enumerate(poles) for x in xs)
-
-
-def _cluster_positions(pairs):
-    """Group (position, entry) pairs whose positions agree numerically."""
-    clusters = []
-    for x, l in pairs:
-        if clusters and abs(x - clusters[-1][0][-1]) <= 1e-9 * (1 + abs(x)):
-            clusters[-1][0].append(x)
-            clusters[-1][1].add(l)
-        else:
-            clusters.append(([x], {l}))
-    return [(sum(xs) / len(xs), entries) for xs, entries in clusters]
+def _pole_groups(poles: Sequence[Sequence], exact: bool) -> list:
+    """(position, carriers) per distinct position of ``poles``, one list
+    per entry, in increasing order; carriers counts the entries with a
+    pole there.  Exact positions group when equal.  On the numeric route
+    every position is a float, and one within 1e-9 (1 + |x|) of the
+    previous joins its group, which sits at the mean of its positions."""
+    at: dict = {}
+    for l, xs in enumerate(poles):
+        for x in xs:
+            at.setdefault(x if exact else float(x), []).append(l)
+    groups: list = []
+    for x in sorted(at):
+        if exact or not groups or x - groups[-1][0][-1] > 1e-9 * (1 + abs(x)):
+            groups.append(([], set()))
+        groups[-1][0].extend([x] * len(at[x]))
+        groups[-1][1].update(at[x])
+    return [(xs[0] if exact else sum(xs) / len(xs), len(ls)) for xs, ls in groups]
 
 
 def _real_sum_value(sys: PastedSystem, x: float) -> float:
@@ -211,34 +211,16 @@ def _density_free_parts(a: float, b: float, blocked) -> list:
     return parts
 
 
-def _exact_points(measures: Sequence[ScalarMeasure], window, sum_rep):
-    """Sorted overlap eigenvalues, vanished points and Kirchhoff zeros.
-
-    One pass over all atoms in the window counts the carriers of each
-    position: k >= 2 carriers give k - 1 layers, one carrier a vanished
-    point.  The zeros are those of ``sum_rep``, the summed representation
-    of a purely atomic system, unless it is None.
-    """
-    lo, hi = window
-    carriers = Counter(t for m in measures for t, _w in m.atoms if lo <= t <= hi)
-    points = sorted(carriers.items())
-    overlaps = [Eigenvalue(x, k - 1, OVERLAP) for x, k in points if k >= 2]
-    vanished = [x for x, k in points if k == 1]
-    zeros = [] if sum_rep is None else [
-        Eigenvalue(u, 1, KIRCHHOFF) for u in solve_level(sum_rep, 0, window)]
-    return overlaps, vanished, zeros
-
-
 def find_point_spectrum(sys: PastedSystem, window) -> list:
     """All eigenvalues of the pasted problem in the window.
 
-    Exact route (purely atomic representations): shared atom positions give
-    overlap eigenvalues with layer count carriers-1; the zeros of the
-    summed function, one per pole-free gap, give simple eigenvalues.  The
-    numeric route does the same with the edges' poles and bracketed sign
-    changes, scanning the parts of each gap outside the density pieces; a
-    gap whose ends the summed function cannot be evaluated at raises
-    ConvergenceError instead of being skipped.
+    Both routes group the entries' poles in the window (`_pole_groups`);
+    k >= 2 carriers give an overlap eigenvalue with k - 1 layers.  The exact
+    route (purely atomic representations) adds the zeros of the summed
+    function, one per pole-free gap (`solve_level`).  The numeric route
+    brackets sign changes on the gaps between the same groups, outside the
+    density pieces; a gap whose ends the summed function cannot be
+    evaluated at raises ConvergenceError instead of being skipped.
 
     On both routes each reported point is re-derived once as a rank by
     `multiplicity_at`, which takes the same route: the residue block's rank
@@ -247,21 +229,15 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
     from the counted layers raises InternalInvariantError; a numeric sample
     that does not converge raises ConvergenceError.
     """
-    results: list[Eigenvalue] = []
-    if sys.is_exact_atomic:
-        window = (as_fraction(window[0]), as_fraction(window[1]))
-        overlaps, _vanished, zeros = _exact_points(
-            [r.omega for r in sys.reps], window, sys.sum_rep())
-        results = overlaps + zeros
+    exact = sys.is_exact_atomic
+    groups = _pole_groups(sys.per_entry(lambda e: e.poles(window)), exact)
+    results = [Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
+    if exact:
+        results += [Eigenvalue(u, 1, KIRCHHOFF) for u in solve_level(sys.sum_rep(), 0, window)]
     else:
         lo, hi = float(window[0]), float(window[1])
-        clusters = _cluster_positions(_pole_positions_numeric(sys, window))
-        for x, entries in clusters:
-            if len(entries) >= 2:
-                results.append(Eigenvalue(x, len(entries) - 1, OVERLAP))
-
         blocked = [(float(a), float(b)) for e in sys.entries for a, b in e.density_intervals()]
-        gap_bounds = [lo] + [x for x, _ in clusters] + [hi]
+        gap_bounds = [lo] + [x for x, _ in groups] + [hi]
         parts = []
         for a, b in zip(gap_bounds, gap_bounds[1:]):
             parts.extend(_density_free_parts(a, b, blocked))
@@ -304,6 +280,8 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
     atoms carried by exactly one input, absent from the joined spectrum.
     ss_items: simple eigenvalues off the combined support, found through
     the summed interface function when the inputs are purely atomic.
+    Carriers come from `_pole_groups`; on a purely atomic system the points
+    are `find_point_spectrum`'s, each re-derived by `multiplicity_at`.
     """
     lo, hi = as_fraction(window[0]), as_fraction(window[1])
     if not lo < hi:
@@ -322,7 +300,7 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
     for a, b in zip(cuts, cuts[1:]):
         r = 0
         for m in measures:
-            if any(p.lo <= a and b <= p.hi and not p.poly.is_zero for p in m.pieces):
+            if any(p.lo <= a and b <= p.hi for p in m.pieces):
                 r += 1
         if r == 0:
             continue
@@ -336,19 +314,22 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
             sys = PastedSystem.of(list(measures))
         except ValueError:
             sys = None
+    groups = _pole_groups([[t for t in m.atom_positions() if lo <= t <= hi]
+                           for m in measures], True)
     exact = sys is not None and sys.is_exact_atomic
     if sys is not None and not exact:
         notes.append("off-support simple spectrum not scanned: density pieces present")
-    overlaps, vanished, zeros = _exact_points(
-        measures, (lo, hi), sys.sum_rep() if exact else None)
+    points = find_point_spectrum(sys, (lo, hi)) if exact else [
+        Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
 
     return SpectralReport(
         window=(lo, hi),
-        eigenvalues=tuple(sorted(overlaps + zeros, key=lambda e: float(e.x))),
+        eigenvalues=tuple(points),
         ac_regions=tuple(regions),
-        sac_items=tuple(SingularItem(e.x, e.multiplicity) for e in overlaps),
-        ss_items=tuple(SingularItem(e.x, 1) for e in zeros),
-        vanished=tuple(vanished),
+        sac_items=tuple(SingularItem(e.x, e.multiplicity) for e in points
+                        if e.provenance == OVERLAP),
+        ss_items=tuple(SingularItem(e.x, 1) for e in points if e.provenance == KIRCHHOFF),
+        vanished=tuple(x for x, k in groups if k == 1),
         notes=tuple(notes),
     )
 

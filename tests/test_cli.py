@@ -468,6 +468,23 @@ def test_run_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("atoms, window, inside", [
+    # a zero about 2^-1000 above a tiny atom, past 200 bracket candidates
+    ([[0, f"1/{2**1000}"]], [-1, 2], (Fraction(1, 2**1001), Fraction(1, 2**999))),
+    # the zero near 0; the gap (1, infinity) has its zero near 2^1002
+    ([[-1, f"{2**1000 + 1}/{2**1000}"]], [-3, 3], (Fraction(-1, 2**60), Fraction(1, 2**60))),
+])
+def test_exact_eigs_finds_the_zeros_next_to_tiny_masses(atoms, window, inside, tmp_path):
+    path = tmp_path / "p.json"
+    edges = [{"atoms": atoms, "pieces": []}, {"atoms": [[1, 1]], "pieces": []}]
+    path.write_text(json.dumps({"task": "eigs", "exact": True, "window": window,
+                                "system": {"edges": edges}}))
+    assert main(["eigs", str(path), "--exact", "--out", str(tmp_path / "out")]) == 0
+    report = SpectralReport.from_json(json.loads((tmp_path / "out" / "report.json").read_text()))
+    [e] = report.eigenvalues
+    assert e.provenance == "kirchhoff-zero" and inside[0] < e.x < inside[1]
+
+
 @pytest.mark.parametrize("name, task", [("atomic4x10", "eigs"), ("k74x24", "classify")])
 def test_report_is_byte_identical_to_the_frozen_artifact(tmp_path, name, task):
     # Frozen from the Fraction-evaluating solver: a 4-entry atomic system

@@ -502,9 +502,45 @@ def test_brackets_closer_to_a_pole_than_float_resolves_get_no_guess():
     assert _locate(h, F(0), [(ts[0] + d, ts[1] - d)]) == [[]]
 
 
-def test_a_bracket_that_cannot_be_found_raises():
-    # The root in the gap (0, 1) lies about 2^-1000 above the atom at 0, far
-    # below the 200 candidates 4^-k / 16 for the gap's left bracket end.
+def _sign_changes_within(h, level, x, delta) -> bool:
+    """Whether h - level changes sign, exactly, between x - delta and x + delta."""
+    sign = _level_sign(h, F(level))
+    below, above = x - delta, x + delta
+    return sign(below.numerator, below.denominator) < 0 < sign(above.numerator, above.denominator)
+
+
+def test_a_root_next_to_a_tiny_atom_is_bracketed_and_resolved():
+    # The root in the gap (0, 1) lies about 2^-1001 above the atom at 0, of
+    # mass 2^-1000: its left bracket end is the candidate 4^-k / 16 with
+    # k = 499, far past the first 200, and the bisection goes on past the
+    # 2^-64 goal until the bracket is 2^-64 times its distance from the atom.
     h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(0, F(1, 2**1000)), (1, 1)]))
-    with pytest.raises(ConvergenceError, match="could not bracket below a pole"):
-        solve_level(h, -1)
+    roots = [x for x in solve_level(h, -1) if 0 < x < 1]
+    assert len(roots) == 1 and F(1, 2**1002) < roots[0] < F(1, 2**1000)
+    assert _sign_changes_within(h, -1, roots[0], roots[0] / 2**60)
+
+
+def test_a_gap_whose_root_lies_beyond_the_window_is_not_searched(monkeypatch):
+    # h tends to 2^-1000 at +infinity, so its root in (1, infinity) lies near
+    # 2^1002, beyond 2^199, the last of 200 doubling candidates.  Inside
+    # (-3, 3) the sign at 3 shows the root to be beyond the window.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(-1, 1 + F(1, 2**1000)), (1, 1)]))
+    roots = solve_level(h, 0)
+    assert len(roots) == 2 and 2**1001 < roots[1] < 2**1003
+    assert _sign_changes_within(h, 0, roots[0], F(1, 2**60))
+    seen = []
+    original = herglotz._level_sign
+
+    def recording(h, level):
+        sign = original(h, level)
+        return lambda p, q: seen.append(abs(F(p, q))) or sign(p, q)
+
+    monkeypatch.setattr(herglotz, "_level_sign", recording)
+    assert solve_level(h, 0, (-3, 3)) == roots[:1]
+    assert max(seen) == 3
+    # Gaps that end before the window or start after it are skipped unseen.
+    seen.clear()
+    assert solve_level(h, 0, (-F(1, 2), F(1, 2))) == roots[:1]
+    assert max(seen) < 1
+    seen.clear()
+    assert solve_level(h, 0, (-3, -2)) == [] and seen == []

@@ -753,29 +753,25 @@ def test_showcase_builder_atom_counts_and_masses():
 # ---------------------------------------------------------------------------
 
 
-def _report_instead(monkeypatch, edit):
-    """Let `_exact_points` report ``edit(overlaps, zeros)`` to the cross-check."""
-    original = spectra._exact_points
+def _carriers_instead(monkeypatch, edit):
+    """Let `_pole_groups` hand ``edit(groups)`` to its callers."""
+    original = spectra._pole_groups
+    monkeypatch.setattr(spectra, "_pole_groups", lambda *args: edit(original(*args)))
 
-    def edited(*args):
-        overlaps, vanished, zeros = original(*args)
-        overlaps, zeros = edit(overlaps, zeros)
-        return overlaps, vanished, zeros
 
-    monkeypatch.setattr(spectra, "_exact_points", edited)
+def _one_more_carrier_at_overlaps(groups):
+    return [(x, k + 1 if k >= 2 else k) for x, k in groups]
 
 
 def test_cross_check_rejects_a_wrong_overlap_count(monkeypatch, three_entry_system):
-    _report_instead(monkeypatch, lambda overlaps, zeros: (
-        [Eigenvalue(e.x, e.multiplicity + 1, OVERLAP) for e in overlaps], zeros))
+    _carriers_instead(monkeypatch, _one_more_carrier_at_overlaps)
     with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
         find_point_spectrum(three_entry_system, (-1, 7))
 
 
 def test_cross_check_rejects_a_vanished_point_reported_as_an_overlap(monkeypatch):
     sys_ = PastedSystem.of([rep_of([(0, 1)]), rep_of([(3, 1)])])
-    _report_instead(monkeypatch, lambda overlaps, zeros: (
-        [Eigenvalue(Fraction(3), 1, OVERLAP)], zeros))
+    _carriers_instead(monkeypatch, lambda groups: [(x, 2 if x == 3 else k) for x, k in groups])
     with pytest.raises(InternalInvariantError, match="counted 1, rank gave 0"):
         find_point_spectrum(sys_, (-1, 4))
 
@@ -788,7 +784,18 @@ def test_cross_check_rejects_a_shifted_kirchhoff_zero(monkeypatch, three_entry_s
         assert multiplicity_at(three_entry_system, z) == 1
         assert multiplicity_at(three_entry_system, z + shift) == 0
         assert multiplicity_at(three_entry_system, z - shift) == 0
-    _report_instead(monkeypatch, lambda overlaps, zeros: (
-        overlaps, [Eigenvalue(e.x + shift, 1, KIRCHHOFF) for e in zeros]))
+    original = spectra.solve_level
+    monkeypatch.setattr(spectra, "solve_level",
+                        lambda *args: [u + shift for u in original(*args)])
     with pytest.raises(InternalInvariantError, match="counted 1, rank gave 0"):
         find_point_spectrum(three_entry_system, (-1, 7))
+
+
+def test_classify_cross_checks_the_points_of_a_purely_atomic_system(monkeypatch,
+                                                                     three_entry_system):
+    measures = [r.omega for r in three_entry_system.reps]
+    _carriers_instead(monkeypatch, _one_more_carrier_at_overlaps)
+    with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
+        classify_spectrum(measures, (-1, 7))
+    with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
+        classify_spectrum(measures, (-1, 7), sys=three_entry_system)
