@@ -13,11 +13,13 @@ A problem file is a single JSON object:
 The entries choose how the boundary values are read: purely atomic
 systems always take the rational route, and the eps ladder of every
 other system is the one `PastedSystem.default_schedule` picks.  `exact`
-forces nothing; it turns a system with a non-atomic entry into a schema
-error.  `classify` rejects edges and `grid`, which it never reads, and
-`oracle` every entry but an edge; `verify` reads only `--seed`, which no
-other task takes, and a builtin gives it no keys.  `ProblemFile.parse`
-makes all these checks, so `run` meets no schema violation.
+forces nothing and is not kept: it turns a system with a non-atomic entry
+into a schema error.  A task that reads `grid` takes its `DEFAULT_GRID`
+when given none.  `classify` rejects edges and `grid`, which it never
+reads, and `oracle` every entry but an edge; `verify` reads only `--seed`,
+which no other task takes, and a builtin gives it no keys.
+`ProblemFile.parse` makes all these checks, so `run` meets no schema
+violation.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -62,6 +64,7 @@ from .spectra import (
 )
 
 TASKS = ("eigs", "weyl", "classify", "verify", "oracle")
+DEFAULT_GRID = {"eigs": 200, "weyl": 50, "oracle": 4000}
 BUILTINS = ("k74", "equilateral3", "kac2")
 
 
@@ -81,7 +84,6 @@ class ProblemFile:
     system: Union[PastedSystem, None]
     window: Union[Tuple[Fraction, Fraction], None]
     grid: Union[int, None] = None
-    exact: bool = False
 
     @classmethod
     def parse(cls, obj) -> "ProblemFile":
@@ -137,7 +139,7 @@ class ProblemFile:
             raise SchemaError("exact must be a boolean")
         if exact and not system.is_exact_atomic:
             raise SchemaError("exact route requested but the system is not purely atomic")
-        return cls(task, system, (lo, hi), grid, exact)
+        return cls(task, system, (lo, hi), DEFAULT_GRID.get(task) if grid is None else grid)
 
 
 def builtin_problem(name: str) -> dict:
@@ -198,8 +200,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 PLOT_EPS = 1e-3
 
 
-def emit_plot_data(system: PastedSystem, report: SpectralReport,
-                   grid: int = 200) -> list:
+def emit_plot_data(system: PastedSystem, report: SpectralReport, grid: int) -> list:
     """Rows (x, Im tr M(x + i PLOT_EPS), marker) over the report window.
 
     Grid samples carry an empty marker; one extra row per eigenvalue holds
@@ -372,19 +373,17 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
                        report.csv_rows())
-            rows = emit_plot_data(problem.system, report, grid=problem.grid or 200)
+            rows = emit_plot_data(problem.system, report, grid=problem.grid)
             _write_csv(out / "plot.csv", ("x", "im_trace", "marker"), rows)
         elif problem.task == "classify":
-            report = classify_spectrum([r.omega for r in problem.system.reps], problem.window,
-                                       sys=problem.system)
+            report = classify_spectrum(problem.system, problem.window)
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
                        report.csv_rows())
         elif problem.task == "weyl":
             lo, hi = (float(v) for v in problem.window)
-            grid = problem.grid or 50
             n = problem.system.n
-            xs = np.linspace(lo, hi, grid)
+            xs = np.linspace(lo, hi, problem.grid)
             rows = []
             for x, M in zip(xs.tolist(), matrix_weyl(problem.system, xs + 1j * PLOT_EPS)):
                 row = [x, PLOT_EPS]
@@ -398,7 +397,7 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
                     header.extend((f"m{i}{j}_re", f"m{i}{j}_im"))
             _write_csv(out / "weyl.csv", header, rows)
         elif problem.task == "oracle":
-            res = fd_oracle(problem.system.entries, problem.window, grid=problem.grid or 4000)
+            res = fd_oracle(problem.system.entries, problem.window, grid=problem.grid)
             _write_json(out / "oracle.json", {
                 "items": [[x, k] for x, k in res.items],
                 "coarse": res.coarse,

@@ -179,7 +179,7 @@ class HerglotzRep:
 
     def density_intervals(self) -> tuple:
         """(lo, hi) of every density piece of the measure."""
-        return tuple((p.lo, p.hi) for p in self.omega.pieces)
+        return self.omega.piece_intervals()
 
     def derivative_real(self, x: NumberLike) -> Fraction:
         """Exact derivative on the real axis; purely atomic data only."""
@@ -365,18 +365,16 @@ def point_mass(schedule: Sequence[float], weights: Sequence[float]):
     return (weight if weight > floor else 0.0), settled
 
 
-def atom_weight(h: Union[HerglotzRep, ScalarMeasure, Callable[[complex], complex]],
+def atom_weight(h: Union[HerglotzRep, Callable[[complex], complex]],
                 x0: NumberLike) -> Union[Fraction, float]:
     """Mass the representing measure puts on the single point x0.
 
-    For a stored representation or a bare measure this is read off
-    exactly.  For black-box functions (a representation's own ``eval``
-    included) it is the `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2)
-    on `DEFAULT_SCHEDULE`: 0.0 below its floor, and ConvergenceError when
-    the floor verdict is not settled.
+    For a stored representation this is read off exactly.  For black-box
+    functions (a representation's own ``eval`` included) it is the
+    `point_mass` of eps * Im h(x0 + i eps) / (1 + x0^2) on
+    `DEFAULT_SCHEDULE`: 0.0 below its floor, and ConvergenceError when the
+    floor verdict is not settled.
     """
-    if isinstance(h, ScalarMeasure):
-        h = HerglotzRep.from_measure(h)
     if isinstance(h, HerglotzRep):
         return h.omega.atom_mass_at(x0)
     x = float(x0)

@@ -11,8 +11,9 @@ Two computation routes coexist on purpose.  For purely atomic rational
 data, residue matrices of M at a point come out in exact Fraction
 arithmetic.  For black-box inputs the same objects are extrapolated from
 Im M(x + i eps) / Im tr M(x + i eps) along the system's geometric eps
-ladder (`PastedSystem.default_schedule`).  The tests play the routes
-against each other.
+ladder (`PastedSystem.default_schedule`).  The entries alone pick the
+route; the tests play the routes against each other by handing the same
+functions over again as black-box callables.
 """
 
 from __future__ import annotations
@@ -317,9 +318,8 @@ class OmegaMatrix:
     exact_entries: Union[Tuple[Tuple[Fraction, ...], ...], None] = None
 
 
-def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,
-                    trace_vanishing: bool, exact_entries=None,
-                    exact_rank=None, err: float = 0.0) -> OmegaMatrix:
+def _finalize_omega(mat: np.ndarray, converged: bool, trace_vanishing: bool,
+                    exact_entries=None, exact_rank=None, err: float = 0.0) -> OmegaMatrix:
     mat = np.asarray(mat, dtype=complex)
     herm_defect = float(np.linalg.norm(mat - mat.conj().T))
     mat = (mat + mat.conj().T) / 2.0
@@ -340,7 +340,7 @@ def _finalize_omega(mat: np.ndarray, exact: bool, converged: bool,
     return OmegaMatrix(
         matrix=projected,
         rank=rank,
-        exact=exact,
+        exact=exact_rank is not None,
         converged=converged,
         trace_vanishing=trace_vanishing,
         psd_tolerance_report=PsdReport(min_eig, herm_defect, tol),
@@ -388,13 +388,12 @@ def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
     return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * (Dd * q + Dn * max(q, abs(p)))
 
 
-def omega_at(sys: PastedSystem, x: NumberLike, *,
-             exact: Union[bool, None] = None) -> OmegaMatrix:
+def omega_at(sys: PastedSystem, x: NumberLike) -> OmegaMatrix:
     """Sample of Im M / Im tr M in the limit onto the real point x.
 
-    Route selection: exact residue arithmetic when every entry is a purely
-    atomic representation (unless ``exact=False``; ``exact=True`` on any
-    other system raises ValueError), the extrapolated eps-limit otherwise.
+    The entries pick the route, as for `multiplicity_at`: exact residue
+    arithmetic when every entry is a purely atomic representation, the
+    extrapolated eps-limit otherwise.
     Points the trace measure does not charge come back flagged
     ``trace_vanishing`` with a zero matrix; numerically that is the
     `point_mass` verdict on eps * Im tr M.  The numeric ladder is the
@@ -402,14 +401,9 @@ def omega_at(sys: PastedSystem, x: NumberLike, *,
     read in one `matrix_weyl` call on x + i eps with the bits of one per eps.
     """
     n = sys.n
-    if exact is None:
-        exact = sys.is_exact_atomic
-    elif exact and not sys.is_exact_atomic:
-        raise ValueError("exact route requires purely atomic representations")
-    if exact:
+    if sys.is_exact_atomic:
         xf = as_fraction(x)
-        reps = sys.reps
-        hit = _residue_at_atom(reps, xf)
+        hit = _residue_at_atom(sys.reps, xf)
         if hit is not None:
             head, block = hit
             tr = sum((block[i][i] for i in range(len(head))), Fraction(0))
@@ -420,12 +414,12 @@ def omega_at(sys: PastedSystem, x: NumberLike, *,
                         omega[i][j] = v / tr
                 omega = tuple(tuple(row) for row in omega)
                 mat = np.array([[float(v) for v in row] for row in omega])
-                return _finalize_omega(mat, True, True, False, exact_entries=omega,
+                return _finalize_omega(mat, True, False, exact_entries=omega,
                                        exact_rank=exact_rank(block))
             # single carrier: the joined measure has no atom here at all
-        elif _kirchhoff_zero(reps, xf):
-            return rank_one_limit_matrix([r.eval_real(xf) for r in reps[:-1]])
-        return _finalize_omega(np.zeros((n, n)), True, True, True, exact_rank=0)
+        elif _kirchhoff_zero(sys.reps, xf):
+            return rank_one_limit_matrix([r.eval_real(xf) for r in sys.reps[:-1]])
+        return _finalize_omega(np.zeros((n, n)), True, True, exact_rank=0)
 
     schedule = sys.default_schedule()
     xf = float(x)
@@ -443,17 +437,17 @@ def omega_at(sys: PastedSystem, x: NumberLike, *,
     # exactly at atoms, zero at regular and purely continuous points.
     weight, settled = point_mass(schedule, weights)
     if weight == 0.0:
-        return _finalize_omega(np.zeros((n, n)), False, settled, True)
+        return _finalize_omega(np.zeros((n, n)), settled, True)
     limit, err = richardson(schedule, ratios)
     converged = settled and err <= max(1e-6, 1e-4 * float(np.linalg.norm(limit)))
-    return _finalize_omega(limit, False, converged, False, err=err)
+    return _finalize_omega(limit, converged, False, err=err)
 
 
 def multiplicity_at(sys: PastedSystem, x: NumberLike) -> int:
     """Number of spectral layers at x: the rank of the omega sample there.
 
-    The route is `omega_at`'s default: exact when every entry is a purely
-    atomic representation.  On the exact route, at an atom that is the rank
+    The route is `omega_at`'s: exact when every entry is a purely atomic
+    representation.  On the exact route, at an atom that is the rank
     of the residue block of M, found by elimination on integers without
     forming the normalized sample.  Off the atoms the residue is v v^T / h' with last entry of v
     equal to 1, so the rank is 1 by construction where the summed function
@@ -563,5 +557,5 @@ def rank_one_limit_matrix(m_values: Sequence[NumberLike]) -> OmegaMatrix:
     norm = sum((u * u for u in v), Fraction(0))
     omega = tuple(tuple(v[i] * v[j] / norm for j in range(len(v))) for i in range(len(v)))
     mat = np.array([[float(c) for c in row] for row in omega])
-    return _finalize_omega(mat, True, True, False, exact_entries=omega, exact_rank=1)
+    return _finalize_omega(mat, True, False, exact_entries=omega, exact_rank=1)
 

@@ -285,14 +285,12 @@ class Solution:
 
     `u` and `du` are inf where the solution outgrows the float range.
     `scaled` is the same pair where both are finite, and the pair divided by
-    a power of two for each z where they are not; `solve_edge` fills it in.
+    a power of two for each z where they are not.
     """
 
-    z: complex
-    x: float
     u: complex
     du: complex
-    scaled: Union[Tuple, None] = field(default=None, repr=False, compare=False)
+    scaled: Tuple = field(repr=False, compare=False)
 
 
 def _unscaled(v: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -549,7 +547,7 @@ def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
         uu, udu, su, sdu = (v[0].item() for v in values)
     else:
         uu, udu, su, sdu = (v.reshape(zs.shape) for v in values)
-    return Solution(z, x1, uu, udu, (su, sdu))
+    return Solution(uu, udu, (su, sdu))
 
 
 # Beyond this |Im kL|, cos kL is at least sinh(20) ~ 2.4e8 in modulus, never

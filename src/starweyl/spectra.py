@@ -211,6 +211,11 @@ def _density_free_parts(a: float, b: float, blocked) -> list:
     return parts
 
 
+def _check_window(window) -> None:
+    if not as_fraction(window[0]) < as_fraction(window[1]):
+        raise ValueError("window must have positive length")
+
+
 def find_point_spectrum(sys: PastedSystem, window) -> list:
     """All eigenvalues of the pasted problem in the window.
 
@@ -226,13 +231,19 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
     `multiplicity_at`, which takes the same route: the residue block's rank
     or the vanishing test of the sum when exact, one `omega_at` ladder
     otherwise.  A point without mass has rank 0, and a rank that differs
-    from the counted layers raises InternalInvariantError; a numeric sample
-    that does not converge raises ConvergenceError.
+    from the counted layers raises InternalInvariantError, a numeric sample
+    that does not converge ConvergenceError, and a window without lo < hi
+    ValueError, before any work.
     """
-    exact = sys.is_exact_atomic
-    groups = _pole_groups(sys.per_entry(lambda e: e.poles(window)), exact)
+    _check_window(window)
+    poles = sys.per_entry(lambda e: e.poles(window))
+    return _points(sys, window, _pole_groups(poles, sys.is_exact_atomic))
+
+
+def _points(sys: PastedSystem, window, groups: list) -> list:
+    """`find_point_spectrum` from the `_pole_groups` of the entries' poles."""
     results = [Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
-    if exact:
+    if sys.is_exact_atomic:
         results += [Eigenvalue(u, 1, KIRCHHOFF) for u in solve_level(sys.sum_rep(), 0, window)]
     else:
         lo, hi = float(window[0]), float(window[1])
@@ -270,9 +281,8 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
 # ---------------------------------------------------------------------------
 
 
-def classify_spectrum(measures: Sequence[ScalarMeasure], window,
-                      sys: Union[PastedSystem, None] = None) -> SpectralReport:
-    """Region-and-point report for the system whose inputs carry ``measures``.
+def classify_spectrum(sys: PastedSystem, window) -> SpectralReport:
+    """Region-and-point report for a system of measure-backed entries.
 
     ac_regions: maximal intervals where at least one density is positive,
     labelled with the number of positive densities r (the layer count
@@ -280,13 +290,15 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
     atoms carried by exactly one input, absent from the joined spectrum.
     ss_items: simple eigenvalues off the combined support, found through
     the summed interface function when the inputs are purely atomic.
-    Carriers come from `_pole_groups`; on a purely atomic system the points
-    are `find_point_spectrum`'s, each re-derived by `multiplicity_at`.
+    The entries' poles are grouped once (`_pole_groups`), and a purely atomic
+    system takes its points from that grouping as `find_point_spectrum` does.
+    An entry that is not a representation raises ValueError.
     """
+    if sys.reps is None:
+        raise ValueError("classification needs measure-backed entries")
+    _check_window(window)
     lo, hi = as_fraction(window[0]), as_fraction(window[1])
-    if not lo < hi:
-        raise ValueError("window must have positive length")
-    notes: list[str] = []
+    measures = [r.omega for r in sys.reps]
 
     cuts = {lo, hi}
     for m in measures:
@@ -309,18 +321,12 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
         else:
             regions.append(AcRegion(a, b, r))
 
-    if sys is None and len(measures) >= 2:
-        try:
-            sys = PastedSystem.of(list(measures))
-        except ValueError:
-            sys = None
-    groups = _pole_groups([[t for t in m.atom_positions() if lo <= t <= hi]
-                           for m in measures], True)
-    exact = sys is not None and sys.is_exact_atomic
-    if sys is not None and not exact:
-        notes.append("off-support simple spectrum not scanned: density pieces present")
-    points = find_point_spectrum(sys, (lo, hi)) if exact else [
-        Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
+    groups = _pole_groups(sys.per_entry(lambda e: e.poles((lo, hi))), True)
+    if sys.is_exact_atomic:
+        points, notes = _points(sys, (lo, hi), groups), ()
+    else:
+        points = [Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
+        notes = ("off-support simple spectrum not scanned: density pieces present",)
 
     return SpectralReport(
         window=(lo, hi),
@@ -330,7 +336,7 @@ def classify_spectrum(measures: Sequence[ScalarMeasure], window,
                         if e.provenance == OVERLAP),
         ss_items=tuple(SingularItem(e.x, 1) for e in points if e.provenance == KIRCHHOFF),
         vanished=tuple(x for x, k in groups if k == 1),
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -452,7 +458,7 @@ def _count_below(tree, lam: float) -> int:
     return below + (vertex < 0.0)
 
 
-def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult:
+def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
     """Star spectrum from a direct discretization, single shared vertex DOF.
 
     Piecewise-linear elements with a lumped mass matrix on each edge (see
@@ -473,11 +479,13 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int = 4000) -> FdOracleResult
     Every return is certified: the in-window count equals count(hi) -
     count(lo), and each cluster's multiplicity equals the count difference
     across it, taken at the midpoints of the gaps around it.
+    A window without lo < hi raises ValueError before any work, and
     `ConvergenceError` is raised when a check fails, when the eigensolve
     fails (no convergence, or sigma is an eigenvalue of the factored
     matrix), or when the window needs more eigenvalues than the grid's size
     allows (grid too small).
     """
+    _check_window(window)
     if grid < ORACLE_MIN_GRID:
         raise ValueError(f"the oracle needs at least {ORACLE_MIN_GRID} points per edge")
     if any(e.is_infinite for e in edges):

@@ -86,7 +86,7 @@ def test_criterion_3_matrix_herglotz_property():
 
 def test_criterion_4_showcase_multiplicity_levels():
     mus = build_example_k74()
-    rep = classify_spectrum(mus, (0, 8))
+    rep = classify_spectrum(PastedSystem.of(mus), (0, 8))
 
     levels = {2: 1, 3: 2, 4: 1, 5: 1, 6: 3}
     for unit, want in levels.items():

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +52,8 @@ def test_parse_happy_path():
     assert p.task == "eigs"
     assert p.window == (Fraction(-1), Fraction(1))
     assert p.grid == 30
-    assert p.exact
+    # `exact` is checked, not kept: the entries pick the route
+    assert [f.name for f in fields(ProblemFile)] == ["task", "system", "window", "grid"]
 
 
 @pytest.mark.parametrize(
@@ -172,6 +174,9 @@ def test_main_rejects_keys_the_task_never_reads(argv, tmp_path, capsys):
 
 def test_parse_keeps_the_keys_a_task_reads():
     assert parse(grid=9).grid == 9
+    # the parser sets each task's default grid; `run` reads it as it is
+    assert [parse(task=t).grid for t in ("eigs", "weyl", "oracle")] == [200, 50, 4000]
+    assert ProblemFile.parse(builtin_problem("k74")).grid is None
     assert parse(task="weyl", grid=9).grid == 9
     assert parse(task="oracle", grid=200).grid == 200
     kac2 = builtin_problem("kac2")
@@ -330,7 +335,7 @@ def test_builtin_problems_all_parse():
 
 def test_builtin_kac2_is_exact():
     p = ProblemFile.parse(builtin_problem("kac2"))
-    assert p.exact and p.system.is_exact_atomic and p.system.n == 2
+    assert p.system.is_exact_atomic and p.system.n == 2
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ def kac_pair():
     return PastedSystem.of([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)])
 
 
+def black_box(sys_):
+    """The same functions as black-box callables, which take the numeric route."""
+    return PastedSystem(tuple(HerglotzFunction(r.eval) for r in sys_.reps))
+
+
 # ---------------------------------------------------------------------------
 # system container
 # ---------------------------------------------------------------------------
@@ -70,6 +75,8 @@ def test_constant_entries_are_limited_to_one():
         PastedSystem.of([c, c, m])
     with pytest.raises(PureRelationError):
         PastedSystem.of([c, HerglotzRep.of(F(2))])
+    with pytest.raises(PureRelationError):  # two zero measures
+        PastedSystem.of([ScalarMeasure(), ScalarMeasure()])
 
 
 def test_entry_normalization_refuses_what_is_no_interface_data():
@@ -397,12 +404,6 @@ def test_off_support_points_report_vanishing_trace():
     assert om.trace_vanishing and om.rank == 0 and om.converged
 
 
-def test_the_exact_route_needs_a_purely_atomic_system():
-    sys_ = PastedSystem.of([ScalarMeasure.point(0, 1), Edge.of(1)])
-    with pytest.raises(ValueError, match="purely atomic"):
-        omega_at(sys_, 0.5, exact=True)
-
-
 def test_multiplicity_at_wraps_the_rank():
     assert multiplicity_at(kac_pair(), 0) == 1
     sys3 = PastedSystem.of([ScalarMeasure.point(0, 1)] * 3)
@@ -430,9 +431,9 @@ def test_exact_multiplicity_eliminates_at_atoms_only(monkeypatch):
 def test_numeric_route_agrees_with_exact_on_overlap_and_zero():
     sys_ = kac_pair()
     for x in (0.0, 1.0, 0.37):
-        ex = omega_at(sys_, x, exact=True) if x != 0.37 else omega_at(sys_, F(37, 100))
-        nu = omega_at(sys_, x, exact=False)
-        assert nu.converged
+        ex = omega_at(sys_, x if x != 0.37 else F(37, 100))
+        nu = omega_at(black_box(sys_), x)
+        assert ex.exact and not nu.exact and nu.converged
         assert nu.rank == ex.rank
         assert nu.trace_vanishing == ex.trace_vanishing
         if not ex.trace_vanishing:
@@ -444,9 +445,9 @@ def test_numeric_route_on_the_default_ladder_gives_the_exact_rank():
     # points in between, 1/20 apart: 79 points.
     sys_ = kac_pair()
     for x in (F(k, 20) for k in range(-39, 40)):
-        nu = omega_at(sys_, float(x), exact=False)
+        nu = omega_at(black_box(sys_), float(x))
         assert nu.converged, x
-        assert nu.rank == omega_at(sys_, x, exact=True).rank, x
+        assert nu.rank == omega_at(sys_, x).rank, x
 
 
 def test_numeric_route_rejects_nonpositive_trace():
@@ -474,7 +475,7 @@ def test_numeric_route_flags_oscillating_ratios_as_nonconvergent():
 
 
 def test_psd_projection_reports_the_defect():
-    om = omega_at(kac_pair(), 0, exact=False)
+    om = omega_at(black_box(kac_pair()), 0)
     rep = om.psd_tolerance_report
     assert rep.min_eigenvalue >= -1e-9
     assert rep.hermitian_defect < 1e-9
@@ -669,7 +670,7 @@ def test_exact_omega_sample_is_unchanged(seed):
     sys_ = PastedSystem.of(entries)
     zeros = solve_level(sys_.sum_rep(), 0, (-4, 4))
     for x in sorted(set(pos)) + zeros + [F(1, 7)] + [u + F(1, 2**30) for u in zeros]:
-        om = omega_at(sys_, x, exact=True)
+        om = omega_at(sys_, x)
         want = _reference_omega_entries(sys_, x)
         assert om.exact_entries == want
         if want is None:

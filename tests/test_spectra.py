@@ -243,7 +243,7 @@ def test_every_z_grid_integrates_each_potential_edge_once(monkeypatch, tmp_path)
 
     monkeypatch.setattr(schrodinger, "solve_edge", counted)
     steps = len(star.default_schedule())
-    pasting.omega_at(star, 3.0, exact=False)
+    pasting.omega_at(star, 3.0)
     assert calls == [(star.entries[0], steps), (star.entries[1], steps)]
 
     calls.clear()
@@ -291,7 +291,7 @@ def test_every_z_grid_evaluates_each_distinct_edge_once(name, monkeypatch, tmp_p
 
         monkeypatch.setattr(schrodinger, fn, counted)
     steps = len(star.default_schedule())
-    pasting.omega_at(star, 3.0, exact=False)
+    pasting.omega_at(star, 3.0)
     assert calls == [("weyl_m", e, steps) for e in distinct]
 
     calls.clear()
@@ -334,7 +334,7 @@ def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
 
 def test_classify_spectrum_showcase_counts():
     mus = build_example_k74()
-    rep = classify_spectrum(mus, (0, 8))
+    rep = classify_spectrum(PastedSystem.of(mus), (0, 8))
     assert len(rep.eigenvalues) == 36
     assert len(rep.sac_items) == 36
     assert len(rep.vanished) == 48
@@ -357,7 +357,7 @@ def test_classify_spectrum_showcase_counts():
 
 def test_classify_spectrum_showcase_positions_are_exact():
     mus = build_example_k74()
-    rep = classify_spectrum(mus, (0, 8))
+    rep = classify_spectrum(PastedSystem.of(mus), (0, 8))
     top = [e.x for e in rep.eigenvalues if 6 < e.x < 7]
     assert top == [
         Fraction(49, 8),
@@ -372,7 +372,7 @@ def test_classify_spectrum_showcase_positions_are_exact():
 
 def test_classify_vanished_atoms_are_single_carrier():
     mus = build_example_k74()
-    rep = classify_spectrum(mus, (0, 8))
+    rep = classify_spectrum(PastedSystem.of(mus), (0, 8))
     for x in rep.vanished:
         carriers = sum(1 for m in mus if m.atom_mass_at(x) > 0)
         assert carriers == 1
@@ -381,7 +381,7 @@ def test_classify_vanished_atoms_are_single_carrier():
 def test_classify_atomic_inputs_report_gap_zeros():
     m1 = ScalarMeasure.of(atoms=[(0, 1), (2, 1)])
     m2 = ScalarMeasure.of(atoms=[(0, 1), (3, 1)])
-    rep = classify_spectrum([m1, m2], (-1, 4))
+    rep = classify_spectrum(PastedSystem.of([m1, m2]), (-1, 4))
     assert [s.multiplicity for s in rep.sac_items] == [1]
     assert len(rep.ss_items) == 2  # one zero per interior gap
     assert rep.notes == ()
@@ -390,8 +390,34 @@ def test_classify_atomic_inputs_report_gap_zeros():
 
 
 def test_classify_window_must_be_ordered():
-    with pytest.raises(ValueError):
-        classify_spectrum([ScalarMeasure.of(atoms=[(0, 1)])], (2, 2))
+    sys_ = PastedSystem.of([ScalarMeasure.of(atoms=[(0, 1)]), ScalarMeasure()])
+    with pytest.raises(ValueError, match="window must have positive length"):
+        classify_spectrum(sys_, (2, 2))
+
+
+@pytest.mark.parametrize("window", [(1, -1), (2, 2)])
+@pytest.mark.parametrize("route", ["exact", "numeric"])
+def test_point_spectrum_window_must_be_ordered(route, window):
+    first = {"exact": ScalarMeasure.point(-1),
+             "numeric": ScalarMeasure.of(atoms=[(-1, 1)], pieces=[((3, 4), [1])])}[route]
+    sys_ = PastedSystem.of([first, ScalarMeasure.point(1)])
+    with pytest.raises(ValueError, match="window must have positive length"):
+        find_point_spectrum(sys_, window)
+
+
+def test_classify_needs_measure_backed_entries():
+    with pytest.raises(ValueError, match="measure-backed entries"):
+        classify_spectrum(PastedSystem.of([Edge.of(1), ScalarMeasure.point(0)]), (0, 1))
+
+
+def test_classify_groups_the_poles_once(monkeypatch, three_entry_system):
+    # the points of a purely atomic system come from the same grouping
+    calls = []
+    original = spectra._pole_groups
+    monkeypatch.setattr(spectra, "_pole_groups", lambda *args: calls.append(1) or original(*args))
+    rep = classify_spectrum(three_entry_system, (-1, 7))
+    assert len(calls) == 1
+    assert rep.eigenvalues == tuple(find_point_spectrum(three_entry_system, (-1, 7)))
 
 
 def test_classify_reads_no_density_outside_the_window():
@@ -399,21 +425,15 @@ def test_classify_reads_no_density_outside_the_window():
     # that the covering piece opens inside it
     outside = ScalarMeasure.of(pieces=[((-3, -2), [1]), ((2, 3), [1])])
     covering = ScalarMeasure.of(pieces=[((-4, 5), [1])])
-    rep = classify_spectrum([outside, covering], (0, 1))
+    rep = classify_spectrum(PastedSystem.of([outside, covering]), (0, 1))
     assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(1), 1),)
-
-
-def test_classify_of_measures_that_cannot_be_pasted_scans_no_zeros():
-    # two zero measures are two constant entries, which no system holds
-    rep = classify_spectrum([ScalarMeasure(), ScalarMeasure()], (0, 1))
-    assert rep.eigenvalues == () and rep.ac_regions == () and rep.notes == ()
 
 
 def test_classify_merges_adjacent_regions_with_equal_count():
     left = ScalarMeasure.of(pieces=[((0, 1), [1])])
     right = ScalarMeasure.of(pieces=[((1, 2), [1])])
     both = left + right
-    rep = classify_spectrum([both], (0, 2))
+    rep = classify_spectrum(PastedSystem.of([both, ScalarMeasure()]), (0, 2))
     assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(2), 1),)
 
 
@@ -421,7 +441,7 @@ def test_classify_merges_adjacent_regions_from_two_measures():
     # one positive density on either side of 1, carried by different inputs
     left = ScalarMeasure.of(pieces=[((0, 1), [1])])
     right = ScalarMeasure.of(pieces=[((1, 2), [1])])
-    rep = classify_spectrum([left, right], (0, 2))
+    rep = classify_spectrum(PastedSystem.of([left, right]), (0, 2))
     assert rep.ac_regions == (AcRegion(Fraction(0), Fraction(2), 1),)
 
 
@@ -678,7 +698,10 @@ def test_fd_oracle_input_validation():
     with pytest.raises(ValueError):
         fd_oracle([Edge.of(1)], (0, 1), grid=50)
     with pytest.raises(ValueError):
-        fd_oracle([Edge.of("inf")], (0, 1))
+        fd_oracle([Edge.of("inf")], (0, 1), grid=spectra.ORACLE_MIN_GRID)
+    for window in [(5, 1), (2, 2)]:
+        with pytest.raises(ValueError, match="window must have positive length"):
+            fd_oracle([Edge.of(math.pi)] * 3, window, grid=200)
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +816,6 @@ def test_cross_check_rejects_a_shifted_kirchhoff_zero(monkeypatch, three_entry_s
 
 def test_classify_cross_checks_the_points_of_a_purely_atomic_system(monkeypatch,
                                                                      three_entry_system):
-    measures = [r.omega for r in three_entry_system.reps]
     _carriers_instead(monkeypatch, _one_more_carrier_at_overlaps)
     with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
-        classify_spectrum(measures, (-1, 7))
-    with pytest.raises(InternalInvariantError, match="counted 2, rank gave 1"):
-        classify_spectrum(measures, (-1, 7), sys=three_entry_system)
+        classify_spectrum(three_entry_system, (-1, 7))
