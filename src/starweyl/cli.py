@@ -60,6 +60,7 @@ from .spectra import (
     classify_spectrum,
     fd_oracle,
     find_point_spectrum,
+    unsearched_intervals,
     verify_kac,
 )
 
@@ -369,7 +370,10 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
     try:
         if problem.task == "eigs":
             eigs = find_point_spectrum(problem.system, problem.window)
-            report = SpectralReport(window=problem.window, eigenvalues=tuple(eigs))
+            skipped = unsearched_intervals(problem.system, problem.window)
+            notes = ("simple spectrum not searched inside the density intervals "
+                     + ", ".join(f"[{a}, {b}]" for a, b in skipped),) if skipped else ()
+            report = SpectralReport(window=problem.window, eigenvalues=tuple(eigs), notes=notes)
             _write_json(out / "report.json", report.to_json())
             _write_csv(out / "report.csv", ("x", "multiplicity", "provenance"),
                        report.csv_rows())

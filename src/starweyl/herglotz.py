@@ -172,6 +172,10 @@ class HerglotzRep:
             out += (1.0 + xf * xf) * (_poly_int(q, a, b).real + px.real * log_term)
         return out
 
+    def eval_real_many(self, xs: list) -> list:
+        """`eval_real` at each x of a list, one call per x."""
+        return [self.eval_real(x) for x in xs]
+
     def poles(self, window) -> list:
         """The atom positions in the closed window [lo, hi]."""
         lo, hi = as_fraction(window[0]), as_fraction(window[1])
@@ -288,6 +292,10 @@ class HerglotzFunction:
 
     def eval_real(self, x: float) -> float:
         return float(self.fn(float(x)).real)
+
+    def eval_real_many(self, xs: list) -> list:
+        """`eval_real` at each x of a list, one call per x."""
+        return [self.eval_real(x) for x in xs]
 
     def poles(self, window) -> list:
         raise ValueError("cannot enumerate poles of a black-box callable entry; "
@@ -499,7 +507,10 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     The search stops once the bracket is narrower than 2^-64 max(1, |x|),
     unless a pole of ``gap`` (its ends L, R; None if infinite) lies closer
     to it than its width: it then goes on until the bracket is 2^-64 times
-    its distance from the pole.
+    its distance from the pole.  A bracket in (-1, 1) goes on likewise
+    until it is 2^-64 times its distance from 0, so every root has a
+    relative accuracy; a bracket that still holds 0 then checks the sign
+    there once, and keeps the side of 0 that holds the root.
     """
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
@@ -522,9 +533,19 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
             L, R = gap
             near = min(math.inf if L is None else Fraction(a, den) - L,
                        math.inf if R is None else R - Fraction(b, den))
-            if Fraction(b - a, den) <= near:
+            if Fraction(b - a, den) > near:
+                goal = near / 2**_BISECT_BITS
+                continue
+            # the bracket's distance from 0, over den
+            zero = a if a > 0 else -b if b < 0 else 0
+            if zero >= den or (b - a) << _BISECT_BITS < zero:
                 break
-            goal = near / 2**_BISECT_BITS
+            if a < 0 < b:  # a root at 0 is found here; any other is kept off 0
+                v = sign(0, 1)
+                if v == 0:
+                    return Fraction(0)
+                a, b = (0, b) if v < 0 else (a, 0)
+            goal = Fraction(zero, den << _BISECT_BITS) if zero else Fraction(b - a, den)
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
     # A candidate equal to the one before it has already failed.

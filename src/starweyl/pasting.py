@@ -374,8 +374,9 @@ def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
     The residue there is v v^T / h' with v = (m_1(x), ..., m_{n-1}(x), 1).
     Requires no input to have an atom at x.  Every value and derivative is
     an unreduced integer fraction (`HerglotzRep.value_parts`), and the test
-    below runs in integers.  Bisection-produced zeros carry ~2^-64 position
-    error, so "vanish" tolerates |sum| <= (1 + h' max(1, |x|)) / 2^40.
+    below runs in integers.  Bisection-produced zeros carry a position
+    error of ~2^-64 |x|, so "vanish" tolerates |sum| <= h' |x| / 2^40, which
+    is relative near 0 as well.
     """
     p, q = x.numerator, x.denominator
     parts = [r.value_parts(p, q) for r in reps]
@@ -385,7 +386,7 @@ def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
         S, B = S * den + num * B, B * den
         Dn, Dd = Dn * dden + dnum * Dd, Dd * dden
     # Dn <= 0 only for a constant system, which cannot be pasted anyway.
-    return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * (Dd * q + Dn * max(q, abs(p)))
+    return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * Dn * abs(p)
 
 
 def omega_at(sys: PastedSystem, x: NumberLike) -> OmegaMatrix:

@@ -13,7 +13,7 @@ trigonometric ratio in `_free_values`.  Edges with a potential are
 integrated from the outer endpoint by products of cell transfer matrices
 (`solve_edge`): the constant-perturbation idea of Ixaru and of MATSLISE in
 the fourth-order Magnus form of Iserles and Norsett, exact on segments
-where q is constant, with one Richardson step between n and 2n cells.  It
+where q is constant, with Richardson steps between n, 2n and 4n cells.  It
 takes an array of z in one pass, which the pole scan and `weyl_m` on an
 array of z use.
 """
@@ -34,7 +34,8 @@ from .herglotz import cos_sin, geometric_schedule
 from .measure import Poly, as_fraction, check_keys, number_from_json, number_to_json
 
 # The eps ladder for limits onto the real axis through edges.  The transfer
-# matrices leave a relative error up to ~1e-12 in (u, u') (`_TRANSFER_RTOL`),
+# matrices return (u, u') once the estimated error of their sixth-order value
+# is below 1e-12 relative (`_TRANSFER_RTOL`), rounding adds about as much,
 # and near a pole |m| ~ 1/eps, so eps below ~1e-6 only amplifies that error:
 # start at 1e-2.  Free edges (closed form, accurate to rounding) use the same
 # ladder: 1e-2 and 1e-2 * 2**-k for k = 5..12.
@@ -216,6 +217,10 @@ class Edge:
     def eval_real(self, x: float) -> float:
         return float(weyl_m(self, x).real)
 
+    def eval_real_many(self, xs: list) -> list:
+        """`eval_real` at each x of a list, with its bits: one `weyl_m` array pass."""
+        return weyl_m(self, np.array(xs, dtype=float)).real.tolist()
+
     def poles(self, window) -> list:
         """The poles of m in the window: the decoupled eigenvalues."""
         return dirichlet_eigenvalues(self, window)
@@ -332,11 +337,13 @@ def _segment_coeffs(edge: Edge, mid: float) -> Tuple[float, ...]:
 #     exp Omega = cosh(mu) I + (sinh(mu)/mu) Omega.
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
-# Cells per polynomial segment at the first attempt, and the most it may take.
-# q = 60 x^2 on [0, 3] takes 8192 at z = 100 or 600; at the cap one z on
-# three such segments peaks near 50 MB in a pass.
-_CELLS_FIRST = 128
-_CELLS_MAX = 1 << 14
+# Cells per polynomial segment at the first level, and the most a level may
+# start from.  A level at n builds the chains of n, 2n and 4n cells, so the
+# longest chain holds 2^14 cells per segment: q = 60 x^2 on [0, 3] settles at
+# n = 256 or 512 at z = 600, and at the cap a pass on three such segments
+# peaks near 50 MB.
+_CELLS_FIRST = 16
+_CELLS_MAX = 1 << 12
 # Bound on the estimated error of the result, relative to |u| + |u'|.
 _TRANSFER_RTOL = 1e-12
 # A cell with Re mu above this is computed divided by 2**k, k = (Re mu - 20)/ln 2
@@ -344,18 +351,23 @@ _TRANSFER_RTOL = 1e-12
 # 2**-k sinh mu to a relative e**-40.
 _SCALED_RE_MU = 20.0
 _LN2 = math.log(2.0)
-# Cells times z per array pass; more z than that are split over several passes.
-_CELL_BUDGET = 1 << 16
+# Cell matrices (all slots) times z per array pass; more z than that are
+# split over several passes.
+_LEAF_BUDGET = 3 << 16
+# The tree of products is rescaled before every `_RESCALE_EVERY`-th level
+# (see `_cell_products`).
+_RESCALE_EVERY = 6
 
 
 @dataclass(frozen=True)
 class _Cells:
-    """The cells of [x0, x1] in the order of integration, with three slots each.
+    """The cells of [x0, x1] in the order of integration, with seven slots each.
 
-    Slot 0 is the cell itself, slots 1 and 2 its first and second half, so
-    one pass gives the n-cell and the 2n-cell product.  A segment where q is
-    constant is one exact cell; its halves are the cell itself and an empty
-    cell, which steps by the identity.  Arrays have shape (3, cells, 1).
+    Slot 0 is the cell itself, slots 1-2 its halves and slots 3-6 its
+    quarters, so one pass gives the n-, 2n- and 4n-cell products.  A segment
+    where q is constant is one exact cell in every chain: its halves are the
+    cell itself and an empty cell, which steps by the identity, and its
+    quarters the cell and three empty ones.  Arrays have shape (7, cells, 1).
     """
 
     h: np.ndarray
@@ -363,7 +375,7 @@ class _Cells:
     d: np.ndarray
     hh: np.ndarray  # h^2
     c0: np.ndarray  # d^2 + h^2 qbar, so that mu^2 = c0 - h^2 z
-    refined: bool  # some segment is split, so slot 0 and slots 1-2 differ
+    refined: bool  # some segment is split, so the three chains differ
 
 
 def _cells(edge: Edge, x0: float, x1: float, n: int) -> _Cells:
@@ -379,26 +391,31 @@ def _cells(edge: Edge, x0: float, x1: float, n: int) -> _Cells:
     return cache[key]
 
 
+# (offset, width) of each slot within a cell, in units of the cell width
+_SLOTS = ((0.0, 1.0), (0.0, 0.5), (0.5, 0.5),
+          (0.0, 0.25), (0.25, 0.25), (0.5, 0.25), (0.75, 0.25))
+
+
 def _cut_cells(edge: Edge, x0: float, x1: float, n: int) -> _Cells:
-    widths, q = [[], [], []], [[], [], []]
+    widths, q = [[] for _ in _SLOTS], [[] for _ in _SLOTS]
     refined = False
     for a, b in _segments(x0, x1, edge._breakpoints()):
         coeffs = _segment_coeffs(edge, 0.5 * (a + b))
         if len(coeffs) <= 1:
             q0 = coeffs[0] if coeffs else 0.0
-            for slot, h in enumerate((b - a, b - a, 0.0)):
-                widths[slot].append(np.array([h]))
+            for slot, (offset, _) in enumerate(_SLOTS):
+                widths[slot].append(np.array([0.0 if offset else b - a]))
                 q[slot].append(np.full((1, 2), q0))
             continue
         refined = True
         h = (b - a) / n
         left = a + h * np.arange(n)
-        for slot, (x, w) in enumerate(((left, h), (left, 0.5 * h), (left + 0.5 * h, 0.5 * h))):
-            xs = x[:, None] + w * _GAUSS
+        for slot, (offset, width) in enumerate(_SLOTS):
+            xs = (left + offset * h)[:, None] + (width * h) * _GAUSS
             qs = np.zeros_like(xs)
             for c in coeffs:
                 qs = qs * xs + c
-            widths[slot].append(np.full(n, w))
+            widths[slot].append(np.full(n, width * h))
             q[slot].append(qs)
     h = np.array([np.concatenate(w) for w in widths])[:, :, None]
     qs = np.array([np.concatenate(v) for v in q])
@@ -416,18 +433,21 @@ def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
 
 
-def _normalized(T: np.ndarray, E: np.ndarray):
-    """Divide each matrix of the stack by the power of two nearest its largest
-    entry and add that power to its exponent; exact in floating point."""
+def _normalized(T: np.ndarray):
+    """Each matrix of the stack divided by 2**e, its entries then below 1 in
+    modulus, and the exponents e; exact in floating point."""
     _, e = np.frexp(np.abs(T).max(axis=(0, 1)))
-    return T * np.ldexp(1.0, -e), E + e
+    return T * np.ldexp(1.0, -e), e
 
 
 def _leaves(cells: _Cells, z: np.ndarray):
-    """The cell matrices, shape (2, 2, 3, cells, len(z)), each divided by 2**E."""
+    """The cell matrices, shape (2, 2, 7, cells, len(z)), each divided by 2**E
+    (E is 0 when no cell is scaled)."""
     mu = np.sqrt(cells.c0 - cells.hh * z)
-    E = ((np.maximum(mu.real, _SCALED_RE_MU) - _SCALED_RE_MU) / _LN2).astype(np.int64)
-    re, im = mu.real - E * _LN2, mu.imag
+    re, im, E = mu.real, mu.imag, 0
+    if re.max() > _SCALED_RE_MU:
+        E = ((np.maximum(re, _SCALED_RE_MU) - _SCALED_RE_MU) / _LN2).astype(np.int64)
+        re = re - E * _LN2
     # cosh and sinh of re + i im, from real functions
     ca, sa, cb, sb = np.cosh(re), np.sinh(re), np.cos(im), np.sin(im)
     ch, sh = np.empty_like(mu), np.empty_like(mu)
@@ -445,36 +465,53 @@ def _leaves(cells: _Cells, z: np.ndarray):
 
 
 def _cell_products(cells: _Cells, zs: np.ndarray):
-    """Transfer matrices over all cells, at n and at 2n cells per segment.
+    """Transfer matrices over all cells, at n, 2n and 4n cells per segment.
 
-    Returns T of shape (2, 2, 2, len(zs)) (row, column, n or 2n, z) and the
-    exponent E of shape (2, len(zs)); the transfer matrix is 2**E T.  Every
-    level of the tree is divided by powers of two, which is exact, so no
-    product overflows and each z gets the same bits in any batch.
+    Returns T of shape (2, 2, 3, len(zs)) (row, column, n, 2n or 4n, z) and
+    the exponent E of shape (3, len(zs)); the transfer matrix is 2**E T.
+    Dividing matrices by powers of two is exact, so it changes no value, and
+    it is done only as often as overflow requires: two 2x2 matrices whose
+    entries are below b in modulus have a product with entries below 2 b^2,
+    so k levels of products of rescaled matrices stay below 2^(2^k - 1).
+    The leaves are rescaled; the 4n-cell chain takes two levels to multiply
+    its quarters, and the tree is rescaled before every sixth level, so no
+    entry exceeds 2^255.  Every matrix multiplies into the product once, so
+    the exponent of a chain is the sum of the exponents divided out of its
+    matrices.  Each z gets the same bits in any batch.
     """
-    T, E = _leaves(cells, zs[None, None, :])
-    # slot 0 is the n-cell chain; the product of slots 2 and 1 the 2n-cell one
-    T = np.stack([T[:, :, 0], _mul(T[:, :, 2], T[:, :, 1])], axis=2)
-    E = np.stack([E[0], E[1] + E[2]])
+    leaves, E = _leaves(cells, zs[None, None, :])
+    leaves, e = _normalized(leaves)
+    exps = (E + e).sum(axis=1)
+    # slot 0 is the n-cell chain; the product of slots 2 and 1 the 2n-cell
+    # one, and that of slots 6 to 3 the 4n-cell one
+    pairs = _mul(leaves[:, :, 2::2], leaves[:, :, 1::2])
+    T = np.empty(leaves.shape[:2] + (3,) + leaves.shape[3:], dtype=leaves.dtype)
+    T[:, :, 0], T[:, :, 1] = leaves[:, :, 0], pairs[:, :, 0]
+    T[:, :, 2] = _mul(pairs[:, :, 2], pairs[:, :, 1])
+    E = np.array([exps[0], exps[1] + exps[2], exps[3:].sum(axis=0)])
+    level = 0
     while T.shape[3] > 1:
-        T, E = _normalized(T, E)
+        if level and level % _RESCALE_EVERY == 0:
+            T, e = _normalized(T)
+            E = E + e.sum(axis=1)
+        level += 1
         count = T.shape[3]
         even = count - count % 2
         paired = _mul(T[:, :, :, 1:even:2], T[:, :, :, 0:even:2])
-        summed = E[:, 1:even:2] + E[:, 0:even:2]
         if count % 2:
             paired = np.concatenate([paired, T[:, :, :, -1:]], axis=3)
-            summed = np.concatenate([summed, E[:, -1:]], axis=1)
-        T, E = paired, summed
-    return T[:, :, :, 0], E[:, 0]
+        T = paired
+    return T[:, :, :, 0], E
 
 
 def _propagate(edge: Edge, zs: np.ndarray, u0: complex, du0: complex, x0: float, x1: float):
     """(u, du, exponent) at x1 for every z, from (u0, du0) at x0.
 
-    The value is the 2n-cell one plus one Richardson step, at the first n
-    where the error estimate passes.  Past the array passes each z is
-    finished on its own, in Python scalars.
+    A level at n gives the values y(n), y(2n) and y(4n) of the three chains
+    in one pass, and the Richardson values R(n) = y(2n) + (y(2n) - y(n))/15
+    and R(2n).  R(2n) is returned at the first level where the estimate of
+    its own error, |R(2n) - R(n)|/63, passes.  Past the array passes each z
+    is finished on its own, in Python scalars.
     """
     out = [None] * zs.size
     todo = list(range(zs.size))
@@ -482,28 +519,31 @@ def _propagate(edge: Edge, zs: np.ndarray, u0: complex, du0: complex, x0: float,
     while todo:
         if n > _CELLS_MAX:
             raise ConvergenceError(
-                f"transfer matrices on [{x0}, {x1}] did not settle at {_CELLS_MAX} cells "
+                f"transfer matrices on [{x0}, {x1}] did not settle at {4 * _CELLS_MAX} cells "
                 f"per segment for z = {zs[todo[0]]}")
         cells = _cells(edge, x0, x1, n)
-        step = max(1, _CELL_BUDGET // cells.h.shape[1])
+        step = max(1, _LEAF_BUDGET // cells.h.size)
         left = []
         for lo in range(0, len(todo), step):
             idx = todo[lo:lo + step]
             T, E = _cell_products(cells, zs[idx])
             T, E = T.transpose(3, 2, 0, 1).tolist(), E.T.tolist()
-            for i, (runs, (e_n, e_2n)) in zip(idx, zip(T, E)):
-                (((a, b), (c, d)), ((a2, b2), (c2, d2))) = runs
-                u, du = a2 * u0 + b2 * du0, c2 * u0 + d2 * du0
+            for i, (chains, (e_n, e_2n, e_4n)) in zip(idx, zip(T, E)):
+                (((a, b), (c, d)), ((a2, b2), (c2, d2)), ((a4, b4), (c4, d4))) = chains
+                u4, du4 = a4 * u0 + b4 * du0, c4 * u0 + d4 * du0
                 if not cells.refined:
-                    out[i] = (u, du, e_2n)
+                    out[i] = (u4, du4, e_4n)
                     continue
-                # align the n-cell value to the 2n-cell exponent (exact),
-                # then extrapolate the fourth-order error away
-                align = math.ldexp(1.0, e_n - e_2n)
-                diff_u = u - (a * u0 + b * du0) * align
-                diff_du = du - (c * u0 + d * du0) * align
-                if abs(diff_u) + abs(diff_du) <= 15.0 * _TRANSFER_RTOL * (abs(u) + abs(du)):
-                    out[i] = (u + diff_u / 15.0, du + diff_du / 15.0, e_2n)
+                # align the n- and 2n-cell values to the 4n-cell exponent
+                # (exact), then extrapolate the fourth-order error away
+                align = math.ldexp(1.0, e_n - e_4n)
+                u1, du1 = (a * u0 + b * du0) * align, (c * u0 + d * du0) * align
+                align = math.ldexp(1.0, e_2n - e_4n)
+                u2, du2 = (a2 * u0 + b2 * du0) * align, (c2 * u0 + d2 * du0) * align
+                r1, dr1 = u2 + (u2 - u1) / 15.0, du2 + (du2 - du1) / 15.0
+                r2, dr2 = u4 + (u4 - u2) / 15.0, du4 + (du4 - du2) / 15.0
+                if abs(r2 - r1) + abs(dr2 - dr1) <= 63.0 * _TRANSFER_RTOL * (abs(r2) + abs(dr2)):
+                    out[i] = (r2, dr2, e_4n)
                 else:
                     left.append(i)
         todo = left
@@ -519,11 +559,13 @@ def solve_edge(edge: Edge, z, init: Tuple[complex, complex],
     constant is one cell, on which the step below is exact, and any other
     segment is cut into n equal cells.  Each cell steps by the closed-form
     exponential of its fourth-order Magnus matrix (see `_GAUSS`), and the
-    cell matrices are multiplied in a pairwise tree.  The n-cell and the
-    2n-cell results are combined by one Richardson step; their difference,
-    over 15, estimates the error of the 2n-cell result.  n starts at
-    `_CELLS_FIRST` and doubles until that estimate is below `_TRANSFER_RTOL`
-    relative to |u| + |u'|; past `_CELLS_MAX` it raises `ConvergenceError`.
+    cell matrices are multiplied in a pairwise tree.  One pass at n gives
+    the n-, 2n- and 4n-cell results; a Richardson step on each neighbouring
+    pair removes the fourth-order error and leaves a sixth-order one, so the
+    difference of the two extrapolated values, over 63, estimates the error
+    of the finer one, which is returned.  n starts at `_CELLS_FIRST` and
+    doubles until that estimate is below `_TRANSFER_RTOL` relative to
+    |u| + |u'|; past `_CELLS_MAX` it raises `ConvergenceError`.
 
     z may be one number or an array; every z takes the same arithmetic
     whatever else is in the array, so a value in a batch has the bits it

@@ -192,15 +192,61 @@ def _real_sum_value(sys: PastedSystem, x: float) -> float:
     return total
 
 
-def _density_free_parts(a: float, b: float, blocked) -> list:
-    """The parts of the gap (a, b) outside every density interval.
+def _real_sum_values(sys: PastedSystem, xs: list) -> list:
+    """`_real_sum_value` at each x of the list, with its bits: each distinct
+    entry evaluates the whole list in one `eval_real_many` call, and the
+    terms are added in entry order."""
+    totals = [0.0] * len(xs)
+    for values in sys.per_entry(lambda e: e.eval_real_many(xs)):
+        totals = [t + float(v) for t, v in zip(totals, values)]
+    return totals
 
-    The summed function is not real-analytic across a density, so a gap is
-    cut at the density endpoints; a gap meeting no density is returned
+
+def _gap_end_values(sys: PastedSystem, gaps: list) -> list:
+    """(f(aa), f(bb)) of the summed function for each gap (a, b, aa, bb),
+    every end in one `_real_sum_values` batch.  Where the batch cannot be
+    evaluated the gaps go one batch each, so that the ConvergenceError
+    names the first gap whose ends fail."""
+    try:
+        values = _real_sum_values(sys, [x for _, _, aa, bb in gaps for x in (aa, bb)])
+    except (ValueError, ZeroDivisionError) as exc:
+        if len(gaps) > 1:
+            return [v for gap in gaps for v in _gap_end_values(sys, [gap])]
+        a, b, _, _ = gaps[0]
+        raise ConvergenceError(
+            f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
+        ) from exc
+    return list(zip(values[::2], values[1::2]))
+
+
+def unsearched_intervals(sys: PastedSystem, window) -> list:
+    """The parts of the window inside a density interval of some entry,
+    merged and in increasing order, as floats.
+
+    The summed function is not real-analytic across a density, so the
+    numeric route of `find_point_spectrum` searches no zero there.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    parts: list = []
+    for a, b in sorted((float(a), float(b)) for e in sys.entries
+                       for a, b in e.density_intervals()):
+        a, b = max(a, lo), min(b, hi)
+        if a >= b:
+            continue
+        if parts and a <= parts[-1][1]:
+            parts[-1] = (parts[-1][0], max(parts[-1][1], b))
+        else:
+            parts.append((a, b))
+    return parts
+
+
+def _density_free_parts(a: float, b: float, blocked) -> list:
+    """The parts of the gap (a, b) outside every interval of ``blocked``,
+    which is sorted (`unsearched_intervals`); a gap meeting none is returned
     whole.
     """
     parts = []
-    for blo, bhi in sorted(blocked):
+    for blo, bhi in blocked:
         if bhi <= a or b <= blo:
             continue
         if a < blo:
@@ -224,7 +270,8 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
     route (purely atomic representations) adds the zeros of the summed
     function, one per pole-free gap (`solve_level`).  The numeric route
     brackets sign changes on the gaps between the same groups, outside the
-    density pieces; a gap whose ends the summed function cannot be
+    density pieces (`unsearched_intervals`), with the ends of every gap
+    evaluated in one batch; a gap whose ends the summed function cannot be
     evaluated at raises ConvergenceError instead of being skipped.
 
     On both routes each reported point is re-derived once as a rank by
@@ -247,22 +294,15 @@ def _points(sys: PastedSystem, window, groups: list) -> list:
         results += [Eigenvalue(u, 1, KIRCHHOFF) for u in solve_level(sys.sum_rep(), 0, window)]
     else:
         lo, hi = float(window[0]), float(window[1])
-        blocked = [(float(a), float(b)) for e in sys.entries for a, b in e.density_intervals()]
+        blocked = unsearched_intervals(sys, window)
         gap_bounds = [lo] + [x for x, _ in groups] + [hi]
-        parts = []
-        for a, b in zip(gap_bounds, gap_bounds[1:]):
-            parts.extend(_density_free_parts(a, b, blocked))
-        for a, b in parts:
-            if b - a <= 1e-9 * (1 + abs(a)):
-                continue
-            shift = 1e-7 * (b - a)
-            aa, bb = a + shift, b - shift
-            try:
-                va, vb = _real_sum_value(sys, aa), _real_sum_value(sys, bb)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConvergenceError(
-                    f"summed function not evaluable at the ends of the gap ({a}, {b}): {exc}"
-                ) from exc
+        parts = [part for a, b in zip(gap_bounds, gap_bounds[1:])
+                 for part in _density_free_parts(a, b, blocked)]
+        # each gap with its ends moved 1e-7 of its width inwards
+        gaps = [(a, b, a + 1e-7 * (b - a), b - 1e-7 * (b - a))
+                for a, b in parts if b - a > 1e-9 * (1 + abs(a))]
+        ends = _gap_end_values(sys, gaps) if gaps else []
+        for (a, b, aa, bb), (va, vb) in zip(gaps, ends):
             if va <= 0 < vb:  # brentq returns aa itself where va is 0
                 u = brentq(lambda t: _real_sum_value(sys, t), aa, bb, fa=va, fb=vb)
                 results.append(Eigenvalue(float(u), 1, KIRCHHOFF))

@@ -15,7 +15,9 @@ from starweyl import pasting, schrodinger, spectra
 from starweyl import (
     ConvergenceError,
     Edge,
+    HerglotzRep,
     InternalInvariantError,
+    ScalarMeasure,
     SchemaError,
     SpectralReport,
 )
@@ -488,6 +490,38 @@ def test_exact_eigs_finds_the_zeros_next_to_tiny_masses(atoms, window, inside, t
     report = SpectralReport.from_json(json.loads((tmp_path / "out" / "report.json").read_text()))
     [e] = report.eigenvalues
     assert e.provenance == "kirchhoff-zero" and inside[0] < e.x < inside[1]
+
+
+def test_exact_eigs_resolves_a_tiny_zero_relative_to_its_size(tmp_path):
+    # The zero near 2^-1002 of the atoms (-1, 1 + 2^-1000) and (1, 1): the
+    # summed function changes sign across x (1 -+ 2^-60), not just within
+    # 2^-64 of it.
+    atoms = [[-1, f"{2**1000 + 1}/{2**1000}"]], [[1, 1]]
+    edges = [{"atoms": a, "pieces": []} for a in atoms]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"task": "eigs", "exact": True, "window": [-3, 3],
+                                "system": {"edges": edges}}))
+    assert main(["eigs", str(path), "--exact", "--out", str(tmp_path / "out")]) == 0
+    report = SpectralReport.from_json(json.loads((tmp_path / "out" / "report.json").read_text()))
+    [e] = [e for e in report.eigenvalues if abs(e.x) < 1]
+    reps = [HerglotzRep.from_measure(ScalarMeasure.from_json(m)) for m in edges]
+    x = Fraction(e.x)
+    assert sum(r.eval_real(x * (1 - Fraction(1, 2**60))) for r in reps) < 0
+    assert sum(r.eval_real(x * (1 + Fraction(1, 2**60))) for r in reps) > 0
+
+
+def test_eigs_names_the_density_intervals_it_does_not_search(tmp_path):
+    # two densities overlap in (1, 2) and one reaches past the window's end
+    m1 = {"atoms": [[-2, 1], [2, 1]], "pieces": [
+        {"interval": [1, 2], "coeffs": [1]}, {"interval": [2, 4], "coeffs": [1]}]}
+    m2 = {"atoms": [[-1, 1]], "pieces": [{"interval": ["3/2", "5/2"], "coeffs": [1]}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"task": "eigs", "window": [-3, 3],
+                                "system": {"edges": [m1, m2]}}))
+    assert main(["eigs", str(path), "--out", str(tmp_path / "out")]) == 0
+    obj = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert obj["notes"] == ["simple spectrum not searched inside the density intervals [1.0, 3.0]"]
+    assert [e["provenance"] for e in obj["eigenvalues"]] == ["kirchhoff-zero"] * 2
 
 
 @pytest.mark.parametrize("name, task", [("atomic4x10", "eigs"), ("k74x24", "classify")])

@@ -44,7 +44,16 @@ def _reference_bisect(F_, lo, hi):
         else:
             hi = mid
         if hi - lo < width_goal:
-            break
+            # inside (-1, 1) the goal is 2^-64 of the distance from 0
+            zero = lo if lo > 0 else -hi if hi < 0 else F(0)
+            if zero >= 1 or hi - lo < zero / 2**64:
+                break
+            if lo < 0 < hi:
+                v = F_(F(0))
+                if v == 0:
+                    return F(0)
+                lo, hi = (F(0), hi) if v < 0 else (lo, F(0))
+            width_goal = zero / 2**64 if zero else hi - lo
     mid = (lo + hi) / 2
     for bound in (10, 10**3, 10**6, 10**9, 10**12):
         cand = mid.limit_denominator(bound)
@@ -296,6 +305,25 @@ def test_solve_level_matches_the_eval_real_bisection(n):
             got = solve_level(h, level)
             assert got == _reference_solve_level(h, level)
             assert all(isinstance(r, F) for r in got)
+
+
+def test_a_root_at_zero_off_the_dyadic_points_is_exact():
+    # h(0) = -1 + 2/2 = 0, and the bracket (-13/16, 29/16) never halves onto 0
+    h = HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(-1, 1), (2, 2)]))
+    assert solve_level(h, 0) == _reference_solve_level(h, 0)
+    assert F(0) in solve_level(h, 0)
+
+
+def test_a_tiny_root_off_the_dyadic_points_has_a_relative_accuracy():
+    # h(0) = -2^-1001 < 0, so the root lies just above 0; the bracket holds 0
+    # once it is 2^-64 wide, and is cut there before it goes on
+    h = HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(-1, 1), (2, 2 - F(1, 2**1000))]))
+    [root] = [r for r in solve_level(h, 0) if abs(r) < 1]
+    assert root == [r for r in _reference_solve_level(h, 0) if abs(r) < 1][0]
+    assert 0 < root < F(1, 2**999)
+    sign = _level_sign(h, F(0))
+    for x in (root * (1 - F(1, 2**60)), root * (1 + F(1, 2**60))):
+        assert sign(x.numerator, x.denominator) == (-1 if x < root else 1)
 
 
 @pytest.mark.parametrize("n, which", [(34, 0), (60, 1)])

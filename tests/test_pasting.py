@@ -291,7 +291,7 @@ def test_batched_values_have_the_bits_of_single_calls(batch):
 
 
 def test_a_refined_z_keeps_its_bits_next_to_an_easy_one():
-    # at 600 + 20i the steep well takes more than the first 128 cells
+    # at 600 + 20i the steep well takes more levels than the first, of 16 cells
     steep = Edge.of(3, [((0, 3), (0, 0, 60))])
     _assert_batch_has_scalar_bits(PastedSystem.of([steep, _MIXED_ENTRIES[0]]),
                                   [1.0 + 1.0j, 600.0 + 20.0j])
@@ -408,6 +408,37 @@ def test_multiplicity_at_wraps_the_rank():
     assert multiplicity_at(kac_pair(), 0) == 1
     sys3 = PastedSystem.of([ScalarMeasure.point(0, 1)] * 3)
     assert multiplicity_at(sys3, 0) == 2
+
+
+def test_the_vanishing_test_is_relative_near_zero():
+    # The summed function of the atoms (-1, 1 + 2^-1000) and (1, 1) vanishes
+    # near 2^-1002.  2.371692252312041e-20 is where a bisection resolved only
+    # to 2^-64 absolute stopped: the sum there is about 9.5e-20, below an
+    # absolute 2^-40 but far above h' |x| / 2^40.
+    sys_ = PastedSystem.of([ScalarMeasure.point(-1, 1 + F(1, 2**1000)),
+                            ScalarMeasure.point(1, 1)])
+    assert multiplicity_at(sys_, F(2.371692252312041e-20)) == 0
+    [root] = solve_level(sys_.sum_rep(), 0, (-F(1, 2), F(1, 2)))
+    assert F(1, 2**1003) < root < F(1, 2**1001)
+    assert multiplicity_at(sys_, root) == 1
+
+
+def test_eval_real_many_has_the_bits_of_eval_real_on_every_entry_type():
+    xs = [-3.0, 0.37, 1.25, 2.9, 7.5]
+    entries = [
+        Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [0])], 0.7),
+        Edge.of(F(3, 2), "free", 0.7),
+        Edge.of("inf"),
+        HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(0, 1), (2, F(1, 2))])),
+        HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(0, 1)], pieces=[((3, 5), [1])])),
+        HerglotzFunction(lambda z: -1 / (z - 0.5)),
+    ]
+    for e in entries:
+        alone = [e.eval_real(x) for x in xs]
+        many = e.eval_real_many(xs)
+        assert [type(v) for v in many] == [type(v) for v in alone]
+        assert [float(v).hex() for v in many] == [float(v).hex() for v in alone]
+        assert many == alone
 
 
 def test_exact_multiplicity_eliminates_at_atoms_only(monkeypatch):

@@ -214,15 +214,28 @@ def _cells_taken(monkeypatch):
 
 def test_steep_potential_at_high_energy_matches_dop853(monkeypatch):
     # q = 60 x^2 rises to 540 across the edge; the cell count has to double
-    # past the first attempt at least twice before the estimate passes
+    # past the first level at least twice before the estimate passes, and
+    # the sixth-order estimate passes by n = 512 (4,096 cells before it)
     e = Edge.of(3, [((0, 3), [0, 0, 60])], 0.7)
     c, s = cos_sin(0.7)
     for z in (600 + 20j, 600 - 20j, 600.0):
         taken = _cells_taken(monkeypatch)
         got = solve_edge(e, z, (s, -c), 3.0, 0.0)
-        assert max(taken) >= 4 * schrodinger._CELLS_FIRST
+        assert 4 * schrodinger._CELLS_FIRST <= max(taken) <= 512
         u, du = dop853_values(e, complex(z), (s, -c), 3.0, 0.0)
         assert abs(got.u - u) + abs(got.du - du) <= ODE_TOL * (abs(u) + abs(du))
+
+
+@pytest.mark.parametrize("z", [0.3, 2.5, 5.9, 1.7 + 1e-2j, 4.2 + 2.4e-6j])
+def test_a_benchmark_like_edge_settles_in_one_pass_at_the_first_level(monkeypatch, z):
+    # a piece of degree <= 2 and a constant one, values in [0, 5/4], as the
+    # benchmark's potential stars draw them, at z in their windows
+    for e in (Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [0])], 0.76),
+              Edge.of(F(3, 2), [((0, F(3, 4)), [F(1, 4), F(1, 4)]), ((F(3, 4), F(3, 2)), [F(1, 2)])]),
+              Edge.of(2, [((0, 1), [F(1, 2), F(1, 8), F(1, 8)]), ((1, 2), [F(5, 4)])], 1.1)):
+        taken = _cells_taken(monkeypatch)
+        solve_edge(e, z, (1.0, 0.0), float(e.length), 0.0)
+        assert taken == [schrodinger._CELLS_FIRST] == [16]
 
 
 def test_transfer_matrices_give_up_past_the_cell_cap(monkeypatch):
@@ -407,6 +420,29 @@ def test_transfer_matrices_match_dop853_on_random_potentials(edge, z):
     if pieces is not None:
         tu, tdu = transfer_values(L, edge.outer_angle, pieces, z)
         assert abs(got.u - tu) + abs(got.du - tdu) <= 1e-12 * (abs(tu) + abs(tdu))
+
+
+def _richardson_reference(edge, z, init):
+    """(u, u') at 0 from the 8,192- and 16,384-cell chains and one Richardson step.
+
+    The products run in long double: in double, rounding in 16,384 cells
+    reaches a few 1e-11 relative on the deepest plateaus, more than the
+    truncation error it is there to check.
+    """
+    cells = schrodinger._cut_cells(edge, float(edge.length), 0.0, 4096)
+    T, E = schrodinger._cell_products(cells, np.array([z], dtype=np.clongdouble))
+    y2, y4 = (T[:, :, k, 0] @ np.array(init, dtype=np.longdouble) * np.longdouble(2) ** int(E[k, 0])
+              for k in (1, 2))
+    return complex(y4[0] + (y4[0] - y2[0]) / 15), complex(y4[1] + (y4[1] - y2[1]) / 15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(potential_edges(), energies)
+def test_accepted_transfer_values_match_a_16384_cell_reference(edge, z):
+    c, s = cos_sin(edge.outer_angle)
+    got = solve_edge(edge, z, (s, -c), float(edge.length), 0.0)
+    u, du = _richardson_reference(edge, z, (s, -c))
+    assert abs(got.u - u) + abs(got.du - du) <= 1e-11 * (abs(u) + abs(du))
 
 
 # ---------------------------------------------------------------------------

@@ -313,16 +313,35 @@ def test_every_z_grid_evaluates_each_distinct_edge_once(name, monkeypatch, tmp_p
         (e, window) for e in distinct]
 
 
+def test_unsearched_intervals_clip_and_merge_the_densities():
+    m1 = ScalarMeasure.of(atoms=[(0, 1)], pieces=[((Fraction(1, 2), 1), [1]), ((5, 6), [1])])
+    m2 = ScalarMeasure.of(pieces=[((Fraction(3, 4), 2), [1]), ((7, 8), [1])])
+    sys_ = PastedSystem.of([m1, m2])
+    assert spectra.unsearched_intervals(sys_, (0, Fraction(11, 2))) == [(0.5, 2.0), (5.0, 5.5)]
+    assert spectra.unsearched_intervals(sys_, (-2, 0)) == []
+
+
+def test_numeric_gap_ends_go_in_one_batch(monkeypatch):
+    problem = ProblemFile.parse(builtin_problem("equilateral3"))
+    calls, original = [], spectra._real_sum_values
+    monkeypatch.setattr(spectra, "_real_sum_values",
+                        lambda sys_, xs: calls.append(len(xs)) or original(sys_, xs))
+    find_point_spectrum(problem.system, problem.window)
+    assert calls == [8]  # both ends of (0.1, 1), (1, 4), (4, 9) and (9, 10)
+
+
 def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
     problem = ProblemFile.parse(builtin_problem("equilateral3"))
-    original = spectra._real_sum_value
+    original = spectra._real_sum_values
 
-    def fails_after_the_pole_at_one(sys_, x):
-        if 1.0 < x < 1.001:  # only the left end of the gap (1, 4)
-            raise ValueError(f"{x} cannot be evaluated")
-        return original(sys_, x)
+    def fails_after_the_pole_at_one(sys_, xs):
+        for x in xs:
+            if 1.0 < x < 1.001:  # only the left end of the gap (1, 4)
+                raise ValueError(f"{x} cannot be evaluated")
+        return original(sys_, xs)
 
-    monkeypatch.setattr(spectra, "_real_sum_value", fails_after_the_pole_at_one)
+    # the batch of all gap ends fails, and so does the gap (1, 4) alone
+    monkeypatch.setattr(spectra, "_real_sum_values", fails_after_the_pole_at_one)
     with pytest.raises(ConvergenceError, match=r"gap \(1\.0+\d*, 4\.0+\d*\)"):
         find_point_spectrum(problem.system, problem.window)
 
