@@ -60,7 +60,6 @@ from .spectra import (
     classify_spectrum,
     fd_oracle,
     find_point_spectrum,
-    unsearched_intervals,
     verify_kac,
 )
 
@@ -369,8 +368,8 @@ def run(problem: ProblemFile, out_dir, seed: int = 0) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if problem.task == "eigs":
-            eigs = find_point_spectrum(problem.system, problem.window)
-            skipped = unsearched_intervals(problem.system, problem.window)
+            skipped: list = []
+            eigs = find_point_spectrum(problem.system, problem.window, skipped)
             notes = ("simple spectrum not searched inside the density intervals "
                      + ", ".join(f"[{a}, {b}]" for a, b in skipped),) if skipped else ()
             report = SpectralReport(window=problem.window, eigenvalues=tuple(eigs), notes=notes)

@@ -172,10 +172,6 @@ class HerglotzRep:
             out += (1.0 + xf * xf) * (_poly_int(q, a, b).real + px.real * log_term)
         return out
 
-    def eval_real_many(self, xs: list) -> list:
-        """`eval_real` at each x of a list, one call per x."""
-        return [self.eval_real(x) for x in xs]
-
     def poles(self, window) -> list:
         """The atom positions in the closed window [lo, hi]."""
         lo, hi = as_fraction(window[0]), as_fraction(window[1])
@@ -292,10 +288,6 @@ class HerglotzFunction:
 
     def eval_real(self, x: float) -> float:
         return float(self.fn(float(x)).real)
-
-    def eval_real_many(self, xs: list) -> list:
-        """`eval_real` at each x of a list, one call per x."""
-        return [self.eval_real(x) for x in xs]
 
     def poles(self, window) -> list:
         raise ValueError("cannot enumerate poles of a black-box callable entry; "

@@ -354,9 +354,6 @@ _LN2 = math.log(2.0)
 # Cell matrices (all slots) times z per array pass; more z than that are
 # split over several passes.
 _LEAF_BUDGET = 3 << 16
-# The tree of products is rescaled before every `_RESCALE_EVERY`-th level
-# (see `_cell_products`).
-_RESCALE_EVERY = 6
 
 
 @dataclass(frozen=True)
@@ -469,15 +466,21 @@ def _cell_products(cells: _Cells, zs: np.ndarray):
 
     Returns T of shape (2, 2, 3, len(zs)) (row, column, n, 2n or 4n, z) and
     the exponent E of shape (3, len(zs)); the transfer matrix is 2**E T.
-    Dividing matrices by powers of two is exact, so it changes no value, and
-    it is done only as often as overflow requires: two 2x2 matrices whose
-    entries are below b in modulus have a product with entries below 2 b^2,
-    so k levels of products of rescaled matrices stay below 2^(2^k - 1).
-    The leaves are rescaled; the 4n-cell chain takes two levels to multiply
-    its quarters, and the tree is rescaled before every sixth level, so no
-    entry exceeds 2^255.  Every matrix multiplies into the product once, so
-    the exponent of a chain is the sum of the exponents divided out of its
-    matrices.  Each z gets the same bits in any batch.
+    Dividing a matrix by a power of two is exact, so it changes no value;
+    it is done to the leaves and then before every third level of products,
+    which bounds the entries both ways.  After the leaves are divided, the
+    largest entry of each is in [1/2, 1).  Up: two 2x2 matrices with entries
+    below b in modulus have a product with entries below 2 b^2, so three
+    levels stay below 2^7.  Down: the cell matrices have determinant 1, so
+    no product is zero, and one product shrinks the largest entry by a
+    factor near 1/k at worst, k = sqrt|q - z| (about 2/k where the cells are
+    nearly rank one, deep in evanescence), so the seven products of three
+    levels stay above k^-7, a normal float for any |z| below 1e80.  The
+    4n-cell chain enters the tree two levels deep (its quarters are
+    multiplied twice), so the tree rescales before its levels 1, 4, 7, ...
+    Every matrix multiplies into the product once, so the exponent of a
+    chain is the sum of the exponents divided out of its matrices.  Each z
+    gets the same bits in any batch.
     """
     leaves, E = _leaves(cells, zs[None, None, :])
     leaves, e = _normalized(leaves)
@@ -491,7 +494,7 @@ def _cell_products(cells: _Cells, zs: np.ndarray):
     E = np.array([exps[0], exps[1] + exps[2], exps[3:].sum(axis=0)])
     level = 0
     while T.shape[3] > 1:
-        if level and level % _RESCALE_EVERY == 0:
+        if level % 3 == 1:
             T, e = _normalized(T)
             E = E + e.sum(axis=1)
         level += 1
@@ -542,7 +545,11 @@ def _propagate(edge: Edge, zs: np.ndarray, u0: complex, du0: complex, x0: float,
                 u2, du2 = (a2 * u0 + b2 * du0) * align, (c2 * u0 + d2 * du0) * align
                 r1, dr1 = u2 + (u2 - u1) / 15.0, du2 + (du2 - du1) / 15.0
                 r2, dr2 = u4 + (u4 - u2) / 15.0, du4 + (du4 - du2) / 15.0
-                if abs(r2 - r1) + abs(dr2 - dr1) <= 63.0 * _TRANSFER_RTOL * (abs(r2) + abs(dr2)):
+                scale = abs(r2) + abs(dr2)
+                # the transfer matrix is invertible, so (0, 0) from a nonzero
+                # start is underflow, never a settled value
+                if (scale or not (u0 or du0)) and \
+                        abs(r2 - r1) + abs(dr2 - dr1) <= 63.0 * _TRANSFER_RTOL * scale:
                     out[i] = (r2, dr2, e_4n)
                 else:
                     left.append(i)

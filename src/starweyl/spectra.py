@@ -194,11 +194,17 @@ def _real_sum_value(sys: PastedSystem, x: float) -> float:
 
 def _real_sum_values(sys: PastedSystem, xs: list) -> list:
     """`_real_sum_value` at each x of the list, with its bits: each distinct
-    entry evaluates the whole list in one `eval_real_many` call, and the
-    terms are added in entry order."""
+    edge evaluates the whole list in one `Edge.eval_real_many` call, any
+    other entry one `eval_real` per x, and the terms are added in entry
+    order."""
+    def values(e) -> list:
+        if isinstance(e, Edge):
+            return e.eval_real_many(xs)
+        return [e.eval_real(x) for x in xs]
+
     totals = [0.0] * len(xs)
-    for values in sys.per_entry(lambda e: e.eval_real_many(xs)):
-        totals = [t + float(v) for t, v in zip(totals, values)]
+    for column in sys.per_entry(values):
+        totals = [t + float(v) for t, v in zip(totals, column)]
     return totals
 
 
@@ -262,7 +268,7 @@ def _check_window(window) -> None:
         raise ValueError("window must have positive length")
 
 
-def find_point_spectrum(sys: PastedSystem, window) -> list:
+def find_point_spectrum(sys: PastedSystem, window, skipped: list | None = None) -> list:
     """All eigenvalues of the pasted problem in the window.
 
     Both routes group the entries' poles in the window (`_pole_groups`);
@@ -272,7 +278,9 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
     brackets sign changes on the gaps between the same groups, outside the
     density pieces (`unsearched_intervals`), with the ends of every gap
     evaluated in one batch; a gap whose ends the summed function cannot be
-    evaluated at raises ConvergenceError instead of being skipped.
+    evaluated at raises ConvergenceError instead of being skipped.  The
+    density intervals it does not search are appended to ``skipped`` when
+    a list is given.
 
     On both routes each reported point is re-derived once as a rank by
     `multiplicity_at`, which takes the same route: the residue block's rank
@@ -284,10 +292,10 @@ def find_point_spectrum(sys: PastedSystem, window) -> list:
     """
     _check_window(window)
     poles = sys.per_entry(lambda e: e.poles(window))
-    return _points(sys, window, _pole_groups(poles, sys.is_exact_atomic))
+    return _points(sys, window, _pole_groups(poles, sys.is_exact_atomic), skipped)
 
 
-def _points(sys: PastedSystem, window, groups: list) -> list:
+def _points(sys: PastedSystem, window, groups: list, skipped: list | None = None) -> list:
     """`find_point_spectrum` from the `_pole_groups` of the entries' poles."""
     results = [Eigenvalue(x, k - 1, OVERLAP) for x, k in groups if k >= 2]
     if sys.is_exact_atomic:
@@ -295,6 +303,8 @@ def _points(sys: PastedSystem, window, groups: list) -> list:
     else:
         lo, hi = float(window[0]), float(window[1])
         blocked = unsearched_intervals(sys, window)
+        if skipped is not None:
+            skipped.extend(blocked)
         gap_bounds = [lo] + [x for x, _ in groups] + [hi]
         parts = [part for a, b in zip(gap_bounds, gap_bounds[1:])
                  for part in _density_free_parts(a, b, blocked)]

@@ -423,24 +423,6 @@ def test_the_vanishing_test_is_relative_near_zero():
     assert multiplicity_at(sys_, root) == 1
 
 
-def test_eval_real_many_has_the_bits_of_eval_real_on_every_entry_type():
-    xs = [-3.0, 0.37, 1.25, 2.9, 7.5]
-    entries = [
-        Edge.of(2, [((0, 1), [1, F(1, 4)]), ((1, 2), [0])], 0.7),
-        Edge.of(F(3, 2), "free", 0.7),
-        Edge.of("inf"),
-        HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(0, 1), (2, F(1, 2))])),
-        HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(0, 1)], pieces=[((3, 5), [1])])),
-        HerglotzFunction(lambda z: -1 / (z - 0.5)),
-    ]
-    for e in entries:
-        alone = [e.eval_real(x) for x in xs]
-        many = e.eval_real_many(xs)
-        assert [type(v) for v in many] == [type(v) for v in alone]
-        assert [float(v).hex() for v in many] == [float(v).hex() for v in alone]
-        assert many == alone
-
-
 def test_exact_multiplicity_eliminates_at_atoms_only(monkeypatch):
     # Off the atoms the residue v v^T / h' has v's last entry 1: rank 1
     # wherever the sum vanishes, so only the vanishing test runs there.

@@ -363,6 +363,31 @@ def test_deep_evanescence_keeps_the_shifted_closed_form(shift, slope):
     assert weyl_m(e, 2.5 - shift) == pytest.approx(-k / math.tanh(3 * k), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [2.5 - 1e5, 2000.0, 3000.0, -3000.0, 5000.0,
+                               3000.0 + 1e-2j, -3000.0 + 1e-2j])
+def test_a_tree_of_many_cells_neither_overflows_nor_underflows(z):
+    # four sloped pieces give 64 cells at n = 16 and chains of up to 256; the
+    # rescaled cell matrices shrink by about 1/sqrt|q - z| per product, so a
+    # tree that went six levels without rescaling lost every entry to 0 here
+    e = Edge.of(3, [((F(3 * i, 4), F(3 * i + 3, 4)), [F(5, 2), F(1, 10**12)])
+                    for i in range(4)])
+    k = cmath.sqrt(2.5 - z)
+    want = -k if k.real > 300 else -k / cmath.tanh(3 * k)  # q = 5/2, Dirichlet
+    assert weyl_m(e, z) == pytest.approx(want, rel=1e-11)
+
+
+def test_an_underflowed_value_is_never_accepted(monkeypatch):
+    # every transfer matrix is invertible, so (0, 0) from a nonzero start can
+    # only be underflow: the solver refines and gives up, it does not return it
+    def underflowed(cells, zs):
+        return np.zeros((2, 2, 3, zs.size), dtype=complex), np.zeros((3, zs.size), dtype=int)
+
+    monkeypatch.setattr(schrodinger, "_cell_products", underflowed)
+    e = Edge.of(3, [((0, 3), [F(5, 2), F(1, 10**12)])])
+    with pytest.raises(ConvergenceError):
+        solve_edge(e, 3000.0, (0.0, -1.0), 3.0, 0.0)
+
+
 def test_constant_potential_shifts_the_energy_argument():
     free = Edge.of(1)
     shifted = Edge.of(1, [((0, 1), [F(5, 2)])], 0.0)

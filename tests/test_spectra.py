@@ -330,6 +330,23 @@ def test_numeric_gap_ends_go_in_one_batch(monkeypatch):
     assert calls == [8]  # both ends of (0.1, 1), (1, 4), (4, 9) and (9, 10)
 
 
+def test_the_gap_end_batch_has_the_bits_of_one_sum_per_x():
+    # edges answer the batch in one weyl_m array pass, every other entry one
+    # eval_real per x; the sums keep the bits of _real_sum_value
+    xs = [-3.0, 0.37, 1.25, 2.9, 7.5]
+    edges = [Edge.of(2, [((0, 1), [1, Fraction(1, 4)]), ((1, 2), [0])], 0.7),
+             Edge.of(Fraction(3, 2), "free", 0.7), Edge.of("inf")]
+    for e in edges:
+        many = e.eval_real_many(xs)
+        assert [float.hex(v) for v in many] == [float.hex(e.eval_real(x)) for x in xs]
+    others = [HerglotzRep.from_measure(ScalarMeasure.of(atoms=[(0, 1), (2, Fraction(1, 2))])),
+              HerglotzFunction(lambda z: -1 / (z - 0.5))]
+    sys_ = PastedSystem.of(edges + others)
+    batch = spectra._real_sum_values(sys_, xs)
+    assert [float.hex(v) for v in batch] == [float.hex(spectra._real_sum_value(sys_, x))
+                                             for x in xs]
+
+
 def test_numeric_gap_scan_raises_where_the_sum_cannot_be_evaluated(monkeypatch):
     problem = ProblemFile.parse(builtin_problem("equilateral3"))
     original = spectra._real_sum_values
