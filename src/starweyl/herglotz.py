@@ -26,6 +26,7 @@ from .measure import (
     NumberLike,
     Poly,
     ScalarMeasure,
+    _saturated_float,
     as_fraction,
     check_keys,
     number_from_json,
@@ -95,15 +96,39 @@ def cauchy_transform(nu: ScalarMeasure, z: complex) -> complex:
     for tf, wf in nu.float_atoms:
         total += wf * ((1.0 + tf * tf) / (tf - z) - tf)
     for piece in nu.pieces:
-        a, b = float(piece.lo), float(piece.hi)
-        coeffs = [float(c) for c in piece.poly.coeffs]
-        # (1 + x z)/(x - z) = z + (1 + z^2)/(x - z)
-        part = z * _poly_int(coeffs, a, b)
-        q, pz = _poly_div_at(coeffs, z)
-        log_term = cmath.log(b - z) - cmath.log(a - z)
-        part += (1.0 + z * z) * (_poly_int(q, a, b) + pz * log_term)
-        total += part
+        total += _piece_part(piece, z)
     return total
+
+
+def _piece_part(piece, z: complex) -> complex:
+    """One density piece's term of `cauchy_transform` at z."""
+    a, b = float(piece.lo), float(piece.hi)
+    coeffs = [float(c) for c in piece.poly.coeffs]
+    # (1 + x z)/(x - z) = z + (1 + z^2)/(x - z)
+    part = z * _poly_int(coeffs, a, b)
+    q, pz = _poly_div_at(coeffs, z)
+    log_term = cmath.log(b - z) - cmath.log(a - z)
+    part += (1.0 + z * z) * (_poly_int(q, a, b) + pz * log_term)
+    return part
+
+
+def _c_quot(ar: float, ai: float, br: np.ndarray, bi: np.ndarray):
+    """(ar + i ai) / (br + i bi) on arrays, with the operations of CPython's
+    `_Py_c_quot` (Smith's algorithm; NaN where a NaN defeats both branches),
+    so every element has the bits of the scalar quotient."""
+    abr = np.where(br < 0, -br, br)
+    abi = np.where(bi < 0, -bi, bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    rr = (ar + ai * ratio) / denom
+    ri = (ai - ar * ratio) / denom
+    flip = ~(abr >= abi) & (abi >= abr)
+    ratio = br / bi
+    denom = br * ratio + bi
+    rr = np.where(flip, (ar * ratio + ai) / denom, rr)
+    ri = np.where(flip, (ai * ratio - ar) / denom, ri)
+    lost = ~(abr >= abi) & ~flip
+    return np.where(lost, math.nan, rr), np.where(lost, math.nan, ri)
 
 
 @dataclass(frozen=True)
@@ -139,8 +164,42 @@ class HerglotzRep:
     __call__ = eval
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
-        """`eval` at each z of a 1-D array, one call per z."""
-        return np.array([self.eval(z) for z in zs.tolist()], dtype=complex)
+        """`eval` at each z of a 1-D array, with the bits of the call at that z.
+
+        One pass over the atoms serves every z.  Python's complex
+        arithmetic takes a float operand as (v, 0.0) and applies CPython's
+        `_Py_c_prod`, `_Py_c_quot` (`_c_quot`) and componentwise sums; the
+        same operations run here on the real and imaginary arrays, in the
+        order of `eval` and `cauchy_transform`, so -0.0, infinities and NaN
+        come out as there.  numpy's complex division is another algorithm
+        and is not used.  Density pieces then add their closed form z by z
+        (`_piece_part`), after the atoms as in `cauchy_transform`.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        zr, zi = zs.real.copy(), zs.imag.copy()
+        if (zi == 0).any():
+            raise ValueError("evaluation on the real axis is not defined; use eval_real")
+        a, b = float(self.a), float(self.b)
+        tr, ti = np.zeros(len(zs)), np.zeros(len(zs))
+        with np.errstate(all="ignore"):
+            # a + b z
+            re = a + (b * zr - 0.0 * zi)
+            im = 0.0 + (b * zi + 0.0 * zr)
+            for tf, wf in self.omega.float_atoms:
+                # wf ((1 + tf^2) / (tf - z) - tf)
+                qr, qi = _c_quot(1.0 + tf * tf, 0.0, tf - zr, 0.0 - zi)
+                vr, vi = qr - tf, qi - 0.0
+                tr = tr + (wf * vr - 0.0 * vi)
+                ti = ti + (wf * vi + 0.0 * vr)
+            out = np.empty(len(zs), dtype=complex)
+            out.real, out.imag = re + tr, im + ti
+        if self.omega.pieces:
+            for k, z in enumerate(zs.tolist()):
+                total = complex(tr[k], ti[k])
+                for piece in self.omega.pieces:
+                    total += _piece_part(piece, z)
+                out[k] = complex(re[k], im[k]) + total
+        return out
 
     # -- real-axis calculus -------------------------------------------------
 
@@ -400,7 +459,8 @@ def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int], int]:
     sign is that of num L_d - L_n den for level = L_n/L_d; p/q need not be
     in lowest terms.  The same function serves every gap between poles.  No
     rational arithmetic is involved, a zero is detected exactly, and a
-    check at an atom raises ValueError.
+    check at an atom raises ValueError.  Away from the roots,
+    `_filtered_sign` settles the same sign in double first.
     """
     value = h._integer_value
     ln, ld = level.numerator, level.denominator
@@ -413,8 +473,132 @@ def _level_sign(h: HerglotzRep, level: Fraction) -> Callable[[int, int], int]:
     return sign
 
 
+# Unit roundoff of double, and the smallest positive normal double.
+_UNIT = 2.0**-53
+_NORMAL = 2.0**-1022
+
+
+def _rounded_terms(reps: Sequence[HerglotzRep], level: Fraction):
+    """(c, b, t, rho) of the sum h of the purely atomic ``reps``, minus
+    ``level``, each correctly rounded to double (t and rho lists).
+
+    h(x) - level = c + b x + sum_j rho_j / (t_j - x), with c the sum of
+    each function's a - sum_j w_j t_j, less the level, b the sum of the
+    slopes, and one term rho_j = w_j (1 + t_j^2) per atom of every function
+    (an atom shared by two functions gives two terms), read from
+    `HerglotzRep._integer_terms`.  None when a value overflows, or is nonzero and rounds below the normal range,
+    where the relative rounding bound of `_float_parts` fails.
+    """
+    c, b, t, rho, positions = -level, Fraction(0), [], [], []
+    try:  # int / int is the correctly rounded quotient
+        for h in reps:
+            D, M, c0, c1, terms = h._integer_terms
+            c += Fraction(c0, M)
+            b += Fraction(c1, M)
+            t += [T / D for T, _ in terms]
+            rho += [R / (M * D) for _, R in terms]
+            positions += [T for T, _ in terms]
+        cf, bf = c.numerator / c.denominator, b.numerator / b.denominator
+    except OverflowError:
+        return None
+    nonzero = [v for n, v in zip([c.numerator, b.numerator, *positions], [cf, bf, *t]) if n]
+    if min(map(abs, nonzero + rho), default=1.0) < _NORMAL:
+        return None
+    return cf, bf, t, rho
+
+
+def _float_parts(terms, x: float):
+    """(S, S', E, E'): the value S and slope S' in double of the sum of
+    functions whose `_rounded_terms` are ``terms``, at the real point that
+    the double ``x`` rounds, and bounds |S(x) - S| <= E and |S'(x) - S'| <= E'
+    on their errors.  None when an atom lies too close to x (below), or when
+    the summands hold infinities of both signs or sum beyond the doubles.
+
+    The bound.  Let u = 2^-53 and x = fl(x) be normal, so the true point is
+    x (1 + e) with |e| <= u; the inputs c, b, t_j, rho_j are rounded alike.
+    Each operation below is exact times (1 + d) or divided by (1 + d),
+    |d| <= u, plus an absolute 2^-1075 where a product or quotient
+    underflows (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 2).  With d_j = fl(t_j - x) and
+    sigma_j = (|t_j| + |x|) / |d_j|, the true t_j - x is d_j (1 + phi_j) with
+    |phi_j| <= theta_j = u (sigma_j + 1): the rounding of t_j, of x and of
+    the difference.  x is refused (None) unless sigma_j <= 2^42, so
+    theta_j <= 2^-10.  Then
+    - q_j = fl(rho_j / d_j) is the true term rho_j / (t_j - x) within
+      (theta_j + 3u)(1 + 2^-8) |q_j|, since (1 + u)^2 / (1 - theta_j) - 1
+      is below that;
+    - s_j = fl(q_j / d_j) >= 0 is the true rho_j / (t_j - x)^2 within
+      (2 theta_j + 3u)(1 + 2^-8) s_j, from (1 + u)^3 / (1 - theta_j)^2;
+    - c is within u |c|, and fl(b x) is the true b x within 4u |fl(b x)|.
+    `math.fsum` rounds the exact sum of its summands once, adding at most
+    u times A, the sum of their magnitudes, for S (Shewchuk's adaptive sum;
+    an ordinary sum would add (N - 1) u A for N summands, Higham ch. 4).
+    Together, |S(x) - S| <= (1 + 2^-8) u (5 A + W) with
+    W = sum_j (sigma_j + 1) |q_j|, and likewise
+    |S'(x) - S'| <= (1 + 2^-8) u (5 B + 2 W') with B the sum of b and the
+    s_j and W' = sum_j (sigma_j + 1) s_j.  E and E' are twice these,
+    evaluated in double: the factor 2 covers the (1 + 2^-8), the rounding
+    of the bound's own terms (nonnegative, so a relative error of at most
+    gamma_(N+4) = (N + 4) u / (1 - (N + 4) u)), and S' in place of B.  Each
+    adds N 2^-1068 for the underflows.  A non-finite input or intermediate
+    makes a part NaN or infinite, which every caller treats as undecided.
+    """
+    c, b, ts, rhos = terms
+    ax = abs(x)
+    bx = b * x
+    qs, ss = [c, bx], [b]
+    size = abs(c) + abs(bx)
+    skew = bend = 0.0
+    for t, rho in zip(ts, rhos):
+        d = t - x
+        ad = abs(d)
+        if not ad * 2.0**42 >= abs(t) + ax:
+            return None
+        q = rho / d
+        s = q / d
+        spread = (abs(t) + ax) / ad + 1.0
+        qs.append(q)
+        ss.append(s)
+        size += abs(q)
+        skew += abs(q) * spread
+        bend += s * spread
+    try:
+        value, slope = math.fsum(qs), math.fsum(ss)
+    except (OverflowError, ValueError):
+        return None
+    tiny = len(qs) * 2.0**-1068
+    return (value, slope, 2.0 * _UNIT * (5.0 * size + skew) + tiny,
+            2.0 * _UNIT * (5.0 * slope + 2.0 * bend) + tiny)
+
+
+def _filtered_sign(h: HerglotzRep, level: Fraction, sign: Callable[[int, int], int]):
+    """``sign`` (a `_level_sign`) decided in double first where it can be.
+
+    The sign of h(p/q) - level is that of the double value S whenever
+    |S| > E (`_float_parts`): the true value then lies on the same side of
+    0.  Otherwise, at 0 and at points below the normal range or beyond
+    the double range, and next to an atom, ``sign`` decides in integers.
+    So the result is always ``sign``'s.  Worth it away from the roots, as
+    at `_bracket_end`'s candidates; next to a root double cannot decide.
+    """
+    terms = _rounded_terms((h,), level)
+    if terms is None:
+        return sign
+
+    def filtered(p: int, q: int) -> int:
+        x = _saturated_float(p, q)
+        if _NORMAL <= abs(x) < math.inf:
+            parts = _float_parts(terms, x)
+            if parts is not None and abs(parts[0]) > parts[2]:
+                return 1 if parts[0] > 0 else -1
+        return sign(p, q)
+
+    return filtered
+
+
 def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
-    """Guesses at the root of h - level in each bracket (lo, hi), best first.
+    """Guesses at the root of h - level in each bracket (lo, hi), best first,
+    from the `_rounded_terms` of h - level (none when those do not exist).
 
     A guess is ((xn, xd), radius): the rational xn/xd (xd > 0) and a radius
     around it that should hold the root.  Safeguarded Newton steps run on
@@ -422,19 +606,23 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
     bisection.  The float root's radius bounds the rounding in the sum
     (each term carries rounding of t_j, of t_j - x and of the division),
     divided by the slope; a root stops once its step falls below half its
-    radius.  One more Newton step from it, on the exact value and slope
+    radius.  A bracket of one sign that spans over 20 binades bisects at
+    its geometric mean, so roots next to 0 are reached too.  One more
+    Newton step from the root, on the exact value and slope
     (`HerglotzRep.value_parts`), squares that error: radius^2 |h''| / (2 h')
-    with a factor 4 to spare.  It goes first when it is the narrower one.
+    with a factor 4 to spare, but at least 2^-120 of the new point, and a
+    Fraction once it falls below the doubles.  It goes first when it is the
+    narrower one.
     """
-    atoms = h.omega.atoms
-    t = np.array([float(u) for u, _ in atoms])
-    rho = np.array([float(w * (1 + u * u)) for u, w in atoms])
-    c = float(h.a - level - sum((w * u for u, w in atoms), Fraction(0)))
-    b = float(h.b)
+    terms = _rounded_terms((h,), level)
+    if terms is None:  # values beyond the doubles' normal range: plain stepping
+        return [[] for _ in brackets]
+    c, b, t, rho = terms
+    t, rho = np.array(t), np.array(rho)
     lo = np.array([float(a) for a, _ in brackets])
     hi = np.array([float(z) for _, z in brackets])
     x = 0.5 * (lo + hi)
-    unit = (len(atoms) + 4) * 2.0**-52
+    unit = (len(t) + 4) * 2.0**-52
     # A float root can land on a pole only when its bracket ends closer to
     # the pole than float resolves; that bracket gets no guess below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -451,26 +639,37 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
             hi = np.where(below, hi, x)
             step = f / slope
             nxt = x - step
-            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            # A bracket of one sign spanning over 20 binades bisects at its
+            # geometric mean, so a root next to 0 is reached in few steps.
+            small, large = np.minimum(np.abs(lo), np.abs(hi)), np.maximum(np.abs(lo), np.abs(hi))
+            mid = np.where(((lo > 0) | (hi < 0)) & (small * 2.0**20 < large),
+                           np.sign(hi) * np.sqrt(small) * np.sqrt(large), 0.5 * (lo + hi))
+            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, mid)
             done = (np.abs(step) <= 0.5 * radius) | (f == 0)
             x = nxt
             if done.all():
                 break
         bend = np.abs((2 * terms / diff**2).sum(axis=1)) / slope
     out = []
-    for (a, z), xf, r, r2 in zip(brackets, x.tolist(), radius.tolist(),
-                                 (2 * bend * radius**2).tolist()):
+    for (a, z), xf, r, bend in zip(brackets, x.tolist(), radius.tolist(), bend.tolist()):
         if not (math.isfinite(xf) and a < Fraction(xf) < z):
             out.append([])
             continue
         xn, xd = xf.as_integer_ratio()
         guesses = [((xn, xd), r)]
+        r2 = 2 * bend * r * r
         if r2 < r:
             num, den, dnum, dden = h.value_parts(xn, xd)
             # x - f / h' with f = fn / (den L_d) and h' = dnum / dden, L = level
             fn = num * level.denominator - level.numerator * den
             q = den * level.denominator * dnum
-            guesses.insert(0, ((xn * q - fn * dden * xd, xd * q), r2))
+            pn, pd = xn * q - fn * dden * xd, xd * q
+            # At least 2^-120 |x|: the slope's curvature can cancel to 0 in
+            # float.  A root near 2^-1000 has a radius below the doubles.
+            r2 = max(r2, abs(_saturated_float(pn, pd)) * 2.0**-120)
+            if r2 < 2.0**-1000:
+                r2 = max(Fraction(2 * bend) * Fraction(r) ** 2, Fraction(abs(pn), pd << 120))
+            guesses.insert(0, ((pn, pd), r2))
         out.append(guesses)
     return out
 
@@ -494,7 +693,10 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     through the same brackets and meets no exact zero on its way.  If x is
     within a radius of a split point at every depth (a root at a dyadic
     point of [lo, hi]) or a sign does not confirm, the next guess is tried,
-    and after the last the search steps from [lo, hi].
+    and after the last the search steps from [lo, hi].  The guesses are
+    tried again whenever the goal below moves, and a bracket with an end at
+    0 first leaves 0 in one confirmed step (`_leave_zero`), so a root near
+    2^-1000 takes a few dozen sign checks, not one per halving.
 
     The search stops once the bracket is narrower than 2^-64 max(1, |x|),
     unless a pole of ``gap`` (its ends L, R; None if infinite) lies closer
@@ -504,14 +706,11 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     relative accuracy; a bracket that still holds 0 then checks the sign
     there once, and keeps the side of 0 that holds the root.
     """
+    guesses = [(point, r) for point, r in guesses if 0 < r < math.inf]
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     goal = max(abs(Fraction(a + b, 2 * den)), Fraction(1)) / Fraction(2**_BISECT_BITS)
-    for guess in guesses:
-        jumped = _jump(sign, a, b, den, goal, *guess)
-        if jumped is not None:
-            a, b, den = jumped
-            break
+    a, b, den = _jumped(sign, a, b, den, goal, guesses)
     while True:
         mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
         v = sign(mid, den)
@@ -527,6 +726,7 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
                        math.inf if R is None else R - Fraction(b, den))
             if Fraction(b - a, den) > near:
                 goal = near / 2**_BISECT_BITS
+                a, b, den = _jumped(sign, a, b, den, goal, guesses)
                 continue
             # the bracket's distance from 0, over den
             zero = a if a > 0 else -b if b < 0 else 0
@@ -537,7 +737,15 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
                 if v == 0:
                     return Fraction(0)
                 a, b = (0, b) if v < 0 else (a, 0)
-            goal = Fraction(zero, den << _BISECT_BITS) if zero else Fraction(b - a, den)
+            if zero:
+                goal = Fraction(zero, den << _BISECT_BITS)
+            else:  # an end at 0: plain stepping checks the rules at every step
+                left = _leave_zero(sign, a, b, den, guesses)
+                if left is None:
+                    goal = Fraction(b - a, den)
+                    continue
+                a, b, den, goal = left
+            a, b, den = _jumped(sign, a, b, den, goal, guesses)
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
     # A candidate equal to the one before it has already failed.
@@ -581,31 +789,72 @@ def _snap_candidates(n: int, d: int) -> list:
     return out
 
 
-def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius: float):
+def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius):
     """The bracket (a, b, den) of `_bisect_exact` moved to the sub-bracket
-    holding ``point`` = (xn, xd), or None (see there)."""
+    holding ``point`` = (xn, xd), or None (see there).  ``radius`` is a
+    float or a Fraction, and every comparison is exact, so brackets and
+    radii far below the doubles work alike.  A jump of fewer than three
+    levels saves no sign check and is not made."""
     width = b - a
-    room = float(Fraction(width, den)) / (4.0 * radius) if radius > 0 else 0.0
-    if not room >= 2.0:
-        return None
+    rn, rd = radius.as_integer_ratio()
     # Plain stepping stops at the first step s with width < goal * 2^s, so
-    # it passes every depth up to this one.
-    k = (width * goal.denominator).bit_length() - (goal.numerator * den).bit_length() - 1
-    if math.isfinite(room):
-        k = min(k, int(math.log2(room)))
+    # it passes every depth up to this one; the sub-bracket stays at least
+    # 4 radii wide.
+    k = min((width * goal.denominator).bit_length() - (goal.numerator * den).bit_length(),
+            (width * rd).bit_length() - (4 * rn * den).bit_length()) - 1
     xn, xd = point
-    for k in range(k, 0, -1):
+    for k in range(k, 2, -1):
         i, rem = divmod((xn * den - a * xd) << k, width * xd)
         if not 0 <= i < 2**k:
             return None
-        near = min(rem, width * xd - rem) / (width * xd) * float(Fraction(width, den << k))
-        if near > radius:
+        # the point's distance from the nearer end of its sub-bracket
+        if min(rem, width * xd - rem) * rd > rn * xd * (den << k):
             break
     else:  # x lies within a radius of a split point at every depth
         return None
     ka, kden = (a << k) + i * width, den << k
     if sign(ka, kden) < 0 and sign(ka + width, kden) > 0:
         return ka, ka + width, kden
+    return None
+
+
+def _jumped(sign, a: int, b: int, den: int, goal: Fraction, guesses):
+    """(a, b, den) moved by the first guess that `_jump` confirms, or as is."""
+    for guess in guesses:
+        jumped = _jump(sign, a, b, den, goal, *guess)
+        if jumped is not None:
+            return jumped
+    return a, b, den
+
+
+def _leave_zero(sign, a: int, b: int, den: int, guesses):
+    """The state (a, b, den, goal) of `_bisect_exact` at the step where
+    plain stepping moves its end at 0 off 0, or None.
+
+    With an end at 0, the stop rules run at every step and only reset the
+    goal, while the root lies nearer to 0 than the midpoint.  For a root in
+    (w 2^-j, w 2^(1-j)), w the width, the end at 0 moves to w 2^-j at step
+    j, and the goal becomes 2^-64 of it.  The first guess lying more than
+    its radius inside that range sets j, and the signs at both of its ends
+    confirm the root strictly inside, as for `_jump`.
+    """
+    side = 1 if a == 0 else -1  # the root's side of 0
+    w = b - a
+    for (xn, xd), radius in guesses:
+        rn, rd = radius.as_integer_ratio()
+        p, W = abs(xn) * den, w * xd  # |x| and w over xd * den
+        if xn * side <= 0 or p >= W:
+            continue
+        j = W.bit_length() - p.bit_length()
+        if W >= p << j:
+            j += 1
+        room = rn * xd * (den << j)
+        if ((p << j) - W) * rd <= room or (2 * W - (p << j)) * rd <= room:
+            continue
+        kden = den << j
+        lo, hi = (w, 2 * w) if side > 0 else (-2 * w, -w)
+        if sign(lo, kden) < 0 and sign(hi, kden) > 0:
+            return lo, hi, kden, Fraction(w, kden << _BISECT_BITS)
     return None
 
 
@@ -616,7 +865,9 @@ def _bracket_end(sign: Callable[[int, int], int], base: Fraction, step: Fraction
     the sign is ``want`` or 0, skipping candidates not above ``above`` (when
     given).  There is one: h increases from -infinity above a pole to
     +infinity below the next, and `solve_level` searches toward -infinity or
-    +infinity only when the limit of h there lies beyond the level."""
+    +infinity only when the limit of h there lies beyond the level.
+    `solve_level` passes the `_filtered_sign` of its `_level_sign`: the
+    candidates lie far from the roots, where double decides the sign."""
     while True:
         x = base + step
         step *= ratio
@@ -633,7 +884,8 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     such gap carries at most one solution, bracketed and bisected on exact
     rationals.  Each sign check evaluates h in integers, the loop of
     `HerglotzRep.value_parts` without the slope (`_level_sign`), and one
-    sign function serves every gap.  All brackets are first located in
+    sign function serves every gap; the bracket ends are decided in double
+    first (`_filtered_sign`).  All brackets are first located in
     float at once (`_locate`), and the bisection starts next to that root
     when two sign checks confirm it.  ``window`` (lo, hi) filters the
     output, and a gap whose root lies outside it is not searched.  A root
@@ -643,6 +895,7 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
         raise ValueError("exact level solving needs a purely atomic measure")
     level = as_fraction(level)
     sign = _level_sign(h, level)
+    far = _filtered_sign(h, level, sign)
     wlo, whi = (as_fraction(v) for v in window) if window is not None else (None, None)
 
     ts = [t for t, _ in h.omega.atoms]
@@ -672,16 +925,16 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
             d = (R - L) / 16 if L is not None and R is not None else Fraction(1)
             # Left endpoint of the bracket: sign negative; then the right, positive.
             if L is not None:
-                lo, v = _bracket_end(sign, L, d, Fraction(1, 4), -1)
+                lo, v = _bracket_end(far, L, d, Fraction(1, 4), -1)
             else:
-                lo, v = _bracket_end(sign, R, Fraction(-1), 2, -1)
+                lo, v = _bracket_end(far, R, Fraction(-1), 2, -1)
             if v == 0:
                 roots.append(lo)
                 continue
             if R is not None:
-                hi, v = _bracket_end(sign, R, -d, Fraction(1, 4), 1, above=lo)
+                hi, v = _bracket_end(far, R, -d, Fraction(1, 4), 1, above=lo)
             else:
-                hi, v = _bracket_end(sign, L, Fraction(1), 2, 1, above=lo)
+                hi, v = _bracket_end(far, L, Fraction(1), 2, 1, above=lo)
             if v == 0:
                 roots.append(hi)
                 continue

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -274,6 +273,15 @@ def _interval_set(X) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple((a, b) for a, b in merged)
 
 
+def _saturated_float(n: int, d: int) -> float:
+    """n/d (d > 0) correctly rounded to double, or an infinity of its sign
+    beyond the double range: a nondecreasing function of n/d."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _in_set(x: Fraction, ivs) -> bool:
     return any(a <= x <= b for a, b in ivs)
 
@@ -353,12 +361,24 @@ class ScalarMeasure:
         return tuple((x.numerator / x.denominator, w.numerator / w.denominator)
                      for x, w in self.atoms)
 
+    @cached_property
+    def _float_positions(self) -> list:
+        """`_saturated_float` of each atom position, nondecreasing."""
+        return [_saturated_float(x.numerator, x.denominator) for x, _ in self.atoms]
+
     def atom_mass_at(self, x: NumberLike) -> Fraction:
-        """Mass of the atom at x (zero if there is none), by binary search."""
+        """Mass of the atom at x (zero if there is none).
+
+        Rounding to double is monotone, so a binary search on the cached
+        positions in double finds the atoms whose double equals that of x;
+        only those can sit at x, and only those are compared exactly.
+        """
         x = as_fraction(x)
-        i = bisect_left(self.atoms, x, key=itemgetter(0))
-        if i < len(self.atoms) and self.atoms[i][0] == x:
-            return self.atoms[i][1]
+        xf = _saturated_float(x.numerator, x.denominator)
+        keys = self._float_positions
+        for i in range(bisect_left(keys, xf), bisect_right(keys, xf)):
+            if self.atoms[i][0] == x:
+                return self.atoms[i][1]
         return Fraction(0)
 
     def piece_intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:

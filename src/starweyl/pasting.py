@@ -32,10 +32,20 @@ from .herglotz import (
     DEFAULT_SCHEDULE,
     HerglotzFunction,
     HerglotzRep,
+    _NORMAL,
+    _float_parts,
+    _rounded_terms,
     point_mass,
     richardson,
 )
-from .measure import NumberLike, ScalarMeasure, as_fraction, check_keys, sum_measures
+from .measure import (
+    NumberLike,
+    ScalarMeasure,
+    _saturated_float,
+    as_fraction,
+    check_keys,
+    sum_measures,
+)
 from .schrodinger import EDGE_SCHEDULE, Edge
 
 RANK_RTOL = 1e-8
@@ -136,6 +146,12 @@ class PastedSystem:
     @property
     def has_edges(self) -> bool:
         return any(isinstance(e, Edge) for e in self.entries)
+
+    @cached_property
+    def _float_terms(self):
+        """The exact atomic entries' `herglotz._rounded_terms`, for the
+        double filter of `_kirchhoff_zero`."""
+        return _rounded_terms(self.reps, Fraction(0))
 
     def sum_rep(self) -> HerglotzRep:
         reps = self.reps
@@ -368,18 +384,24 @@ def _residue_at_atom(reps: Sequence[HerglotzRep], x: Fraction):
     return head, md_matrix([rhos[l] for l in head], total)
 
 
-def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
+def _kirchhoff_zero(sys: PastedSystem, x: Fraction) -> bool:
     """Whether the summed function vanishes at x, a Kirchhoff zero.
 
     The residue there is v v^T / h' with v = (m_1(x), ..., m_{n-1}(x), 1).
-    Requires no input to have an atom at x.  Every value and derivative is
-    an unreduced integer fraction (`HerglotzRep.value_parts`), and the test
-    below runs in integers.  Bisection-produced zeros carry a position
-    error of ~2^-64 |x|, so "vanish" tolerates |sum| <= h' |x| / 2^40, which
-    is relative near 0 as well.
+    Requires no input to have an atom at x.  Bisection-produced zeros carry
+    a position error of ~2^-64 |x|, so "vanish" tolerates
+    |sum| <= h' |x| / 2^40, which is relative near 0 as well.
+
+    The test is decided in double first (`_float_vanishing`) and otherwise
+    in integers: every value and derivative is then an unreduced integer
+    fraction (`HerglotzRep.value_parts`).  Both give the same answer
+    wherever double decides.
     """
+    decided = _float_vanishing(sys, x)
+    if decided is not None:
+        return decided
     p, q = x.numerator, x.denominator
-    parts = [r.value_parts(p, q) for r in reps]
+    parts = [r.value_parts(p, q) for r in sys.reps]
     # total = S / B and h' = Dn / Dd over the products of the denominators.
     S, B, Dn, Dd = 0, 1, 0, 1
     for num, den, dnum, dden in parts:
@@ -387,6 +409,42 @@ def _kirchhoff_zero(reps: Sequence[HerglotzRep], x: Fraction) -> bool:
         Dn, Dd = Dn * dden + dnum * Dd, Dd * dden
     # Dn <= 0 only for a constant system, which cannot be pasted anyway.
     return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * Dn * abs(p)
+
+
+def _float_vanishing(sys: PastedSystem, x: Fraction):
+    """`_kirchhoff_zero`'s answer where double settles it, else None.
+
+    `herglotz._float_parts` gives the sum S and slope S' of the inputs at
+    x with bounds E and E' on their errors, the rounding of x to double
+    included.  With X = |fl(x)|, the integer test holds for certain when
+    (|S| + E) 2^40 <= (S' - E') X, and fails for certain when
+    (|S| - E) 2^40 > (S' + E') X: |S(x)| and h' |x| lie within those
+    bounds.  Each side is evaluated in double with at most four roundings,
+    a relative 2^-50 with that of x, which the factor 1 - 2^-48 covers as
+    long as (S' - E') X is normal (at least 2^-1000 here).  Undecided (None):
+    x = 0, below the normal range or beyond the doubles, a bound that
+    straddles, an input whose terms do not round (`herglotz._rounded_terms`),
+    an atom too close to x.  The terms of all inputs go in one pass
+    (`PastedSystem._float_terms`).
+    """
+    terms = sys._float_terms
+    if terms is None:
+        return None
+    xf = _saturated_float(x.numerator, x.denominator)
+    if not _NORMAL <= abs(xf) < math.inf:
+        return None
+    parts = _float_parts(terms, xf)
+    if parts is None:
+        return None
+    value, slope, err, slope_err = parts
+    low = (slope - slope_err) * abs(xf)
+    if not low >= 2.0**-1000:
+        return None
+    if (abs(value) + err) * 2.0**40 <= low * (1.0 - 2.0**-48):
+        return True
+    if (abs(value) - err) * 2.0**40 * (1.0 - 2.0**-48) > (slope + slope_err) * abs(xf):
+        return False
+    return None
 
 
 def omega_at(sys: PastedSystem, x: NumberLike) -> OmegaMatrix:
@@ -418,7 +476,7 @@ def omega_at(sys: PastedSystem, x: NumberLike) -> OmegaMatrix:
                 return _finalize_omega(mat, True, False, exact_entries=omega,
                                        exact_rank=exact_rank(block))
             # single carrier: the joined measure has no atom here at all
-        elif _kirchhoff_zero(sys.reps, xf):
+        elif _kirchhoff_zero(sys, xf):
             return rank_one_limit_matrix([r.eval_real(xf) for r in sys.reps[:-1]])
         return _finalize_omega(np.zeros((n, n)), True, True, exact_rank=0)
 
@@ -459,7 +517,7 @@ def multiplicity_at(sys: PastedSystem, x: NumberLike) -> int:
         hit = _residue_at_atom(sys.reps, xf)
         if hit is not None:
             return exact_rank(hit[1])
-        return int(_kirchhoff_zero(sys.reps, xf))
+        return int(_kirchhoff_zero(sys, xf))
     om = omega_at(sys, x)
     if not om.converged:
         raise ConvergenceError(f"omega sample at x={x} did not converge")

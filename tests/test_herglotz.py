@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starweyl import (
     ConvergenceError,
@@ -321,3 +322,32 @@ def test_atom_weight_accepts_reps_functions_and_lambdas():
     assert atom_weight(h, F(1, 3)) == F(2)
     assert atom_weight(HerglotzFunction(h.eval), F(1, 3)) == pytest.approx(2.0, rel=1e-8)
     assert atom_weight(lambda z: -5 / z, 0.0) == pytest.approx(5.0, rel=1e-8)
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-310, 1.0, -2.5, 1e300, -1.7e308]
+
+
+@st.composite
+def _finite_points(draw):
+    re = draw(st.one_of(st.sampled_from(_EXTREMES), st.floats(-20, 20)))
+    im = draw(st.one_of(st.sampled_from([v for v in _EXTREMES if v != 0]),
+                        st.floats(-20, 20).filter(lambda v: v != 0)))
+    return complex(re, im)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atomic_reps(max_atoms=6), st.booleans(), st.lists(_finite_points(), max_size=12))
+def test_eval_many_has_the_bits_of_eval(h, density, zs):
+    # Bytes, not ==: -0.0, infinities and NaN must match too.
+    if density:
+        h = HerglotzRep(h.a, h.b, h.omega + ScalarMeasure.of(pieces=[((11, 12), (1, F(1, 3)))]))
+    got = h.eval_many(np.array(zs, dtype=complex))
+    assert got.tobytes() == np.array([h.eval(z) for z in zs], dtype=complex).tobytes()
+
+
+def test_eval_many_refuses_the_real_axis_like_eval():
+    h = HerglotzRep.of(1, 0, ScalarMeasure.point(0, 1))
+    with pytest.raises(ValueError, match="real axis"):
+        h.eval(2.0)
+    with pytest.raises(ValueError, match="real axis"):
+        h.eval_many(np.array([1 + 1j, 2.0]))

@@ -572,3 +572,129 @@ def test_a_gap_whose_root_lies_beyond_the_window_is_not_searched(monkeypatch):
     assert max(seen) < 1
     seen.clear()
     assert solve_level(h, 0, (-3, -2)) == [] and seen == []
+
+
+# ---------------------------------------------------------------------------
+# the sign decided in double first
+# ---------------------------------------------------------------------------
+
+
+def _points_near(h, level, x):
+    """x, points within 2^-60 relative of it, of the roots and of the atoms,
+    and points next to 0."""
+    pts = [x, F(1, 2**60), -F(1, 2**60), F(1, 2**1000), -F(3, 2**1001)]
+    for r in solve_level(h, level):
+        pts += [r, r * (1 - F(1, 2**60)), r * (1 + F(1, 2**60))]
+    for t, _ in h.omega.atoms:
+        pts += [t * (1 - F(1, 2**60)), t * (1 + F(1, 2**60)), t + F(1, 2**60)]
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_reps(), levels, rationals(-25, 25, den=60))
+def test_filtered_sign_equals_the_integer_sign(h, level, x):
+    sign = _level_sign(h, level)
+    filtered = herglotz._filtered_sign(h, level, sign)
+    for y in _points_near(h, level, x):
+        p, q = y.numerator, y.denominator
+        if y in h.omega.atom_positions():
+            with pytest.raises(ValueError):
+                filtered(p, q)
+            continue
+        assert filtered(p, q) == sign(p, q)
+        assert filtered(5 * p, 5 * q) == sign(p, q)
+
+
+def _counting(sign):
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return sign(p, q)
+
+    return counted, calls
+
+
+def test_filtered_sign_decides_far_from_the_roots_and_defers_near_them():
+    h = _seeded_rep(40, 40)
+    level = F(1, 3)
+    sign, calls = _counting(_level_sign(h, level))
+    filtered = herglotz._filtered_sign(h, level, sign)
+    ts = h.omega.atom_positions()
+    far = ts[5] + (ts[6] - ts[5]) / 16
+    assert filtered(far.numerator, far.denominator) == -1 and calls == []
+    root = [r for r in solve_level(h, level) if ts[5] < r < ts[6]][0]
+    near = root + abs(root) / 2**60
+    assert filtered(near.numerator, near.denominator) == 1 and len(calls) == 1
+    # at 0, beyond the doubles and next to an atom: the integers decide
+    for y in (F(0), F(2**1100) + F(1, 3), -F(2**1100), ts[5] + F(1, 2**70)):
+        calls.clear()
+        assert filtered(y.numerator, y.denominator) == _level_sign(h, level)(y.numerator, y.denominator)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("atoms", [[(0, 1), (F(2**1100), 1)],          # a position beyond the doubles
+                                   [(0, 1), (1, F(1, 2**1100))]])       # a mass below the normal range
+def test_filtered_sign_without_rounded_terms_is_the_integer_sign(atoms):
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=atoms))
+    sign = _level_sign(h, F(0))
+    assert herglotz._rounded_terms((h,), F(0)) is None
+    assert herglotz._filtered_sign(h, F(0), sign) is sign
+    assert _locate(h, F(0), [(F(1, 2), F(3, 4))]) == [[]]
+
+
+# ---------------------------------------------------------------------------
+# tiny roots next to 0
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("atoms, window", [
+    ([(-1, 1 + F(1, 2**1000)), (1, 1)], (-3, 3)),   # a zero near 2^-1002, bracket across 0
+    ([(0, F(1, 2**1000)), (1, 1)], (-1, 2)),        # a zero near 2^-1000 above a tiny atom
+])
+def test_a_tiny_root_takes_few_sign_checks_and_keeps_its_fraction(atoms, window, monkeypatch):
+    # Both took over 1,000 sign checks, one halving at a time below 2^-64.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=atoms))
+    calls = []
+
+    def counted(h, level):
+        sign, seen = _counting(_level_sign(h, level))
+        calls.append(seen)
+        return sign
+
+    monkeypatch.setattr(herglotz, "_level_sign", counted)
+    roots = solve_level(h, 0, window)
+    assert len(roots) == 1 and 0 < roots[0] < F(1, 2**999)
+    assert len(calls[0]) <= 100
+    # Plain stepping, without guesses, reaches the same Fraction.
+    monkeypatch.setattr(herglotz, "_locate", lambda h, level, brackets: [[]] * len(brackets))
+    assert solve_level(h, 0, window) == roots
+    assert len(calls[1]) > 1000
+
+
+def test_leaving_zero_needs_a_guess_on_the_root_side():
+    # h(x) = 2 x - 2^-1000 / 3 has its zero 2^-1000 / 6 just above 0; the
+    # bracket (-1, 1) halves onto 0 at once.  Guesses on the wrong side of
+    # 0, or within their radius of a power-of-two split, are passed over.
+    h = HerglotzRep.of(F(-1, 3 * 2**1000), 2, ScalarMeasure())
+    sign = _level_sign(h, F(0))
+    root = F(1, 6 * 2**1000)
+    plain = _bisect_exact(sign, F(-1), F(1))
+    assert abs(plain - root) < root / 2**60
+    split = F(1, 2**1000)
+    for guesses in ([((-3, 1), 1e-300)],
+                    [((split.numerator, split.denominator), F(1, 2**1010))],
+                    [((root.numerator, root.denominator), F(1, 2**1100))]):
+        assert _bisect_exact(sign, F(-1), F(1), guesses) == plain
+
+
+def test_terms_that_overflow_with_both_signs_leave_the_sign_to_integers():
+    # q_j = +-2^1600 round to +-infinity; their sum has no double value.
+    h = HerglotzRep.of(0, 0, ScalarMeasure.of(atoms=[(-F(1, 2**600), 2**1000),
+                                                     (F(1, 2**600), 2**1000)]))
+    terms = herglotz._rounded_terms((h,), F(0))
+    assert terms is not None and herglotz._float_parts(terms, 2.0**-700) is None
+    sign = _level_sign(h, F(0))
+    x = F(1, 2**700)
+    assert herglotz._filtered_sign(h, F(0), sign)(x.numerator, x.denominator) == sign(
+        x.numerator, x.denominator)

@@ -193,3 +193,12 @@ def test_sum_measures_matches_pairwise_addition():
         ScalarMeasure.point(1, F(2, 3)),
     ]
     assert sum_measures(ms) == (ms[0] + ms[1]) + ms[2]
+
+
+def test_atom_mass_at_compares_exactly_within_one_double():
+    # 1 and 1 + 2^-1000 round to the same double; positions beyond the
+    # doubles round to infinity and are compared exactly as well.
+    m = ScalarMeasure.of(atoms=[(-10**400, 2), (1, 3), (1 + F(1, 2**1000), 4), (10**400, 5)])
+    assert [m.atom_mass_at(x) for x in (-10**400, 1, 1 + F(1, 2**1000), 10**400)] == [2, 3, 4, 5]
+    assert m.atom_mass_at(1 + F(1, 2**999)) == 0
+    assert m.atom_mass_at(10**401) == 0 and m.atom_mass_at(-10**401) == 0

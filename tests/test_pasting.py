@@ -693,3 +693,87 @@ def test_exact_omega_sample_is_unchanged(seed):
         mat = np.array([[float(v) for v in row] for row in want])
         assert om.rank == multiplicity_at(sys_, x) == int(np.linalg.matrix_rank(mat))
         assert not om.trace_vanishing and om.converged
+
+
+# ---------------------------------------------------------------------------
+# the vanishing test decided in double first
+# ---------------------------------------------------------------------------
+
+
+def _integer_vanishing(sys_, x):
+    """`_kirchhoff_zero`'s integer test, without the double filter."""
+    p, q = x.numerator, x.denominator
+    S, B, Dn, Dd = 0, 1, 0, 1
+    for num, den, dnum, dden in (r.value_parts(p, q) for r in sys_.reps):
+        S, B = S * den + num * B, B * den
+        Dn, Dd = Dn * dden + dnum * Dd, Dd * dden
+    return Dn > 0 and abs(S) * 2**40 * Dd * q <= B * Dn * abs(p)
+
+
+def _threshold_points(r):
+    """Points around a zero r where |sum| sits near h' |x| 2^-40, either side."""
+    return [r * (1 + s * F(1, 2**40) * (1 + e)) for s in (1, -1)
+            for e in (F(-1, 2**20), F(-1, 2**45), F(0), F(1, 2**45), F(1, 2**20))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(atomic_reps(max_atoms=4), min_size=2, max_size=4),
+       st.fractions(min_value=-12, max_value=12, max_denominator=97))
+def test_filtered_vanishing_equals_the_integer_test(reps, x):
+    sys_ = PastedSystem.of(reps)
+    atoms = {t for r in reps for t in r.omega.atom_positions()}
+    points = [x, F(0), F(1, 2**60), -F(1, 2**1000)]
+    for r in solve_level(sys_.sum_rep(), 0):
+        points += [r, r * (1 - F(1, 2**60)), r * (1 + F(1, 2**60)), *_threshold_points(r)]
+    for t in atoms:
+        points += [t * (1 + F(1, 2**60)), t - F(1, 2**60)]
+    for y in points:
+        if y in atoms:
+            continue
+        want = _integer_vanishing(sys_, y)
+        decided = pasting._float_vanishing(sys_, y)
+        assert decided is None or decided == want
+        assert pasting._kirchhoff_zero(sys_, y) == want
+
+
+def _atomic_star(seed):
+    rng = np.random.default_rng(seed)
+    return PastedSystem.of([ScalarMeasure.of(atoms=[
+        (F(int(j), 8), F(int(rng.integers(1, 33)), 16))
+        for j in rng.choice(np.arange(-64, 64), size=12, replace=False)]) for _ in range(4)])
+
+
+def test_the_zeros_of_a_star_are_decided_in_double(monkeypatch):
+    sys_ = _atomic_star(5)
+    roots = solve_level(sys_.sum_rep(), 0, (-8, 8))
+    calls = []
+    value_parts = HerglotzRep.value_parts
+    monkeypatch.setattr(HerglotzRep, "value_parts",
+                        lambda self, p, q: calls.append(p) or value_parts(self, p, q))
+    assert len(roots) > 40 and all(multiplicity_at(sys_, r) == 1 for r in roots)
+    assert calls == []
+    # next to the threshold the bound straddles, and the integers decide
+    r = roots[len(roots) // 2]
+    for y in (r * (1 + F(1, 2**40)), r * (1 - F(1, 2**40))):
+        assert pasting._float_vanishing(sys_, y) is None
+        assert pasting._kirchhoff_zero(sys_, y) == _integer_vanishing(sys_, y)
+    assert calls
+
+
+@pytest.mark.parametrize("entries, x", [
+    # at 0 and below the normal range
+    ([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)], F(0)),
+    ([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)], F(1, 2**1050)),
+    # h' |x| below 2^-1000
+    ([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)], F(1, 2**1010)),
+    # next to an atom
+    ([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)], 1 + F(1, 2**70)),
+    # beyond the doubles
+    ([ScalarMeasure.point(-1, 1), ScalarMeasure.point(1, 1)], F(2**1100) + F(1, 3)),
+    # a mass below the normal range: no rounded terms
+    ([ScalarMeasure.point(-1, F(1, 2**1100)), ScalarMeasure.point(1, 1)], F(1, 3)),
+])
+def test_the_vanishing_test_falls_back_to_integers(entries, x):
+    sys_ = PastedSystem.of(entries)
+    assert pasting._float_vanishing(sys_, x) is None
+    assert pasting._kirchhoff_zero(sys_, x) == _integer_vanishing(sys_, x)
