@@ -3,8 +3,8 @@
 For each star and grid, `fd_oracle` runs on the window, and the pencil of
 the same star is diagonalized densely with `scipy.linalg.eigvalsh`, as the
 symmetric matrix B^{-1/2} A B^{-1/2} spelled out from the tree form that
-`_fd_pencil` returns for `_count_below` (the diagonals of A and of the
-lumped mass B, and the squared couplings).  The dense eigenvalues inside
+`_fd_pencil` returns (the diagonals of A and of the lumped mass B, and the
+squared couplings).  The dense eigenvalues inside
 the window are clustered with the oracle's rule (a neighbour closer than
 1e-6 relative joins the cluster; the cluster's mean is its item), against
 whichever `starweyl` is on PYTHONPATH:
@@ -76,7 +76,7 @@ def floor_row(name: str, grid: int) -> dict:
     start = time.perf_counter()
     got = spectra.fd_oracle(edges, (lo, hi), grid=grid).items
     seconds = time.perf_counter() - start
-    tree = spectra._fd_pencil(edges, [spectra._nodal_potential(e, grid) for e in edges])[-1]
+    tree = spectra._fd_pencil(edges, [spectra._nodal_potential(e, grid) for e in edges])
     dense = dense_eigenvalues(tree)
     want = clustered(float(v) for v in dense if lo <= v <= hi)
     return {"star": name, "grid": grid,

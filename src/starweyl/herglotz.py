@@ -158,8 +158,15 @@ class HerglotzRep:
     def is_constant(self) -> bool:
         return self.b == 0 and self.omega.is_zero
 
+    @cached_property
+    def _float_ab(self) -> Tuple[float, float]:
+        """a and b as floats, converted once, as `ScalarMeasure.float_atoms`
+        converts the atoms."""
+        return self.a.numerator / self.a.denominator, self.b.numerator / self.b.denominator
+
     def eval(self, z: complex) -> complex:
-        return float(self.a) + float(self.b) * complex(z) + cauchy_transform(self.omega, z)
+        a, b = self._float_ab
+        return a + b * complex(z) + cauchy_transform(self.omega, z)
 
     __call__ = eval
 
@@ -179,7 +186,7 @@ class HerglotzRep:
         zr, zi = zs.real.copy(), zs.imag.copy()
         if (zi == 0).any():
             raise ValueError("evaluation on the real axis is not defined; use eval_real")
-        a, b = float(self.a), float(self.b)
+        a, b = self._float_ab
         tr, ti = np.zeros(len(zs)), np.zeros(len(zs))
         with np.errstate(all="ignore"):
             # a + b z
@@ -258,15 +265,28 @@ class HerglotzRep:
         the common denominator of the positions and M that of c = a - sum
         w_j t_j, b and rho_j = D w_j (1 + t_j^2); c0 = M c, c1 = M b and R_j
         = M rho_j.  Every exact evaluation (`_integer_value`, `value_parts`)
-        and `atomic_rational_parts` read these."""
-        atoms = self.omega.atoms
+        and `atomic_rational_parts` read these.  They are built on the
+        numerators and denominators, with c and each rho_j reduced by one
+        gcd: the integers the same sums in `Fraction` arithmetic give."""
+        a, b, atoms = self.a, self.b, self.omega.atoms
         D = math.lcm(*(t.denominator for t, _ in atoms))
-        c = self.a - sum((w * t for t, w in atoms), Fraction(0))
-        rhos = [w * (1 + t * t) * D for t, w in atoms]
-        M = math.lcm(c.denominator, self.b.denominator, *(r.denominator for r in rhos))
-        terms = [(t.numerator * (D // t.denominator), r.numerator * (M // r.denominator))
-                 for (t, _w), r in zip(atoms, rhos)]
-        return D, M, int(c * M), int(self.b * M), terms
+        # c over a common denominator, then in lowest terms as a Fraction
+        L = math.lcm(a.denominator, *(w.denominator * t.denominator for t, w in atoms))
+        cn = a.numerator * (L // a.denominator) - sum(
+            w.numerator * t.numerator * (L // (w.denominator * t.denominator)) for t, w in atoms)
+        g = math.gcd(cn, L)
+        cn, cd = cn // g, L // g
+        # rho_j = D wn (td^2 + tn^2) / (wd td^2), in lowest terms
+        rhos = []
+        for t, w in atoms:
+            num = D * w.numerator * (t.denominator * t.denominator + t.numerator * t.numerator)
+            den = w.denominator * t.denominator * t.denominator
+            g = math.gcd(num, den)
+            rhos.append((num // g, den // g))
+        M = math.lcm(cd, b.denominator, *(den for _, den in rhos))
+        terms = [(t.numerator * (D // t.denominator), num * (M // den))
+                 for (t, _w), (num, den) in zip(atoms, rhos)]
+        return D, M, cn * (M // cd), b.numerator * (M // b.denominator), terms
 
     def _integer_value(self, p: int, q: int) -> Tuple[int, int]:
         """h(p/q) as an unreduced integer fraction (num, den), den > 0.

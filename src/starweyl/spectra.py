@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -48,14 +49,6 @@ OVERLAP = "overlap"
 KIRCHHOFF = "kirchhoff-zero"
 # Fewest points per edge `fd_oracle` discretizes with.
 ORACLE_MIN_GRID = 100
-
-
-def eigsh(A, **kwargs):
-    """`scipy.sparse.linalg.eigsh`, loaded at the first call, so that no
-    other task loads scipy."""
-    from scipy.sparse.linalg import eigsh as scipy_eigsh
-
-    return scipy_eigsh(A, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -426,62 +419,44 @@ def _nodal_potential(edge: Edge, grid: int) -> np.ndarray:
 
 
 def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
-    """The oracle's pencil (A, B) in symmetric form, C = B^{-1/2} A B^{-1/2},
-    and its tree form for `_count_below`, from the edges and their
+    """The oracle's pencil (A, B) in tree form, from the edges and their
     `_nodal_potential` arrays.
 
-    Unknown 0 is the vertex.  Edge l, with step h = L_l / grid, owns the
-    contiguous block of m_l unknowns after the previous edge's, its nodes
-    j = 1..m_l: m_l = grid, or grid - 1 on a Dirichlet edge.  Each edge
+    The vertex is one unknown; edge l, with step h = L_l / grid, adds its
+    nodes j = 1..m_l: m_l = grid, or grid - 1 on a Dirichlet edge.  Each edge
     adds its tridiagonal forms as arrays: stiffness 2/h on the diagonal (1/h
     at the outer node), -1/h off it, lumped mass h (h/2 at the outer node),
     the nodal potential times the mass on the diagonal, and c/s at the
     outer node for the outer angle with cos c and sin s.  The vertex sums
-    1/h, mass h/2 and its potential term over the edges.  The lumped mass B
-    is diagonal, so C has A's sparsity: each entry A_ij is scaled by
-    1/sqrt(w_i w_j) in the one sparse construction, without duplicate
-    entries, and C has the pencil's eigenvalues.
+    1/h, mass h/2 and its potential term over the edges.
 
     The tree form is ((a_0, b_0), chains): the vertex's diagonals of A and
     B, and per edge the diagonals of A and B and the squared coupling of
     each node to its inner neighbour (the vertex for node 1), all ordered
-    from the outer node inward.
+    from the outer node inward.  The lumped mass B is diagonal, so the
+    symmetric C = B^{-1/2} A B^{-1/2}, which has the pencil's eigenvalues,
+    is read from it: diagonal a / b, and coupling squared / (b_i b_j)
+    between neighbours i and j.  `_count_below` and `eigsh` read this form.
     """
-    import scipy.sparse as sp
-
     grid = len(potentials[0]) - 1
-
-    # Unknown 0 is the vertex, which takes a half element from every edge,
-    # summed in edge order; each edge owns the next block of unknowns.
     steps = [float(e.length) / grid for e in edges]
     vertex_w = sum(h / 2.0 for h in steps)
     vertex_k = 0.0
-    vals, rows, cols, chains = [], [], [], []
-    start = 1
+    chains = []
     for e, qs, h in zip(edges, potentials, steps):
         c, s = cos_sin(float(e.outer_angle))
         outer = s != 0.0  # Dirichlet eliminates the outer node j = grid
         m = grid if outer else grid - 1
-        nodes = np.arange(start, start + m)  # the edge's nodes j = 1..m
-        left = np.concatenate(([0], nodes[:-1]))
         w, k = np.full(m, h), np.full(m, 2.0 / h)
         if outer:
             w[-1], k[-1] = h / 2.0, 1.0 / h
         d = k + qs[1:m + 1] * w
         if outer:
             d[-1] += c / s
-        off = np.full(m, -1.0 / h)
-        sym_off = off / np.sqrt(w * np.concatenate(([vertex_w], w[:-1])))
-        vals += [d / w, sym_off, sym_off]
-        rows += [nodes, left, nodes]
-        cols += [nodes, nodes, left]
-        chains.append((d[::-1].copy(), w[::-1].copy(), (off * off)[::-1].tolist()))
+        off = -1.0 / h
+        chains.append((d[::-1].copy(), w[::-1].copy(), [off * off] * m))
         vertex_k = vertex_k + 1.0 / h + qs[0] * (h / 2.0)
-        start += m
-    C = sp.csc_matrix((np.concatenate([[vertex_k / vertex_w], *vals]),
-                       (np.concatenate([[0], *rows]), np.concatenate([[0], *cols]))),
-                      shape=(start, start))
-    return C, ((float(vertex_k), vertex_w), chains)
+    return (float(vertex_k), vertex_w), chains
 
 
 def _count_below(tree, lam: float) -> int:
@@ -508,6 +483,112 @@ def _count_below(tree, lam: float) -> int:
     return below + (vertex < 0.0)
 
 
+def _secular_zero(secular, a: float, b: float, pole_a: bool, pole_b: bool) -> float:
+    """The one zero on (a, b) of the decreasing vertex function s, which is
+    positive just above a and negative just below b.
+
+    The sign of s at every point moves one end of the bracket.  Newton
+    steps run on g = s (x - a)(b - x), with the factor of an end only where
+    that end is a pole: there s is unbounded and g is smooth.  A step is
+    taken from the newest point, or else from the other end of the
+    bracket, whichever lands inside it; each overshoots by half the
+    tolerance, so that a converged step lands across the zero and closes
+    the bracket.  Without such a step, or once three evaluations have not
+    halved the bracket, the next point is its midpoint.  Returns a point
+    where s is exactly 0, or else the midpoint of a bracket of relative
+    width at most 2^-33 or with no double inside (a zero at 0 has no
+    relative width to reach).
+    """
+    def newton(x, s, ds):
+        u = x - a if pole_a else 1.0
+        v = b - x if pole_b else 1.0
+        step = -s * u * v / (ds * u * v + s * (v * pole_a - u * pole_b))
+        return x + step + math.copysign(0.5 * tol, step)
+
+    bracket = [a, b]
+    points: dict = {}  # the newest evaluation on each side of the zero
+    x, halved, stalls = 0.5 * (a + b), b - a, 0
+    while True:
+        s, ds = secular(x)
+        if s == 0.0:
+            return x
+        side = s < 0.0
+        bracket[side], points[side] = x, (x, s, ds)
+        left, right = bracket
+        tol = 2.0 ** -33 * max(abs(left), abs(right))
+        x = 0.5 * (left + right)
+        if right - left <= tol or not left < x < right:
+            return x
+        if right - left <= 0.5 * halved:
+            halved, stalls = right - left, 0
+        else:
+            stalls += 1
+        for point in (points[side], points.get(not side)) if stalls < 3 else ():
+            if point and left < (step := newton(*point)) < right:
+                x = step
+                break
+
+
+def eigsh(tree, lo: float, hi: float) -> np.ndarray:
+    """The pencil's eigenvalues in the window (lo, hi], sorted, each as
+    often as its multiplicity, from `_fd_pencil`'s tree form.
+
+    The discrete star is a pasting of its chains at the vertex.  With T_l
+    the block of C on chain l and c_l its coupling to the vertex, an
+    eigenvalue off the poles (the eigenvalues of the T_l) is a zero of the
+    vertex Schur complement s(x) = C_00 - x - sum_l c_l^2 [(T_l - x)^-1]_11,
+    the secular equation of a bordered matrix (Golub, SIAM Rev. 15, 1973).
+    Each T_l is tridiagonal with nonzero couplings, so every pole weighs on
+    s and s decreases from +inf to -inf between neighbouring poles: one
+    zero in each gap, one in the window's first part when s(lo) > 0 and one
+    in its last when s(hi) < 0.  A pole shared by r equal chains is an
+    eigenvalue of multiplicity r - 1, its eigenvectors the differences of
+    the chains' modes.
+
+    Equal chains are solved once.  The poles come from LAPACK's bisection
+    (`eigvalsh_tridiagonal`), and each zero from `_secular_zero`, with one
+    tridiagonal solve (T_l - x) y = e_1 per distinct chain giving s from
+    y_1 and s' = -1 - sum_l c_l^2 |y|^2.  scipy is loaded at the first
+    call, so that no other task loads it.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dgtsv
+
+    (a0, b0), chains = tree
+    groups: dict = {}  # equal chains and their count
+    for chain in chains:
+        a, b, squared = chain
+        groups.setdefault((a.tobytes(), b.tobytes(), tuple(squared)), [chain, 0])[1] += 1
+    blocks, poles = [], Counter()
+    for (a, b, squared), r in groups.values():
+        # sqrt(x * x) is |x| in binary floating point, so these are C's
+        # entries A_ij / sqrt(w_i w_j) with the bits of the assembly
+        coupling = np.sqrt(squared) / np.sqrt(b * np.append(b[1:], b0))
+        diag, off = a / b, coupling[:-1]
+        # the chain runs from the outer node inward: node 1 is the last
+        end = np.zeros((len(a), 1))
+        end[-1] = 1.0
+        blocks.append((diag, off, end, r * float(coupling[-1]) ** 2))
+        for x in eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi)).tolist():
+            poles[x] += r
+
+    def secular(x: float):
+        s, ds = a0 / b0 - x, -1.0
+        for diag, off, end, weight in blocks:
+            y = dgtsv(off, diag - x, off, end, overwrite_d=1)[3][:, 0]
+            s -= weight * float(y[-1])
+            ds -= weight * float(y @ y)
+        return s, ds
+
+    values = [x for x, r in poles.items() for _ in range(r - 1)]
+    ends = [lo, *sorted(poles), hi]
+    first, last = secular(lo)[0] > 0.0, secular(hi)[0] < 0.0
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        if (i > 0 or first) and (i < len(ends) - 2 or last):
+            values.append(_secular_zero(secular, a, b, i > 0, i < len(ends) - 2))
+    return np.sort(values)
+
+
 def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
     """Star spectrum from a direct discretization, single shared vertex DOF.
 
@@ -518,22 +599,17 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
 
     Sylvester inertia counts of A - lam B (`_count_below`) size and certify
     the eigensolve.  need = count(hi) - count(lo) is the number of
-    eigenvalues in the window; none means no eigensolve.  Shift-invert
-    Lanczos (Ericsson & Ruhe's spectral transformation) runs on the
-    symmetric form C of the pencil at the window's midpoint sigma =
-    (lo + hi) / 2, where the need eigenvalues closest to sigma are exactly
-    the window's; it asks for those plus two.  The eigenvalues inside the
-    window are clustered into multiplicity groups; clusters closer than
-    ten times the discretization error raise the ``coarse`` flag.
+    eigenvalues in the window; none means no eigensolve.  Otherwise `eigsh`
+    solves the window by the star's own decomposition: the chains' poles,
+    and the zeros of the vertex function between them.  The eigenvalues are
+    clustered into multiplicity groups; clusters closer than ten times the
+    discretization error raise the ``coarse`` flag.
 
-    Every return is certified: the in-window count equals count(hi) -
+    Every return is certified: the eigensolve's count equals count(hi) -
     count(lo), and each cluster's multiplicity equals the count difference
     across it, taken at the midpoints of the gaps around it.
     A window without lo < hi raises ValueError before any work, and
-    `ConvergenceError` is raised when a check fails, when the eigensolve
-    fails (no convergence, or sigma is an eigenvalue of the factored
-    matrix), or when the window needs more eigenvalues than the grid's size
-    allows (grid too small).
+    `ConvergenceError` is raised when a check fails.
     """
     _check_window(window)
     if grid < ORACLE_MIN_GRID:
@@ -542,33 +618,15 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
         raise ValueError("the discretization oracle needs finite edges")
 
     lo, hi = float(window[0]), float(window[1])
-    potentials = [_nodal_potential(e, grid) for e in edges]
-    C, tree = _fd_pencil(edges, potentials)
-    size = C.shape[0]
+    tree = _fd_pencil(edges, [_nodal_potential(e, grid) for e in edges])
     h_max = max(float(e.length) / grid for e in edges)
     below_lo, below_hi = _count_below(tree, lo), _count_below(tree, hi)
     need = below_hi - below_lo
     if need == 0:
         return FdOracleResult(items=(), coarse=False, h_max=h_max,
                               count_below_lo=below_lo, count_below_hi=below_hi)
-    if need > size - 2:
-        raise ConvergenceError(
-            f"the window needs {need} eigenvalues of a pencil of size {size}; grid too small")
 
-    # A fixed pseudo-random start vector makes repeated calls agree bit for
-    # bit.  A constant vector would not do: it is symmetric under permuting
-    # equal edges, so Lanczos would never see the antisymmetric modes that
-    # carry the higher layer counts.
-    v0 = np.random.default_rng(0).standard_normal(size)
-    sigma, k = (lo + hi) / 2.0, min(need + 2, size - 2)
-    try:
-        eigvals = np.sort(eigsh(C, k=k, sigma=sigma, which="LM", v0=v0,
-                                return_eigenvectors=False))
-    except RuntimeError as exc:  # ARPACK's errors and SuperLU's singular factor
-        raise ConvergenceError(
-            f"the eigensolve at sigma={sigma!r} with k={k} failed: {exc}") from exc
-
-    inside = [float(v) for v in eigvals if lo <= v <= hi]
+    inside = eigsh(tree, lo, hi).tolist()
     if len(inside) != need:
         raise ConvergenceError(
             f"the eigensolve found {len(inside)} eigenvalues in the window, "

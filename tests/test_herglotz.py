@@ -345,6 +345,50 @@ def test_eval_many_has_the_bits_of_eval(h, density, zs):
     assert got.tobytes() == np.array([h.eval(z) for z in zs], dtype=complex).tobytes()
 
 
+def _fraction_integer_terms(h):
+    """`HerglotzRep._integer_terms` built by `Fraction` sums and products."""
+    atoms = h.omega.atoms
+    D = math.lcm(*(t.denominator for t, _ in atoms))
+    c = h.a - sum((w * t for t, w in atoms), F(0))
+    rhos = [w * (1 + t * t) * D for t, w in atoms]
+    M = math.lcm(c.denominator, h.b.denominator, *(r.denominator for r in rhos))
+    terms = [(t.numerator * (D // t.denominator), r.numerator * (M // r.denominator))
+             for (t, _w), r in zip(atoms, rhos)]
+    return D, M, int(c * M), int(h.b * M), terms
+
+
+@st.composite
+def _wide_reps(draw):
+    """Representations whose a, b, positions and masses are p/q with |p|
+    up to 10^33 and q up to 10^30, drawn uniformly: past 2^53, so every
+    reduction and common multiple is exercised, and converting p and q to
+    float before dividing would round twice in about a third of the draws."""
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def wide(lo=-10**33):
+        return F(rnd.randint(lo, 10**33), rnd.randint(1, 10**30))
+
+    atoms = [(wide(), wide(1)) for _ in range(rnd.randint(0, 6))]
+    return HerglotzRep.of(wide(), wide(0), ScalarMeasure.of(atoms=atoms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(atomic_reps(max_atoms=8), _wide_reps()))
+def test_integer_terms_are_those_of_fraction_arithmetic(h):
+    assert h._integer_terms == _fraction_integer_terms(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(atomic_reps(), _wide_reps()), st.lists(upper_half_points(), min_size=1, max_size=6))
+def test_eval_and_eval_many_keep_the_bits_of_converting_a_and_b_per_call(h, zs):
+    want = [float(h.a) + float(h.b) * complex(z) + cauchy_transform(h.omega, z) for z in zs]
+    for _ in range(2):  # the first call converts, the second reads the cache
+        assert np.array([h.eval(z) for z in zs], dtype=complex).tobytes() == \
+            np.array(want, dtype=complex).tobytes()
+        assert h.eval_many(np.array(zs, dtype=complex)).tobytes() == \
+            np.array(want, dtype=complex).tobytes()
+
+
 def test_eval_many_refuses_the_real_axis_like_eval():
     h = HerglotzRep.of(1, 0, ScalarMeasure.point(0, 1))
     with pytest.raises(ValueError, match="real axis"):

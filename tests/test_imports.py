@@ -1,4 +1,5 @@
-"""Cold start: scipy is imported only inside the `oracle`'s `eigsh` call.
+"""Cold start: scipy is imported only inside the `oracle`'s window
+eigensolve `spectra.eigsh`, for LAPACK's tridiagonal bisection and solve.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests do
 not hide an import.  Two tests pin what the benchmark tracer
@@ -143,7 +144,7 @@ def test_every_name_the_tracer_patches_resolves():
 
 
 # Everything src/starweyl/ may take from scipy.
-SCIPY_SURFACE = {"scipy.sparse", "scipy.sparse.linalg.eigsh"}
+SCIPY_SURFACE = {"scipy.linalg.eigvalsh_tridiagonal", "scipy.linalg.lapack.dgtsv"}
 
 
 def test_src_references_only_the_pinned_scipy_names():

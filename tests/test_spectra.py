@@ -530,12 +530,11 @@ ORACLE_STARS = {
 
 # The oracle and a dense solve of the same pencil both carry an absolute
 # rounding error of about machine epsilon times the pencil's norm, so items
-# are compared relative to max(|x|, 1).  For the oracle shifted below the
-# spectrum, on these stars at grids 300 to 1000, the largest gap
-# `scripts/oracle_floor.py` measured is 6.1e-10 (well-obtuse, grid 1000);
-# against `eigvalsh(C)` as used here it is 6.7e-10 (equilateral3, grid
-# 1000; BENCH_mid_shift_oracle.json).  The bound is that floor rounded up to
-# the next power of ten.
+# are compared relative to max(|x|, 1).  On these stars at grids 300 to
+# 1000, the largest gap `scripts/oracle_floor.py` measured is 2.5e-10
+# (well-obtuse, grid 1000; BENCH_star_decomposition.json); for the earlier
+# shift-invert Lanczos oracle it was 6.7e-10 (BENCH_mid_shift_oracle.json).
+# The bound is that floor rounded up to the next power of ten.
 ORACLE_FLOOR = 1e-9
 
 
@@ -568,8 +567,8 @@ def test_fd_oracle_matches_dense_eigenvalues(name):
 
     edges, (lo, hi) = ORACLE_STARS[name]
     r = fd_oracle(edges, (lo, hi), grid=1000)
-    C, _ = _pencil(edges, 1000)
-    eigs = scipy.linalg.eigvalsh(C.toarray())
+    _, C = _pencil(edges, 1000)
+    eigs = scipy.linalg.eigvalsh(C)
     _assert_oracle_matches_dense(r, _clustered(v for v in eigs.tolist() if lo <= v <= hi))
     assert not r.coarse
 
@@ -599,27 +598,81 @@ def test_fd_oracle_coarse_flag_tracks_resolution():
     assert [m for _, m in fine.items] == [1, 1]
 
 
-def test_fd_oracle_refuses_a_window_beyond_its_grid():
-    # 199 unknowns, all 199 eigenvalues in the window: Lanczos returns at
-    # most 197, so the count-sized solve must refuse instead of truncating.
-    with pytest.raises(ConvergenceError, match="grid too small"):
-        fd_oracle([Edge.of(1), Edge.of(1)], (0.5, 1e7), grid=100)
+def test_fd_oracle_solves_a_window_holding_the_whole_pencil():
+    # 199 unknowns, all 199 eigenvalues in the window: each of the 99 poles
+    # shared by the two equal chains once (r - 1 = 1), and the 100 zeros of
+    # the vertex function below, between and above them
+    import scipy.linalg
+
+    edges = [Edge.of(1)] * 2
+    r = fd_oracle(edges, (0.5, 1e7), grid=100)
+    assert (r.count_below_lo, r.count_below_hi) == (0, 199)
+    assert [k for _, k in r.items] == [1] * 199
+    _, C = _pencil(edges, 100)
+    _assert_oracle_matches_dense(r, _clustered(scipy.linalg.eigvalsh(C).tolist()))
+
+
+def test_fd_oracle_finds_the_zero_eigenvalue_of_a_neumann_star():
+    # constants are an eigenvector at 0, so the first item is a zero of the
+    # vertex function within the pencil's rounding floor of 0
+    import scipy.linalg
+
+    edges = [Edge.of(1, None, math.pi / 2), Edge.of(Fraction(3, 2), None, math.pi / 2)]
+    r = fd_oracle(edges, (-1, 12), grid=300)
+    _, C = _pencil(edges, 300)
+    eigs = scipy.linalg.eigvalsh(C).tolist()
+    _assert_oracle_matches_dense(r, _clustered(v for v in eigs if -1 <= v <= 12))
+    assert abs(r.items[0][0]) <= 1e-9
+
+
+@pytest.mark.parametrize("s, hi, at_most", [
+    (lambda x: -x, 1.0, 0.0),  # exactly 0 at the first midpoint
+    (lambda x: 1.0 if x <= 0.0 else -1.0, 2.0, 5e-324),  # 0 nowhere
+], ids=["zero-at-a-double", "sign-change-between-doubles"])
+def test_secular_zero_ends_on_a_zero_at_zero(s, hi, at_most):
+    # no bracket around 0 reaches a relative width: the search ends on the
+    # exact zero, or on two neighbouring doubles
+    calls = []
+
+    def secular(x):
+        calls.append(x)
+        assert len(calls) < 5000
+        return s(x), -1.0
+
+    assert 0.0 <= spectra._secular_zero(secular, -1.0, hi, False, False) <= at_most
 
 
 def _spy_eigsh(monkeypatch):
     calls = []
     real = spectra.eigsh
 
-    def spy(A, **kwargs):
-        calls.append(kwargs)
-        return real(A, **kwargs)
+    def spy(tree, lo, hi):
+        calls.append((lo, hi))
+        return real(tree, lo, hi)
 
     monkeypatch.setattr(spectra, "eigsh", spy)
     return calls
 
 
 def _pencil(edges, grid):
-    return spectra._fd_pencil(edges, [_nodal_potential(e, grid) for e in edges])
+    """The pencil's tree form and its symmetric form C = B^{-1/2} A B^{-1/2}
+    as a dense matrix, spelled out from the tree (the vertex first, then
+    each chain from its outer node inward), as `scripts/oracle_floor.py`
+    does."""
+    tree = spectra._fd_pencil(edges, [_nodal_potential(e, grid) for e in edges])
+    (a0, b0), chains = tree
+    diag, weight, couplings = [a0], [b0], []
+    for a, b, squared in chains:
+        start = len(diag)
+        diag += a.tolist()
+        weight += b.tolist()
+        for i, c in enumerate(squared):
+            couplings.append((start + i, start + i + 1 if i + 1 < len(squared) else 0, c))
+    weight = np.array(weight)
+    dense = np.diag(np.array(diag) / weight)
+    for i, j, c in couplings:
+        dense[i, j] = dense[j, i] = -math.sqrt(c / (weight[i] * weight[j]))
+    return tree, dense
 
 
 def test_fd_oracle_deep_star_is_sized_by_counts(monkeypatch):
@@ -632,9 +685,7 @@ def test_fd_oracle_deep_star_is_sized_by_counts(monkeypatch):
     assert (r.count_below_lo, r.count_below_hi) == (0, 9)
     for (x, _), j in zip(r.items, range(1, 7)):
         assert abs(x - 10000 - (j * math.pi / 2) ** 2) <= 1e-3 * (j * math.pi / 2) ** 2
-    assert len(calls) == 1
-    assert calls[0]["sigma"] == (9999 + 10100) / 2
-    assert calls[0]["k"] == r.count_below_hi - r.count_below_lo + 2
+    assert calls == [(9999.0, 10100.0)]
 
 
 def test_fd_oracle_empty_window_runs_no_eigensolve(monkeypatch):
@@ -645,11 +696,11 @@ def test_fd_oracle_empty_window_runs_no_eigensolve(monkeypatch):
     assert calls == []
 
 
-def _drop_the_nearest(vals, sigma):
-    return np.delete(vals, np.argmin(np.abs(vals - sigma)))
+def _drop_the_nearest(vals, middle):
+    return np.delete(vals, np.argmin(np.abs(vals - middle)))
 
 
-def _split_the_first_pair(vals, sigma):
+def _split_the_first_pair(vals, middle):
     vals = np.sort(vals)
     vals[np.flatnonzero(np.diff(vals) < 1e-6)[0] + 1] += 1e-3
     return vals
@@ -661,9 +712,11 @@ def _split_the_first_pair(vals, sigma):
     ids=["dropped", "split"])
 def test_fd_oracle_refuses_an_eigensolve_its_counts_contradict(corrupt, message, monkeypatch):
     # 0.25, 1 (double), 2.25, 4 (double): the eigensolve loses the one
-    # nearest its shift, or moves one of the double at 1 apart from the other
+    # nearest the window's middle, or moves one of the double at 1 apart
+    # from the other
     real = spectra.eigsh
-    monkeypatch.setattr(spectra, "eigsh", lambda A, **kw: corrupt(real(A, **kw), kw["sigma"]))
+    monkeypatch.setattr(spectra, "eigsh",
+                        lambda tree, lo, hi: corrupt(real(tree, lo, hi), (lo + hi) / 2))
     with pytest.raises(ConvergenceError, match=message):
         fd_oracle([Edge.of(math.pi)] * 3, (0.1, 5), grid=600)
 
@@ -685,12 +738,22 @@ def _potential(length):
 
 @st.composite
 def fd_stars(draw):
+    """Stars of 2 to 5 drawn edges, maybe with repeats of them (a pole shared
+    by r equal chains is an eigenvalue of multiplicity r - 1) or with two
+    free Dirichlet edges of lengths L and 2L (every pole of the shorter one
+    has a discrete pole of the longer one close by)."""
     edges = []
     for _ in range(draw(st.integers(2, 5))):
         length = Fraction(draw(st.integers(2, 12)), 4)
         angle = draw(st.one_of(st.just(0.0), st.just(math.pi / 2),
                                st.floats(0.2, 2.9)))
         edges.append(Edge.of(length, draw(_potential(length)), angle))
+    extra = draw(st.sampled_from(["none", "repeats", "halves"]))
+    if extra == "repeats":
+        edges += draw(st.lists(st.sampled_from(edges), min_size=1, max_size=2))
+    elif extra == "halves":
+        length = Fraction(draw(st.integers(2, 6)), 4)
+        edges += [Edge.of(length), Edge.of(2 * length)]
     return edges, draw(st.integers(100, 150))
 
 
@@ -701,8 +764,8 @@ def test_count_below_matches_dense_eigenvalues(star, data):
     import scipy.linalg
 
     edges, grid = star
-    C, tree = _pencil(edges, grid)
-    eigs = scipy.linalg.eigvalsh(C.toarray())
+    tree, C = _pencil(edges, grid)
+    eigs = scipy.linalg.eigvalsh(C)
     j = data.draw(st.integers(0, len(eigs) - 1))
     lams = [eigs[j] + side * 1e-9 * max(1.0, abs(eigs[j])) for side in (-1, 1)]
     lam = data.draw(st.floats(-1e3, 2e4))
@@ -719,8 +782,8 @@ def test_fd_oracle_matches_dense_eigenvalues_on_random_stars(star, data):
     import scipy.linalg
 
     edges, grid = star
-    C, _ = _pencil(edges, grid)
-    clusters = _clustered(scipy.linalg.eigvalsh(C.toarray()).tolist())
+    _, C = _pencil(edges, grid)
+    clusters = _clustered(scipy.linalg.eigvalsh(C).tolist())
     # window ends in the middle of gaps between clusters, up to 8 clusters
     first = data.draw(st.integers(0, len(clusters) - 2))
     last = data.draw(st.integers(first, min(first + 7, len(clusters) - 2)))
