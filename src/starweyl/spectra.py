@@ -549,7 +549,8 @@ def eigsh(tree, lo: float, hi: float) -> np.ndarray:
     (`eigvalsh_tridiagonal`), and each zero from `_secular_zero`, with one
     tridiagonal solve (T_l - x) y = e_1 per distinct chain giving s from
     y_1 and s' = -1 - sum_l c_l^2 |y|^2.  scipy is loaded at the first
-    call, so that no other task loads it.
+    call, so that no other task loads it.  A LAPACK failure, in the
+    bisection or in a solve, raises `numpy.linalg.LinAlgError`.
     """
     from scipy.linalg import eigvalsh_tridiagonal
     from scipy.linalg.lapack import dgtsv
@@ -575,7 +576,12 @@ def eigsh(tree, lo: float, hi: float) -> np.ndarray:
     def secular(x: float):
         s, ds = a0 / b0 - x, -1.0
         for diag, off, end, weight in blocks:
-            y = dgtsv(off, diag - x, off, end, overwrite_d=1)[3][:, 0]
+            *_, y, info = dgtsv(off, diag - x, off, end, overwrite_d=1)
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"dgtsv at x={x!r}: " + (f"pivot {info} is exactly singular" if info > 0
+                                             else f"illegal value in argument {-info}"))
+            y = y[:, 0]
             s -= weight * float(y[-1])
             ds -= weight * float(y @ y)
         return s, ds
@@ -605,6 +611,7 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
     clustered into multiplicity groups; clusters closer than ten times the
     discretization error raise the ``coarse`` flag.
 
+    A LAPACK failure in the eigensolve raises `ConvergenceError`.
     Every return is certified: the eigensolve's count equals count(hi) -
     count(lo), and each cluster's multiplicity equals the count difference
     across it, taken at the midpoints of the gaps around it.
@@ -626,7 +633,12 @@ def fd_oracle(edges: Sequence[Edge], window, grid: int) -> FdOracleResult:
         return FdOracleResult(items=(), coarse=False, h_max=h_max,
                               count_below_lo=below_lo, count_below_hi=below_hi)
 
-    inside = eigsh(tree, lo, hi).tolist()
+    try:
+        inside = eigsh(tree, lo, hi).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"the eigensolve of the window ({lo!r}, {hi!r}) for {need} eigenvalues "
+            f"failed: {exc}") from exc
     if len(inside) != need:
         raise ConvergenceError(
             f"the eigensolve found {len(inside)} eigenvalues in the window, "

@@ -607,6 +607,41 @@ def test_run_oracle_contradicted_eigensolve_is_exit_3(tmp_path, monkeypatch):
     assert err["detail"] == "the eigensolve found 8 eigenvalues in the window, the inertia count 9"
 
 
+@pytest.mark.parametrize("failure", ["no-convergence", "arpack-error", "singular-factor"])
+def test_run_oracle_eigensolve_failure_is_exit_3(tmp_path, monkeypatch, failure):
+    # Each case makes one LAPACK routine of the eigensolve fail: the
+    # bisection of a chain's poles, or the tridiagonal solve of the vertex
+    # function with a library error code or an exactly singular pivot.
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    real_solve = scipy.linalg.lapack.dgtsv
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+    def solve_with_info(info):
+        def solve(*args, **kwargs):
+            return (*real_solve(*args, **kwargs)[:4], info)
+        return solve
+
+    if failure == "no-convergence":
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_convergence)
+        shown = "did not converge (LAPACK info=1)"
+    elif failure == "arpack-error":
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", solve_with_info(-2))
+        shown = "illegal value in argument 2"
+    else:
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", solve_with_info(3))
+        shown = "pivot 3 is exactly singular"
+    assert main(["oracle", "equilateral3", "--grid", "200", "--out", str(tmp_path / "out")]) == 3
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    # the window (0.1, 10) holds 9 eigenvalues
+    assert err["error"] == "non-convergence"
+    assert "window (0.1, 10.0) for 9 eigenvalues failed" in err["detail"]
+    assert shown in err["detail"]
+
+
 def test_run_oracle_needs_edges():
     with pytest.raises(SchemaError, match="needs edge entries"):
         ProblemFile.parse({**builtin_problem("kac2"), "task": "oracle", "exact": False})
