@@ -10,7 +10,8 @@ size is run in a fresh interpreter (start-up included) on the window
     PYTHONPATH=src python scripts/exact_scale.py --sizes 40 80 --repeat 3
 
 Prints one JSON line per size: the wall seconds of each run, their median,
-and the sha256 of report.json.
+and the sha256 of every artifact the last run wrote (report.json,
+report.csv and plot.csv), by file name.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def atomic_entries(per_entry: int, seed: int, entries: int = 4) -> list:
     return [sorted(a) for a in atoms]
 
 
+def artifact_hashes(out: Path) -> dict:
+    """The sha256 of every file in a task's output directory, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
 def problem(per_entry: int, seed: int) -> dict:
     edges = [ScalarMeasure.of(atoms=a).to_json() for a in atomic_entries(per_entry, seed)]
     return {"task": "eigs", "system": {"edges": edges, "interface": {"type": "standard"}},
@@ -66,9 +72,9 @@ def main() -> None:
                 subprocess.run([sys.executable, "-m", "starweyl.cli", "eigs", str(path),
                                 "--exact", "--out", str(out)], check=True)
                 runs.append(time.perf_counter() - start)
-            digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
             print(json.dumps({"atoms": f"4x{size}", "seed": args.seed, "runs_s": runs,
-                              "median_s": statistics.median(runs), "report_sha256": digest}))
+                              "median_s": statistics.median(runs),
+                              "sha256": artifact_hashes(out)}))
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 For each star and grid, `fd_oracle` runs on the window, and the pencil of
 the same star is diagonalized densely with `scipy.linalg.eigvalsh`, as the
 symmetric matrix B^{-1/2} A B^{-1/2} spelled out from the tree form that
-`_fd_pencil` returns (the diagonals of A and of the lumped mass B, and the
-squared couplings).  The dense eigenvalues inside
-the window are clustered with the oracle's rule (a neighbour closer than
-1e-6 relative joins the cluster; the cluster's mean is its item), against
-whichever `starweyl` is on PYTHONPATH:
+`_fd_pencil` returns (per distinct chain the diagonals of A and of the
+lumped mass B and the squared couplings, and each edge's chain).  The
+dense eigenvalues inside the window are clustered with the oracle's rule
+(a neighbour closer than 1e-6 relative joins the cluster; the cluster's
+mean is its item), against whichever `starweyl` is on PYTHONPATH:
 
     PYTHONPATH=src python scripts/oracle_floor.py --grids 300 600 1000
 
@@ -55,10 +55,10 @@ def clustered(values) -> list:
 
 def dense_eigenvalues(tree) -> np.ndarray:
     """Eigenvalues of the pencil whose tree form `_count_below` reads: the
-    vertex first, then each chain from its outer node inward."""
-    (a0, b0), chains = tree
+    vertex first, then each edge's chain from its outer node inward."""
+    (a0, b0), chains, order = tree
     diag, weight, couplings = [a0], [b0], []
-    for a, b, squared in chains:
+    for a, b, squared in (chains[k] for k in order):
         start = len(diag)
         diag += a.tolist()
         weight += b.tolist()

@@ -11,9 +11,10 @@ Every task runs in a fresh interpreter (start-up included) against whichever
     PYTHONPATH=src python scripts/star_scale.py --edges 3 8 16 --repeat 3
 
 Prints one JSON line per star and task: the wall seconds of each run, their
-median, the sha256 of the task's report (report.json or oracle.json) and
-the layer count it states (the multiplicities of `eigs`, or the oracle's
-count_below_hi - count_below_lo).
+median, the sha256 of every artifact the last run wrote (report.json,
+report.csv and plot.csv of `eigs`; oracle.json and oracle.csv of the
+oracle), by file name, and the layer count it states (the multiplicities of
+`eigs`, or the oracle's count_below_hi - count_below_lo).
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def star_edges(n: int, seed: int, potential: bool) -> list:
     return edges
 
 
+def artifact_hashes(out: Path) -> dict:
+    """The sha256 of every file in a task's output directory, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
 def layers(task: str, out: Path) -> int:
     if task == "eigs":
         report = json.loads((out / "report.json").read_text())
@@ -83,11 +89,10 @@ def main() -> None:
                         subprocess.run([sys.executable, "-m", "starweyl.cli", *argv,
                                         "--out", str(out)], check=True)
                         runs.append(time.perf_counter() - start)
-                    name = "report.json" if task == "eigs" else "oracle.json"
-                    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                     print(json.dumps({"edges": n, "kind": kind, "task": task, "seed": args.seed,
                                       "runs_s": runs, "median_s": statistics.median(runs),
-                                      "sha256": digest, "layers": layers(task, out)}),
+                                      "sha256": artifact_hashes(out),
+                                      "layers": layers(task, out)}),
                           flush=True)
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -233,14 +232,37 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.vstack([np.hstack([zero, eye]), np.hstack([-eye, zero])])
 
 
-def _others(ms: list) -> list:
-    """sum_{k != i} m_k for i < n - 1, from prefix and suffix sums.
+def _others(ms: np.ndarray) -> np.ndarray:
+    """sum_{k != i} m_k for i < n - 1, per row of a (k, n) stack, from prefix
+    and suffix sums added left to right; the prefix of i = 0 is +0.
 
     m - m_i would cancel next to a pole of entry i, where m_i is huge.
     """
-    before = [0j, *accumulate(ms[:-2])]
-    after = [*accumulate(ms[:0:-1])][::-1]
-    return [p + s for p, s in zip(before, after)]
+    before = np.zeros((len(ms), ms.shape[1] - 1), dtype=complex)
+    np.cumsum(ms[:, :-2], axis=1, out=before[:, 1:])
+    after = np.cumsum(ms[:, :0:-1], axis=1)[:, ::-1]
+    return before + after
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise as the scalar complex product computes it,
+    (ar br - ai bi) + i (ar bi + ai br), each operation rounded on its
+    own.  numpy's array product can differ from its scalar one in the last
+    bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _stack_and_sums(ms: np.ndarray):
+    """(the values as a (k, n) stack, each row's sum m), or ZeroDivisionError
+    when some m vanishes.  A row sums as the 1-D array does alone."""
+    rows = np.asarray(ms, dtype=complex).reshape(-1, np.shape(ms)[-1])
+    m = rows.sum(axis=1)
+    if (m == 0).any():
+        raise ZeroDivisionError("sum of interface values vanishes")
+    return rows, m
 
 
 def matrix_weyl(sys: PastedSystem, z) -> np.ndarray:
@@ -249,57 +271,61 @@ def matrix_weyl(sys: PastedSystem, z) -> np.ndarray:
     z may be a 1-D numpy array: the result then has shape (len(z), n, n), and
     M[k] has the bits of the call at z[k].  The entries are evaluated once
     for the whole array (`PastedSystem.entry_values`), so an edge with a
-    potential takes one integration pass.
+    potential takes one integration pass, and the matrices are built in one
+    `matrix_from_values` pass over the stack of rows.
     """
-    ms = sys.entry_values(z)
-    if ms.ndim == 1:
-        return matrix_from_values(ms)
-    return np.array([matrix_from_values(row) for row in ms],
-                    dtype=complex).reshape(-1, sys.n, sys.n)
+    return matrix_from_values(sys.entry_values(z))
 
 
 def matrix_from_values(ms: np.ndarray) -> np.ndarray:
-    """M from the entry values m_1..m_n at one z.
+    """M from the entry values m_1..m_n: (n, n) from one row, and (k, n, n)
+    from a (k, n) stack of rows, in one array pass.
 
     With m = sum of all m_l: M_ij = -m_i m_j / m and M_ii = m_i (m - m_i)/m
     for i, j < n-1-indexed block, M_in = -m_i / m, M_nn = -1/m.  Off the
     real axis m cannot vanish (its imaginary part is a positive sum), so
-    the division is safe.  m - m_i is summed from the other entries.
+    the division is safe; a row whose m is 0 raises ZeroDivisionError.
+    m - m_i is summed from the other entries (`_others`).  Every entry has
+    the bits of the scalar arithmetic on that row alone: the negation comes
+    first, the products are `_product`'s, and numpy's array quotient is its
+    scalar one.
     """
-    n = len(ms)
-    m = ms.sum()
-    if m == 0:
-        raise ZeroDivisionError("sum of interface values vanishes")
-    others = _others(ms.tolist())
-    M = np.empty((n, n), dtype=complex)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            M[i, j] = -ms[i] * ms[j] / m
-        M[i, i] = ms[i] * others[i] / m
-        M[i, n - 1] = M[n - 1, i] = -ms[i] / m
-    M[n - 1, n - 1] = -1.0 / m
-    return M
+    rows, m = _stack_and_sums(ms)
+    k, n = rows.shape
+    neg = -rows[:, :-1]
+    m_col = m[:, None]
+    M = np.empty((k, n, n), dtype=complex)
+    M[:, :-1, :-1] = _product(neg[:, :, None], rows[:, None, :-1]) / m[:, None, None]
+    head = np.arange(n - 1)
+    M[:, head, head] = _product(rows[:, :-1], _others(rows)) / m_col
+    M[:, :-1, -1] = M[:, -1, :-1] = neg / m_col
+    M[:, -1, -1] = -1.0 / m
+    return M if np.ndim(ms) == 2 else M[0]
 
 
 def trace_weyl(sys: PastedSystem, z):
     """tr M(z), summed from the entry values like `matrix_weyl`.
 
     z may be a 1-D numpy array: the result is then a complex array whose entry k
-    has the bits of the call at z[k].
+    has the bits of the call at z[k], from one `trace_from_values` pass.
     """
-    ms = sys.entry_values(z)
-    if ms.ndim == 1:
-        return trace_from_values(ms)
-    return np.array([trace_from_values(row) for row in ms], dtype=complex)
+    return trace_from_values(sys.entry_values(z))
 
 
-def trace_from_values(ms: np.ndarray) -> complex:
-    """tr M from the entry values m_1..m_n at one z."""
-    m = ms.sum()
-    if m == 0:
-        raise ZeroDivisionError("sum of interface values vanishes")
-    v = ms.tolist()
-    return complex(sum(a * o for a, o in zip(v, _others(v))) / m - 1.0 / m)
+def trace_from_values(ms: np.ndarray):
+    """tr M from the entry values m_1..m_n: a complex from one row, and a
+    complex array from a (k, n) stack, in one array pass.
+
+    tr M = (sum_i m_i (m - m_i)) / m - 1/m over i < n - 1, the sum added
+    left to right from 0 and the quotients numpy's, as the scalar arithmetic
+    on one row computes it, so every value keeps those bits.
+    """
+    rows, m = _stack_and_sums(ms)
+    total = np.zeros(len(rows), dtype=complex)
+    for column in _product(rows[:, :-1], _others(rows)).T:
+        total = total + column
+    tr = total / m - 1.0 / m
+    return tr if np.ndim(ms) == 2 else complex(tr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +507,18 @@ def omega_at(sys: PastedSystem, x: NumberLike) -> OmegaMatrix:
         return _finalize_omega(np.zeros((n, n)), True, True, exact_rank=0)
 
     schedule = sys.default_schedule()
-    xf = float(x)
-    ratios = []
-    weights = []
-    for eps, M in zip(schedule, matrix_weyl(sys, xf + 1j * np.array(schedule))):
-        T = float(np.trace(M).imag)
-        if T <= 0:
-            raise ConvergenceError(
-                f"Im tr M not positive at eps={eps}; cannot form the ratio"
-            )
-        weights.append(eps * T)
-        ratios.append(M.imag / T)
+    eps = np.array(schedule)
+    Ms = matrix_weyl(sys, float(x) + 1j * eps)
+    T = np.trace(Ms, axis1=1, axis2=2).imag
+    bad = np.flatnonzero(T <= 0)
+    if bad.size:
+        raise ConvergenceError(
+            f"Im tr M not positive at eps={schedule[bad[0]]}; cannot form the ratio"
+        )
+    ratios = Ms.imag / T[:, None, None]
     # eps * Im tr M extrapolates to the trace weight of the point: positive
     # exactly at atoms, zero at regular and purely continuous points.
-    weight, settled = point_mass(schedule, weights)
+    weight, settled = point_mass(schedule, (eps * T).tolist())
     if weight == 0.0:
         return _finalize_omega(np.zeros((n, n)), settled, True)
     limit, err = richardson(schedule, ratios)

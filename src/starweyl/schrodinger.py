@@ -237,6 +237,13 @@ class Edge:
         return 0.0
 
     @cached_property
+    def _outer_constants(self) -> Tuple[float, float, float]:
+        """(c, s, L) of a finite edge: `cos_sin` of the outer angle and the
+        length as a float, computed once for every z the edge meets."""
+        c, s = cos_sin(float(self.outer_angle))
+        return c, s, float(self.length)
+
+    @cached_property
     def _cells_cache(self) -> dict:
         """(x0, x1, n) -> the integrator's cells; see `_cells`."""
         return {}
@@ -617,8 +624,7 @@ def _free_values(edge: Edge, z: complex):
     by C, which leaves their ratio and the sign of u(0) unchanged.  Real z
     gives real floats.
     """
-    c, s = cos_sin(float(edge.outer_angle))
-    L = float(edge.length)
+    c, s, L = edge._outer_constants
     if z.imag == 0.0:
         x = z.real
         if x > 0.0:
@@ -652,8 +658,8 @@ def _boundary_values(edge: Edge, z):
     if edge.potential is not None:
         if isinstance(z, np.ndarray) and not z.size:
             return z, z
-        c, s = cos_sin(float(edge.outer_angle))
-        return solve_edge(edge, z, (s, -c), float(edge.length), 0.0).scaled
+        c, s, L = edge._outer_constants
+        return solve_edge(edge, z, (s, -c), L, 0.0).scaled
     if not isinstance(z, np.ndarray):
         return _free_values(edge, z)
     return np.array([_free_values(edge, zv) for zv in z.tolist()]).reshape(-1, 2).T
@@ -711,14 +717,13 @@ def _free_poles(edge: Edge, lo: float, hi: float) -> Union[list, None]:
     potential or any other outer angle."""
     if edge.potential is not None:
         return None
-    c, s = cos_sin(float(edge.outer_angle))
+    c, s, L = edge._outer_constants
     if s == 0.0:
         offset = 0.0
     elif c == 0.0:
         offset = 0.5
     else:
         return None
-    L = float(edge.length)
     poles = []
     j = 0 if offset else 1
     while (pole := ((j + offset) * math.pi / L) ** 2) < hi:

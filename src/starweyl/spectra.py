@@ -430,21 +430,24 @@ def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
     outer node for the outer angle with cos c and sin s.  The vertex sums
     1/h, mass h/2 and its potential term over the edges.
 
-    The tree form is ((a_0, b_0), chains): the vertex's diagonals of A and
-    B, and per edge the diagonals of A and B and the squared coupling of
-    each node to its inner neighbour (the vertex for node 1), all ordered
-    from the outer node inward.  The lumped mass B is diagonal, so the
+    The tree form is ((a_0, b_0), chains, order): the vertex's diagonals
+    of A and B; per distinct chain the diagonals of A and B and the squared
+    coupling of each node to its inner neighbour (the vertex for node 1),
+    all ordered from the outer node inward; and per edge, in edge order,
+    the index of its chain.  Equal chains (equal bytes) are kept once, so
+    the readers solve each once.  The lumped mass B is diagonal, so the
     symmetric C = B^{-1/2} A B^{-1/2}, which has the pencil's eigenvalues,
     is read from it: diagonal a / b, and coupling squared / (b_i b_j)
     between neighbours i and j.  `_count_below` and `eigsh` read this form.
     """
     grid = len(potentials[0]) - 1
-    steps = [float(e.length) / grid for e in edges]
+    constants = [e._outer_constants for e in edges]
+    steps = [L / grid for _, _, L in constants]
     vertex_w = sum(h / 2.0 for h in steps)
     vertex_k = 0.0
-    chains = []
-    for e, qs, h in zip(edges, potentials, steps):
-        c, s = cos_sin(float(e.outer_angle))
+    chains: dict = {}  # the chain's bytes -> (its index, the chain)
+    order = []
+    for (c, s, _), qs, h in zip(constants, potentials, steps):
         outer = s != 0.0  # Dirichlet eliminates the outer node j = grid
         m = grid if outer else grid - 1
         w, k = np.full(m, h), np.full(m, 2.0 / h)
@@ -454,9 +457,11 @@ def _fd_pencil(edges: Sequence[Edge], potentials: Sequence[np.ndarray]):
         if outer:
             d[-1] += c / s
         off = -1.0 / h
-        chains.append((d[::-1].copy(), w[::-1].copy(), [off * off] * m))
+        chain = (d[::-1].copy(), w[::-1].copy(), [off * off] * m)
+        key = (chain[0].tobytes(), chain[1].tobytes(), off * off)
+        order.append(chains.setdefault(key, (len(chains), chain))[0])
         vertex_k = vertex_k + 1.0 / h + qs[0] * (h / 2.0)
-    return (float(vertex_k), vertex_w), chains
+    return (float(vertex_k), vertex_w), [chain for _, chain in chains.values()], tuple(order)
 
 
 def _count_below(tree, lam: float) -> int:
@@ -467,18 +472,25 @@ def _count_below(tree, lam: float) -> int:
     its negative pivots is the count (Barth, Martin & Wilkinson's bisection
     count, carried from a path to a star).  A pivot that is exactly zero is
     replaced by a tiny negative one, as LAPACK's bisection does: a
-    perturbation far below the rounding error of A - lam B.
+    perturbation far below the rounding error of A - lam B.  Each distinct
+    chain is eliminated once; its count and its last t then stand for every
+    edge that has it, subtracted from the vertex in edge order.
     """
-    (a0, b0), chains = tree
-    below = 0
-    vertex = a0 - lam * b0
+    (a0, b0), chains, order = tree
+    pivots = []
     for a, b, coupling in chains:
-        t = 0.0
+        below, t = 0, 0.0
         for d, c in zip((a - lam * b).tolist(), coupling):
             p = d - t or -1e-300
             if p < 0.0:
                 below += 1
             t = c / p
+        pivots.append((below, t))
+    below = 0
+    vertex = a0 - lam * b0
+    for k in order:
+        chain_below, t = pivots[k]
+        below += chain_below
         vertex -= t
     return below + (vertex < 0.0)
 
@@ -555,13 +567,11 @@ def eigsh(tree, lo: float, hi: float) -> np.ndarray:
     from scipy.linalg import eigvalsh_tridiagonal
     from scipy.linalg.lapack import dgtsv
 
-    (a0, b0), chains = tree
-    groups: dict = {}  # equal chains and their count
-    for chain in chains:
-        a, b, squared = chain
-        groups.setdefault((a.tobytes(), b.tobytes(), tuple(squared)), [chain, 0])[1] += 1
+    (a0, b0), chains, order = tree
+    copies = Counter(order)
     blocks, poles = [], Counter()
-    for (a, b, squared), r in groups.values():
+    for k, (a, b, squared) in enumerate(chains):
+        r = copies[k]
         # sqrt(x * x) is |x| in binary floating point, so these are C's
         # entries A_ij / sqrt(w_i w_j) with the bits of the assembly
         coupling = np.sqrt(squared) / np.sqrt(b * np.append(b[1:], b0))

@@ -14,10 +14,11 @@ Residue oracles used below, all derived by hand in rational arithmetic:
 
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
@@ -231,6 +232,89 @@ def test_values_that_sum_to_zero_have_no_matrix():
         pasting.matrix_from_values(ms)
     with pytest.raises(ZeroDivisionError):
         pasting.trace_from_values(ms)
+
+
+# The scalar builds the stacked ones replace, kept here as their reference:
+# one row at a time, in numpy complex scalars, a Python double loop.
+def _loop_others(ms: list) -> list:
+    before = [0j, *accumulate(ms[:-2])]
+    after = [*accumulate(ms[:0:-1])][::-1]
+    return [p + s for p, s in zip(before, after)]
+
+
+def _loop_matrix(ms: np.ndarray) -> np.ndarray:
+    n = len(ms)
+    m = ms.sum()
+    if m == 0:
+        raise ZeroDivisionError("sum of interface values vanishes")
+    others = _loop_others(ms.tolist())
+    M = np.empty((n, n), dtype=complex)
+    for i in range(n - 1):
+        for j in range(n - 1):
+            M[i, j] = -ms[i] * ms[j] / m
+        M[i, i] = ms[i] * others[i] / m
+        M[i, n - 1] = M[n - 1, i] = -ms[i] / m
+    M[n - 1, n - 1] = -1.0 / m
+    return M
+
+
+def _loop_trace(ms: np.ndarray) -> complex:
+    m = ms.sum()
+    if m == 0:
+        raise ZeroDivisionError("sum of interface values vanishes")
+    v = ms.tolist()
+    return complex(sum(a * o for a, o in zip(v, _loop_others(v))) / m - 1.0 / m)
+
+
+# Real and imaginary parts: signed zeros, subnormals, values near the top of
+# the range (whose products overflow) and ordinary ones.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-310,
+                     1.7e308, -1.3e308, 1e154, -3e-160]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _value_stacks(draw):
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 64]))
+    k = draw(st.integers(0, 3))
+    parts = st.lists(_PARTS, min_size=2 * n, max_size=2 * n)
+    rows = [draw(parts) for _ in range(k)]
+    return np.array([[complex(r[2 * i], r[2 * i + 1]) for i in range(n)] for r in rows],
+                    dtype=complex).reshape(k, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_value_stacks())
+# the prefix of entry 0 is +0, which turns a suffix of -0.0 parts into +0.0
+@example(np.array([[2 + 1j, complex(-0.0, -0.0)]]))
+@example(np.array([[1 - 1j, complex(-0.0, -0.0), complex(-0.0, -0.0)]] * 2))
+def test_stacked_builds_have_the_bits_of_the_scalar_loop(stack):
+    with np.errstate(all="ignore"):
+        if any(row.sum() == 0 for row in stack):
+            for build in (pasting.matrix_from_values, pasting.trace_from_values):
+                with pytest.raises(ZeroDivisionError):
+                    build(stack)
+            return
+        M, tr = pasting.matrix_from_values(stack), pasting.trace_from_values(stack)
+        assert M.shape == (len(stack), stack.shape[1], stack.shape[1])
+        assert tr.shape == (len(stack),)
+        for k, row in enumerate(stack):
+            assert _bits(M[k]) == _bits(pasting.matrix_from_values(row)) == _bits(_loop_matrix(row))
+            want = _loop_trace(row)
+            assert _bits(tr[k]) == _bits(want)
+            alone = pasting.trace_from_values(row)
+            assert type(alone) is complex and _bits(alone) == _bits(want)
+
+
+def test_a_stack_with_one_vanishing_sum_has_no_matrix():
+    stack = np.array([[1.0 + 1j, 2.0], [0.0, -0.0], [3.0, 1j]])
+    for build in (pasting.matrix_from_values, pasting.trace_from_values):
+        with pytest.raises(ZeroDivisionError):
+            build(stack)
+        assert build(np.empty((0, 4), dtype=complex)).shape[0] == 0
 
 
 def test_trace_weyl_equals_the_matrix_trace():

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
@@ -463,6 +463,11 @@ def _richardson_reference(edge, z, init):
 
 @settings(max_examples=30, deadline=None)
 @given(potential_edges(), energies)
+# edges that settle only at a late level: q = 60x^2 at n = 128 (chains of up
+# to 512 cells), q = 30x^3 at n = 512 (up to 2,048 cells)
+@example(Edge.of(1, [((0, 1), [0, 0, 60])], 0.0), complex(600))
+@example(Edge.of(1, [((0, 1), [0, 0, 60])], 0.7), complex(600))
+@example(Edge.of(2, [((0, 2), [0, 0, 0, 30])], 0.0), 3000 + 1e-6j)
 def test_accepted_transfer_values_match_a_16384_cell_reference(edge, z):
     c, s = cos_sin(edge.outer_angle)
     got = solve_edge(edge, z, (s, -c), float(edge.length), 0.0)

@@ -657,12 +657,12 @@ def _spy_eigsh(monkeypatch):
 def _pencil(edges, grid):
     """The pencil's tree form and its symmetric form C = B^{-1/2} A B^{-1/2}
     as a dense matrix, spelled out from the tree (the vertex first, then
-    each chain from its outer node inward), as `scripts/oracle_floor.py`
-    does."""
+    each edge's chain from its outer node inward), as
+    `scripts/oracle_floor.py` does."""
     tree = spectra._fd_pencil(edges, [_nodal_potential(e, grid) for e in edges])
-    (a0, b0), chains = tree
+    (a0, b0), chains, order = tree
     diag, weight, couplings = [a0], [b0], []
-    for a, b, squared in chains:
+    for a, b, squared in (chains[k] for k in order):
         start = len(diag)
         diag += a.tolist()
         weight += b.tolist()
@@ -774,6 +774,38 @@ def test_count_below_matches_dense_eigenvalues(star, data):
         lams.append(lam)
     for lam in lams:
         assert spectra._count_below(tree, lam) == np.count_nonzero(eigs < lam), lam
+
+
+def _count_below_per_edge(tree, lam):
+    """`_count_below` as it ran before equal chains were grouped: every
+    edge's chain eliminated on its own, in edge order."""
+    (a0, b0), chains, order = tree
+    below, vertex = 0, a0 - lam * b0
+    for a, b, coupling in (chains[k] for k in order):
+        t = 0.0
+        for d, c in zip((a - lam * b).tolist(), coupling):
+            p = d - t or -1e-300
+            below += p < 0.0
+            t = c / p
+        vertex -= t
+    return below + (vertex < 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fd_stars(), st.data())
+def test_equal_chains_are_kept_once_and_count_as_each_edge(star, data):
+    import scipy.linalg
+
+    edges, grid = star
+    tree, C = _pencil(edges, grid)
+    _, chains, order = tree
+    assert len(order) == len(edges) and len(chains) == len(set(order))
+    assert list(order) == [order[edges.index(e)] for e in edges]
+    eigs = scipy.linalg.eigvalsh(C)
+    j = data.draw(st.integers(0, len(eigs) - 1))
+    for lam in (eigs[j], np.nextafter(eigs[j], -np.inf), np.nextafter(eigs[j], np.inf),
+                data.draw(st.floats(-1e3, 2e4))):
+        assert spectra._count_below(tree, lam) == _count_below_per_edge(tree, lam), lam
 
 
 @settings(max_examples=40, deadline=None)
