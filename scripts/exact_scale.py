@@ -5,7 +5,8 @@ positions carried by 4, 3, 2 and 1 entries follows the rule of the
 benchmark's exact-atomic workload; the P distinct positions are drawn from
 the grid (8/P)Z in [-8, 8) and the masses are k/16 with k in 1..32.  Every
 size is run in a fresh interpreter (start-up included) on the window
-[-8, 8], against whichever `starweyl` is on PYTHONPATH:
+[-8, 8], with one BLAS/OpenMP thread, against whichever `starweyl` is on
+PYTHONPATH:
 
     PYTHONPATH=src python scripts/exact_scale.py --sizes 40 80 --repeat 3
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -29,6 +31,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from starweyl import ScalarMeasure
+
+# Every child CLI runs with one BLAS/OpenMP thread, as the benchmark runs it.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def atomic_entries(per_entry: int, seed: int, entries: int = 4) -> list:
@@ -61,6 +67,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     with tempfile.TemporaryDirectory() as tmp:
         for size in args.sizes:
             path = Path(tmp) / f"atomic4x{size}.json"
@@ -70,7 +77,7 @@ def main() -> None:
                 out = Path(tmp) / f"out{size}-{r}"
                 start = time.perf_counter()
                 subprocess.run([sys.executable, "-m", "starweyl.cli", "eigs", str(path),
-                                "--exact", "--out", str(out)], check=True)
+                                "--exact", "--out", str(out)], check=True, env=env)
                 runs.append(time.perf_counter() - start)
             print(json.dumps({"atoms": f"4x{size}", "seed": args.seed, "runs_s": runs,
                               "median_s": statistics.median(runs),

@@ -6,7 +6,8 @@ condition Dirichlet, Neumann or the angle 0.7, drawn per edge by
 edge free.  The potential star is the same star with one linear piece
 a + b x on each whole edge, a in [-2, 2] and b in [0, 2] in steps of 1/4.
 Every task runs in a fresh interpreter (start-up included) against whichever
-`starweyl` is on PYTHONPATH, the oracle at `--grid 1000`:
+`starweyl` is on PYTHONPATH, with one BLAS/OpenMP thread, the oracle at
+`--grid 1000`:
 
     PYTHONPATH=src python scripts/star_scale.py --edges 3 8 16 --repeat 3
 
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -34,6 +36,9 @@ from pathlib import Path
 
 WINDOW = ["1/2", 60]
 ANGLES = (0.0, math.pi / 2, 0.7)
+# Every child CLI runs with one BLAS/OpenMP thread, as the benchmark runs it.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def star_edges(n: int, seed: int, potential: bool) -> list:
@@ -74,6 +79,7 @@ def main() -> None:
     parser.add_argument("--kinds", nargs="+", default=["free", "potential"],
                         choices=["free", "potential"])
     args = parser.parse_args()
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.edges:
             for kind in args.kinds:
@@ -87,7 +93,7 @@ def main() -> None:
                         out = Path(tmp) / f"{kind}{n}-{task}-{r}"
                         start = time.perf_counter()
                         subprocess.run([sys.executable, "-m", "starweyl.cli", *argv,
-                                        "--out", str(out)], check=True)
+                                        "--out", str(out)], check=True, env=env)
                         runs.append(time.perf_counter() - start)
                     print(json.dumps({"edges": n, "kind": kind, "task": task, "seed": args.seed,
                                       "runs_s": runs, "median_s": statistics.median(runs),

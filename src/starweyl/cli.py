@@ -15,11 +15,12 @@ systems always take the rational route, and the eps ladder of every
 other system is the one `PastedSystem.default_schedule` picks.  `exact`
 forces nothing and is not kept: it turns a system with a non-atomic entry
 into a schema error.  A task that reads `grid` takes its `DEFAULT_GRID`
-when given none.  `classify` rejects edges and `grid`, which it never
-reads, and `oracle` every entry but an edge; `verify` reads only `--seed`,
-which no other task takes, and a builtin gives it no keys.
-`ProblemFile.parse` makes all these checks, so `run` meets no schema
-violation.
+when given none, and a grid whose values (n per point for `eigs` and
+`oracle`, n^2 for `weyl`, on n entries) exceed `GRID_BUDGET` is a schema
+error.  `classify` rejects edges and `grid`, which it never reads, and
+`oracle` every entry but an edge; `verify` reads only `--seed`, which no
+other task takes, and a builtin gives it no keys.  `ProblemFile.parse`
+makes all these checks, so `run` meets no schema violation.
 
 Exit codes: 0 success, 2 schema violation, 3 non-convergence (partial
 artifacts are kept), 4 breached internal invariant.  Runs are
@@ -65,6 +66,9 @@ from .spectra import (
 
 TASKS = ("eigs", "weyl", "classify", "verify", "oracle")
 DEFAULT_GRID = {"eigs": 200, "weyl": 50, "oracle": 4000}
+# The most values a grid may ask for: n per point for the `eigs` plot and
+# the oracle, n^2 for `weyl` (the whole matrix), with n entries.
+GRID_BUDGET = 10**6
 BUILTINS = ("k74", "equilateral3", "kac2")
 
 
@@ -139,7 +143,11 @@ class ProblemFile:
             raise SchemaError("exact must be a boolean")
         if exact and not system.is_exact_atomic:
             raise SchemaError("exact route requested but the system is not purely atomic")
-        return cls(task, system, (lo, hi), DEFAULT_GRID.get(task) if grid is None else grid)
+        grid = DEFAULT_GRID.get(task) if grid is None else grid
+        if grid is not None and grid * system.n ** (2 if task == "weyl" else 1) > GRID_BUDGET:
+            raise SchemaError(f"grid {grid} on {system.n} entries exceeds the budget of "
+                              f"{GRID_BUDGET} values")
+        return cls(task, system, (lo, hi), grid)
 
 
 def builtin_problem(name: str) -> dict:
@@ -482,6 +490,8 @@ def main(argv=None) -> int:
             raise SchemaError(f"--jobs must be 1, got {args.jobs}")
         if args.seed is not None and args.task != "verify":
             raise SchemaError(f"task {args.task!r} reads no --seed")
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError(f"--seed must be a nonnegative integer, got {args.seed}")
         problem = _load_problem(args.problem, overrides)
         code = run(problem, args.out, seed=args.seed or 0)
     except SchemaError as exc:

@@ -621,7 +621,9 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
     from the `_rounded_terms` of h - level (none when those do not exist).
 
     A guess is ((xn, xd), radius): the rational xn/xd (xd > 0) and a radius
-    around it that should hold the root.  Safeguarded Newton steps run on
+    around it that should hold the root; `_bisect_exact` confirms one such
+    enclosure per bracket by sign checks, so a wrong guess costs at most
+    two checks and never changes the root.  Safeguarded Newton steps run on
     all brackets at once in numpy, a step leaving the bracket becoming a
     bisection.  The float root's radius bounds the rounding in the sum
     (each term carries rounding of t_j, of t_j - x and of the division),
@@ -632,7 +634,8 @@ def _locate(h: HerglotzRep, level: Fraction, brackets) -> list:
     (`HerglotzRep.value_parts`), squares that error: radius^2 |h''| / (2 h')
     with a factor 4 to spare, but at least 2^-120 of the new point, and a
     Fraction once it falls below the doubles.  It goes first when it is the
-    narrower one.
+    narrower one; its point carries long denominators, which the enclosure
+    does not inherit (`_enclose`).
     """
     terms = _rounded_terms((h,), level)
     if terms is None:  # values beyond the doubles' normal range: plain stepping
@@ -705,76 +708,126 @@ def _bisect_exact(sign: Callable[[int, int], int], lo: Fraction, hi: Fraction,
     doubles per step, so the midpoints are the exact rationals (lo + hi)/2
     without any gcd, and the result is the same Fraction.
 
-    A guess ((xn, xd), radius) from `_locate` lets the search jump to the
-    dyadic sub-bracket of depth k holding x = xn/xd: the deepest at least 4
-    radii wide that plain stepping would still reach, made shallower while
-    x lies within a radius of one of its ends.  Two sign checks confirm the
-    jump: the root then lies strictly inside, so plain stepping passes
-    through the same brackets and meets no exact zero on its way.  If x is
-    within a radius of a split point at every depth (a root at a dyadic
-    point of [lo, hi]) or a sign does not confirm, the next guess is tried,
-    and after the last the search steps from [lo, hi].  The guesses are
-    tried again whenever the goal below moves, and a bracket with an end at
-    0 first leaves 0 in one confirmed step (`_leave_zero`), so a root near
-    2^-1000 takes a few dozen sign checks, not one per halving.
-
     The search stops once the bracket is narrower than 2^-64 max(1, |x|),
     unless a pole of ``gap`` (its ends L, R; None if infinite) lies closer
     to it than its width: it then goes on until the bracket is 2^-64 times
     its distance from the pole.  A bracket in (-1, 1) goes on likewise
     until it is 2^-64 times its distance from 0, so every root has a
     relative accuracy; a bracket that still holds 0 then checks the sign
-    there once, and keeps the side of 0 that holds the root.
+    there once, and keeps the side of 0 that holds the root.  While an end
+    sits at 0, the rules wait for the step that moves it off (goal None
+    below): at the steps between they would change nothing, as the
+    bracket's distance from the poles only grows while its width shrinks.
+
+    The guesses ((xn, xd), radius) of `_locate` are tried for one enclosure
+    of the root that two sign checks confirm (`_enclose`; the bracket
+    itself when none is, which decides nothing).  The root lies strictly
+    inside it, so it decides with no check every step whose midpoint lies
+    outside it, the check at 0, and every snap candidate outside it, each
+    as a sign check would: the result is plain stepping's Fraction
+    whatever the guesses.  The levels it decides are skipped in one
+    integer descent, up to the level where the stop rules next run.  A
+    root near 2^-1000 so takes a few sign checks, not one per halving.
     """
-    guesses = [(point, r) for point, r in guesses if 0 < r < math.inf]
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     goal = max(abs(Fraction(a + b, 2 * den)), Fraction(1)) / Fraction(2**_BISECT_BITS)
-    a, b, den = _jumped(sign, a, b, den, goal, guesses)
+    ea, eb, eden = _enclose(sign, a, b, den, guesses)
+
+    def decided(p: int, q: int) -> int:  # sign(p, q), read off the enclosure outside it
+        return -1 if p * eden <= ea * q else 1 if p * eden >= eb * q else sign(p, q)
+
     while True:
-        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        v = sign(mid, den)
-        if v == 0:
-            return Fraction(mid, den)
-        if v < 0:
-            a = mid
-        else:
-            b = mid
-        if (b - a) * goal.denominator < goal.numerator * den:
-            L, R = gap
-            near = min(math.inf if L is None else Fraction(a, den) - L,
-                       math.inf if R is None else R - Fraction(b, den))
-            if Fraction(b - a, den) > near:
-                goal = near / 2**_BISECT_BITS
-                a, b, den = _jumped(sign, a, b, den, goal, guesses)
+        w = b - a
+        # Clipped to the bracket, the enclosure spans (na, nb)/D of it.  It
+        # lies in one closed sub-bracket at each of the next m levels, whose
+        # steps so need no check: at level j, cell path >> (J - j) of the
+        # bracket, at a level J where the enclosure spans two cells.
+        D = w * eden
+        na, nb = max(ea * den - a * eden, 0), min(eb * den - a * eden, D)
+        J = D.bit_length() - (nb - na).bit_length() + 1
+        path = (na << J) // D
+        m = J - (path ^ (-((-nb << J) // D) - 1)).bit_length()
+        # The level at which the stop rules next run.
+        if goal is None:  # the first one where the end at 0 moves off it
+            side = path if a == 0 else (1 << J) - 1 - path
+            stop = J - side.bit_length() + 1 if side else math.inf
+        else:  # the first s >= 1 with w < goal den 2^s
+            x, y = w * goal.denominator, goal.numerator * den
+            stop = max(1, x.bit_length() - y.bit_length())
+            stop += y << stop <= x
+        k = min(m, stop)
+        a, den = (a << k) + (path >> (J - k)) * w, den << k
+        b = a + w
+        if k < stop:  # the next midpoint lies inside the enclosure
+            mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+            v = sign(mid, den)
+            if v == 0:
+                return Fraction(mid, den)
+            if v < 0:
+                a = mid
+            else:
+                b = mid
+            if not (a and b if goal is None else w * goal.denominator < goal.numerator * den):
                 continue
-            # the bracket's distance from 0, over den
-            zero = a if a > 0 else -b if b < 0 else 0
-            if zero >= den or (b - a) << _BISECT_BITS < zero:
-                break
-            if a < 0 < b:  # a root at 0 is found here; any other is kept off 0
-                v = sign(0, 1)
-                if v == 0:
-                    return Fraction(0)
-                a, b = (0, b) if v < 0 else (a, 0)
-            if zero:
-                goal = Fraction(zero, den << _BISECT_BITS)
-            else:  # an end at 0: plain stepping checks the rules at every step
-                left = _leave_zero(sign, a, b, den, guesses)
-                if left is None:
-                    goal = Fraction(b - a, den)
-                    continue
-                a, b, den, goal = left
-            a, b, den = _jumped(sign, a, b, den, goal, guesses)
+        L, R = gap
+        near = min(math.inf if L is None else Fraction(a, den) - L,
+                   math.inf if R is None else R - Fraction(b, den))
+        if Fraction(w, den) > near:
+            goal = near / 2**_BISECT_BITS
+            continue
+        # the bracket's distance from 0, over den
+        zero = a if a > 0 else -b if b < 0 else 0
+        if zero >= den or w << _BISECT_BITS < zero:
+            break
+        if a < 0 < b:  # a root at 0 is found here; any other is kept off 0
+            v = decided(0, 1)
+            if v == 0:
+                return Fraction(0)
+            a, b = (0, b) if v < 0 else (a, 0)
+        goal = Fraction(zero, den << _BISECT_BITS) if zero else None
     # Roots at simple rationals deserve to come back exact: try the lowest
     # denominator candidates inside the final bracket before giving up.
     # A candidate equal to the one before it has already failed.
     mid, last = a + b, None
     for p, q in _snap_candidates(mid, 2 * den):
-        if (p, q) != last and a * q < p * den < b * q and sign(p, q) == 0:
+        if (p, q) != last and a * q < p * den < b * q and decided(p, q) == 0:
             return Fraction(p, q)
         last = (p, q)
     return Fraction(mid, 2 * den)
+
+
+def _enclose(sign: Callable[[int, int], int], a: int, b: int, den: int, guesses):
+    """(ea, eb, eden) with sign < 0 at ea/eden and > 0 at eb/eden: the first
+    enclosure of the root of `_bisect_exact`'s bracket (a, b, den) that a
+    guess gives and two sign checks confirm, else the bracket itself.
+
+    For a guess ((xn, xd), radius), radius a float or a Fraction in
+    (0, inf), the ends are the points of the bracket's dyadic grid den 2^k,
+    at the first level k finer than the radius, just outside x -+ radius
+    and clipped to the bracket, where no check is needed.  They carry plain
+    stepping's denominators, not the long ones of an exact Newton step x.
+    A guess whose enclosure misses the bracket or holds all of it is
+    passed over, and so is one that a check refutes.
+    """
+    w = b - a
+    for (xn, xd), radius in guesses:
+        if not 0 < radius < math.inf:
+            continue
+        rn, rd = radius.as_integer_ratio()
+        k = max(0, (w * rd).bit_length() - (rn * den).bit_length() + 1)
+        # x - a/den and the radius, in grid steps w/(den 2^k), times xd rd
+        x = ((xn * den - a * xd) * rd) << k
+        r = (rn * den * xd) << k
+        step, cells = w * xd * rd, 1 << k
+        i, j = max((x - r) // step, 0), min(-((-x - r) // step), cells)
+        if i >= j or (i == 0 and j == cells):
+            continue
+        eden = den << k
+        ea, eb = (a << k) + i * w, (a << k) + j * w
+        if (i == 0 or sign(ea, eden) < 0) and (j == cells or sign(eb, eden) > 0):
+            return ea, eb, eden
+    return a, b, den
 
 
 def _snap_candidates(n: int, d: int) -> list:
@@ -809,75 +862,6 @@ def _snap_candidates(n: int, d: int) -> list:
     return out
 
 
-def _jump(sign, a: int, b: int, den: int, goal: Fraction, point, radius):
-    """The bracket (a, b, den) of `_bisect_exact` moved to the sub-bracket
-    holding ``point`` = (xn, xd), or None (see there).  ``radius`` is a
-    float or a Fraction, and every comparison is exact, so brackets and
-    radii far below the doubles work alike.  A jump of fewer than three
-    levels saves no sign check and is not made."""
-    width = b - a
-    rn, rd = radius.as_integer_ratio()
-    # Plain stepping stops at the first step s with width < goal * 2^s, so
-    # it passes every depth up to this one; the sub-bracket stays at least
-    # 4 radii wide.
-    k = min((width * goal.denominator).bit_length() - (goal.numerator * den).bit_length(),
-            (width * rd).bit_length() - (4 * rn * den).bit_length()) - 1
-    xn, xd = point
-    for k in range(k, 2, -1):
-        i, rem = divmod((xn * den - a * xd) << k, width * xd)
-        if not 0 <= i < 2**k:
-            return None
-        # the point's distance from the nearer end of its sub-bracket
-        if min(rem, width * xd - rem) * rd > rn * xd * (den << k):
-            break
-    else:  # x lies within a radius of a split point at every depth
-        return None
-    ka, kden = (a << k) + i * width, den << k
-    if sign(ka, kden) < 0 and sign(ka + width, kden) > 0:
-        return ka, ka + width, kden
-    return None
-
-
-def _jumped(sign, a: int, b: int, den: int, goal: Fraction, guesses):
-    """(a, b, den) moved by the first guess that `_jump` confirms, or as is."""
-    for guess in guesses:
-        jumped = _jump(sign, a, b, den, goal, *guess)
-        if jumped is not None:
-            return jumped
-    return a, b, den
-
-
-def _leave_zero(sign, a: int, b: int, den: int, guesses):
-    """The state (a, b, den, goal) of `_bisect_exact` at the step where
-    plain stepping moves its end at 0 off 0, or None.
-
-    With an end at 0, the stop rules run at every step and only reset the
-    goal, while the root lies nearer to 0 than the midpoint.  For a root in
-    (w 2^-j, w 2^(1-j)), w the width, the end at 0 moves to w 2^-j at step
-    j, and the goal becomes 2^-64 of it.  The first guess lying more than
-    its radius inside that range sets j, and the signs at both of its ends
-    confirm the root strictly inside, as for `_jump`.
-    """
-    side = 1 if a == 0 else -1  # the root's side of 0
-    w = b - a
-    for (xn, xd), radius in guesses:
-        rn, rd = radius.as_integer_ratio()
-        p, W = abs(xn) * den, w * xd  # |x| and w over xd * den
-        if xn * side <= 0 or p >= W:
-            continue
-        j = W.bit_length() - p.bit_length()
-        if W >= p << j:
-            j += 1
-        room = rn * xd * (den << j)
-        if ((p << j) - W) * rd <= room or (2 * W - (p << j)) * rd <= room:
-            continue
-        kden = den << j
-        lo, hi = (w, 2 * w) if side > 0 else (-2 * w, -w)
-        if sign(lo, kden) < 0 and sign(hi, kden) > 0:
-            return lo, hi, kden, Fraction(w, kden << _BISECT_BITS)
-    return None
-
-
 def _bracket_end(sign: Callable[[int, int], int], base: Fraction, step: Fraction,
                  ratio: Union[int, Fraction], want: int,
                  above: Union[Fraction, None] = None) -> Tuple[Fraction, int]:
@@ -905,11 +889,13 @@ def solve_level(h: HerglotzRep, level: NumberLike, window=None) -> list:
     rationals.  Each sign check evaluates h in integers, the loop of
     `HerglotzRep.value_parts` without the slope (`_level_sign`), and one
     sign function serves every gap; the bracket ends are decided in double
-    first (`_filtered_sign`).  All brackets are first located in
-    float at once (`_locate`), and the bisection starts next to that root
-    when two sign checks confirm it.  ``window`` (lo, hi) filters the
-    output, and a gap whose root lies outside it is not searched.  A root
-    next to a pole is resolved against its distance from the pole.
+    first (`_filtered_sign`).  All brackets are first located in float at
+    once (`_locate`); an enclosure of the root around that guess, once two
+    sign checks confirm it, decides every bisection step outside it with
+    no check, and the roots stay those of plain stepping.  ``window``
+    (lo, hi) filters the output, and a gap whose root lies outside it is
+    not searched.  A root next to a pole is resolved against its distance
+    from the pole.
     """
     if not h.omega.is_atomic:
         raise ValueError("exact level solving needs a purely atomic measure")

@@ -204,6 +204,30 @@ def test_only_verify_reads_the_seed_and_it_reads_nothing_else(argv, tmp_path, ca
     assert not Path("out").exists()
 
 
+def test_a_negative_seed_is_a_schema_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "kac2", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, edges, per_point", [("eigs", 3, 3), ("weyl", 3, 9),
+                                                    ("oracle", 2, 2)])
+def test_a_grid_above_the_budget_is_a_schema_error(task, edges, per_point, tmp_path, capsys):
+    # n values per grid point for the eigs plot and the oracle, n^2 for weyl
+    edge = Edge.of(math.pi).to_json()
+    obj = {"task": task, "system": {"edges": [edge] * edges, "interface": {"type": "standard"}},
+           "window": [1, 2]}
+    fits = cli.GRID_BUDGET // per_point
+    assert ProblemFile.parse({**obj, "grid": fits}).grid == fits
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main([task, str(path), "--grid", str(fits + 1), "--out", str(out)]) == 2
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["eps0", "eps_steps"])
 def test_main_reports_eps_ladder_keys_as_unknown(key, tmp_path, capsys):
     path = tmp_path / "problem.json"

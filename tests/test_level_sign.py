@@ -6,11 +6,12 @@ below is the earlier solver, which evaluated h(x) - level with `eval_real`
 in Fraction arithmetic at every step; both must return the same Fractions.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from starweyl import HerglotzRep, Poly, ScalarMeasure, atomic_rational_parts, herglotz, solve_level
@@ -471,25 +472,62 @@ def test_a_zero_at_the_first_midpoint_comes_back_exact(shift):
     assert shift in roots and roots == _reference_solve_level(h, 0)
 
 
-def test_a_wrong_guess_falls_back_to_plain_stepping():
-    h = _seeded_rep(7, 9)
-    level = F(1, 3)
+def _guess_points(lo, hi, root):
+    """Points for guesses at the root of [lo, hi]: on it, off it on either
+    side, outside the bracket, and on a dyadic split of the bracket."""
+    width = hi - lo
+    return st.one_of(
+        st.just(root),
+        st.fractions(min_value=-1, max_value=2, max_denominator=10**6).map(
+            lambda t: lo + width * t),
+        st.builds(lambda e, k: root + F(e, 2**k), st.sampled_from([-1, 1]), st.integers(0, 90)),
+        st.builds(lambda j, k: lo + width * F(j % 2**k, 2**k), st.integers(0, 2**30),
+                  st.integers(0, 30)),
+    )
+
+
+guess_radii = st.one_of(
+    st.sampled_from([0.0, 0, -1e-9, math.inf, math.nan]),
+    st.floats(min_value=1e-300, max_value=4.0),
+    st.builds(lambda k: F(1, 2**k), st.integers(1075, 1200)),  # below the doubles
+)
+
+
+@seed(0)
+@settings(max_examples=100, deadline=None)
+@given(grid_reps(), st.data())
+def test_a_wrong_guess_falls_back_to_plain_stepping(h, data):
+    # A bracket [lo, hi] of a gap (L, R) around x0, at the level h(x0) or
+    # just off it: the root is x0 itself, which snapping returns, or one
+    # that only the bracket's last midpoint gives.
     ts = h.omega.atom_positions()
-    lo, hi = ts[3] + (ts[4] - ts[3]) / 16, ts[4] - (ts[4] - ts[3]) / 16
-    sign = _level_sign(h, level)
-    assert sign(lo.numerator, lo.denominator) < 0 < sign(hi.numerator, hi.denominator)
-    plain = _bisect_exact(sign, lo, hi)
-    for x in (lo, hi, (lo + hi) / 2, plain * (1 + F(1, 10**9)), hi + 1, lo - 1):
-        wrong = [((x.numerator, x.denominator), 1e-30)]
-        assert _bisect_exact(sign, lo, hi, wrong) == plain
-        # a wrong first guess leaves the next one to be tried
-        good = [((plain.numerator, plain.denominator), 1e-40)]
-        assert _bisect_exact(sign, lo, hi, wrong + good) == plain
+    assume(len(ts) >= 2)
+    i = data.draw(st.integers(0, len(ts) - 2))
+    L, R = ts[i], ts[i + 1]
+    u, v, w = (data.draw(st.fractions(min_value=F(1, 64), max_value=F(63, 64),
+                                      max_denominator=10**4)) for _ in range(3))
+    x0 = L + (R - L) * u
+    lo, hi = L + (x0 - L) * v, R - (R - x0) * w
+    shift = data.draw(st.sampled_from([F(0), F(1, 3 * 10**9), F(-1, 7 * 10**11)]))
+    sign = _level_sign(h, h.eval_real(x0) + shift)
+    assume(sign(lo.numerator, lo.denominator) < 0 < sign(hi.numerator, hi.denominator))
+    plain = _bisect_exact(sign, lo, hi, (), (L, R))
+    assert plain == x0 or shift
+    guesses = data.draw(st.lists(
+        st.tuples(_guess_points(lo, hi, plain).map(lambda x: (x.numerator, x.denominator)),
+                  guess_radii), max_size=4))
+    if data.draw(st.booleans()):
+        # then a good guess, whose enclosure decides the steps: the root
+        # lies within half its radius, 2^-k of the bracket's width
+        radius = (hi - lo) / 2**data.draw(st.integers(1, 32))
+        x = plain + radius * data.draw(st.fractions(-F(1, 2), F(1, 2), max_denominator=64))
+        guesses.append(((x.numerator, x.denominator), float(radius)))
+    assert _bisect_exact(sign, lo, hi, guesses, (L, R)) == plain
 
 
 def test_located_guesses_save_most_sign_checks(monkeypatch):
     # 40 atoms: plain stepping spends about 64 checks per root in the
-    # bisection alone; the confirmed jump leaves a handful.
+    # bisection alone; the enclosure's two confirming checks decide the rest.
     h = _seeded_rep(40, 40)
     level = _levels_for(40)[0]
     roots = solve_level(h, level)
@@ -506,7 +544,7 @@ def test_located_guesses_save_most_sign_checks(monkeypatch):
 
     monkeypatch.setattr(herglotz, "_level_sign", counted)
     assert solve_level(h, level) == roots
-    assert len(calls) <= 16 * len(roots)
+    assert len(calls) <= 2 * len(roots)
 
 
 def test_a_root_at_the_upper_bracket_end_comes_back_exact():
@@ -673,19 +711,21 @@ def test_a_tiny_root_takes_few_sign_checks_and_keeps_its_fraction(atoms, window,
 
 
 def test_leaving_zero_needs_a_guess_on_the_root_side():
-    # h(x) = 2 x - 2^-1000 / 3 has its zero 2^-1000 / 6 just above 0; the
-    # bracket (-1, 1) halves onto 0 at once.  Guesses on the wrong side of
-    # 0, or within their radius of a power-of-two split, are passed over.
-    h = HerglotzRep.of(F(-1, 3 * 2**1000), 2, ScalarMeasure())
-    sign = _level_sign(h, F(0))
-    root = F(1, 6 * 2**1000)
-    plain = _bisect_exact(sign, F(-1), F(1))
-    assert abs(plain - root) < root / 2**60
-    split = F(1, 2**1000)
-    for guesses in ([((-3, 1), 1e-300)],
-                    [((split.numerator, split.denominator), F(1, 2**1010))],
-                    [((root.numerator, root.denominator), F(1, 2**1100))]):
-        assert _bisect_exact(sign, F(-1), F(1), guesses) == plain
+    # h(x) = 2 x - 2 x0 has its zero x0 just off 0; the bracket (-1, 1)
+    # halves onto 0 at once, and its end at 0 moves off at the step a
+    # confirmed enclosure decides.  For x0 = +-4/5 2^-1000 the next step
+    # moves the other end, so the stop rules must run at that very step.
+    # A guess on the wrong side of 0, or at the power-of-two split beside
+    # x0, fails its confirming check; one at x0 with a radius below the
+    # doubles encloses it.  Each gives plain stepping's Fraction.
+    for root in (F(1, 6 * 2**1000), F(4, 5 * 2**1000), -F(4, 5 * 2**1000)):
+        h = HerglotzRep.of(-2 * root, 2, ScalarMeasure())
+        sign = _level_sign(h, F(0))
+        plain = _bisect_exact(sign, F(-1), F(1))
+        assert abs(plain - root) < abs(root) / 2**60
+        split = F(1, 2**1000) if root > 0 else -F(1, 2**1000)
+        for x, radius in ((-root, F(1, 2**1100)), (split, F(1, 2**1010)), (root, F(1, 2**1100))):
+            assert _bisect_exact(sign, F(-1), F(1), [((x.numerator, x.denominator), radius)]) == plain
 
 
 def test_terms_that_overflow_with_both_signs_leave_the_sign_to_integers():
